@@ -1,8 +1,9 @@
 """Hot numeric kernels.
 
 The three inner loops that dominate runtime (Sturm-sequence inertia counts,
-tridiagonal solves for inverse iteration, and the singular-weight power
-functional used by the constrained minimizer) are compiled with numba.
+tridiagonal LDL^T factors and solves for inverse iteration and the
+minimizer, and the singular-weight power functional used by the constrained
+minimizer) are compiled with numba when it is installed (the ``jit`` extra).
 
 Setting the environment variable ``HARDYLAB_DISABLE_NUMBA=1`` before import
 selects a pure NumPy/Python fallback path instead: recurrence kernels run as
@@ -24,7 +25,7 @@ if not NUMBA_DISABLED:
         from numba import njit as _njit
 
         HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
+    except ImportError:  # numba is the optional ``jit`` extra
         HAVE_NUMBA = False
 else:
     HAVE_NUMBA = False
@@ -67,12 +68,39 @@ negcount = _jit(_negcount_py)
 
 
 # ---------------------------------------------------------------------------
-# Tridiagonal solve (Thomas).  Callers arrange for positive definiteness,
-# so no pivoting is needed.
+# Tridiagonal LDL^T factor and solve.  Callers arrange for positive
+# definiteness, so no pivoting is needed.  A fixed matrix is factored once
+# and solved against many right-hand sides.
 # ---------------------------------------------------------------------------
 
+def _ldl_factor_py(d, e):
+    """Pivots ``diag`` and unit-lower multipliers ``low`` of T = L D L^T for
+    symmetric tridiagonal T = (d, e)."""
+    n = d.shape[0]
+    diag = np.empty(n)
+    low = np.empty(n - 1)
+    diag[0] = d[0]
+    for i in range(1, n):
+        low[i - 1] = e[i - 1] / diag[i - 1]
+        diag[i] = d[i] - low[i - 1] * e[i - 1]
+    return diag, low
+
+
+def _ldl_solve_py(diag, low, b):
+    """Solve L D L^T x = b from the factors of ``ldl_factor``."""
+    n = diag.shape[0]
+    x = b.copy()
+    for i in range(1, n):
+        x[i] -= low[i - 1] * x[i - 1]
+    x[n - 1] /= diag[n - 1]
+    for i in range(n - 2, -1, -1):
+        x[i] = x[i] / diag[i] - low[i] * x[i + 1]
+    return x
+
+
 def _tridiag_solve_py(d, e, b):
-    """Solve T x = b for symmetric tridiagonal T = (d, e) via LDL^T."""
+    """Reference Thomas solve in one loop; ``tridiag_solve`` performs the
+    same operations in the same order and so returns the same bits."""
     n = d.shape[0]
     diag = np.empty(n)
     low = np.empty(n - 1)
@@ -89,7 +117,14 @@ def _tridiag_solve_py(d, e, b):
     return x
 
 
-tridiag_solve = _jit(_tridiag_solve_py)
+ldl_factor = _jit(_ldl_factor_py)
+ldl_solve = _jit(_ldl_solve_py)
+
+
+def tridiag_solve(d, e, b):
+    """Solve T x = b for symmetric tridiagonal T = (d, e) via LDL^T."""
+    diag, low = ldl_factor(d, e)
+    return ldl_solve(diag, low, b)
 
 
 # ---------------------------------------------------------------------------

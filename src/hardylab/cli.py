@@ -35,6 +35,7 @@ from .records import RunRecord, default_out_dir, write_record, write_table
 from .eigensolver import smallest_generalized_eigen
 from .thresholds import (
     constant_profile_bound,
+    default_bc,
     lambda_star_bracket,
     mu_curve,
     strict_inequality_report,
@@ -84,9 +85,12 @@ def _manifold_from(args) -> ModelManifold:
 
 
 def _bc_from(args, m: ModelManifold) -> str:
-    if args.bc != "auto":
-        return args.bc
-    return "reflected" if m.full_sphere else "dirichlet"
+    return default_bc(m) if args.bc == "auto" else args.bc
+
+
+def _warn_unconverged(res) -> None:
+    if not res.converged:
+        print(f"WARNING: minimizer did not converge (grad_norm={res.grad_norm:.3e})")
 
 
 def _grid_meta(args):
@@ -247,6 +251,8 @@ def _cmd_solve(args, out):
     write_record(rec, out)
     for k, v in results.items():
         print(f"{k} = {v}")
+    if s < 2.0:
+        _warn_unconverged(res)
     return _EXIT_OK
 
 
@@ -309,6 +315,10 @@ def _cmd_theorem2(args, out):
         "lambda_negative": rep.lambda_negative,
         "within_theorem_dims": rep.within_theorem_dims,
         "verdict": rep.verdict,
+        "coarse_converged": rep.coarse.converged,
+        "coarse_iterations": rep.coarse.iterations,
+        "fine_converged": rep.fine.converged,
+        "fine_iterations": rep.fine.iterations,
     }
     prov = {
         "mu_upper": "minimize",
@@ -320,6 +330,10 @@ def _cmd_theorem2(args, out):
         "lambda_negative": "artifact-derived",
         "within_theorem_dims": "artifact-derived",
         "verdict": "artifact-derived",
+        "coarse_converged": "minimize",
+        "coarse_iterations": "minimize",
+        "fine_converged": "minimize",
+        "fine_iterations": "minimize",
     }
     rec = RunRecord(
         "theorem2-check",
@@ -331,6 +345,8 @@ def _cmd_theorem2(args, out):
     write_record(rec, out)
     for k, v in results.items():
         print(f"{k} = {v}")
+    _warn_unconverged(rep.coarse)
+    _warn_unconverged(rep.fine)
     return _EXIT_OK if rep.verdict == "CONFIRMS_THEOREM" else _EXIT_INCONCLUSIVE
 
 

@@ -19,7 +19,7 @@ from .eigensolver import EigenResult, smallest_generalized_eigen
 from .errors import DomainError, SweepRangeError
 from .forms import assemble_forms, build_grid
 from .manifold import ModelManifold, curvature_criterion
-from .minimizer import minimize_quotient
+from .minimizer import MinimizationResult, minimize_quotient
 
 __all__ = [
     "MuCurve",
@@ -74,6 +74,8 @@ class TheoremReport:
     verdict: str  # CONFIRMS_THEOREM or INCONCLUSIVE
     init_tag: str
     concentration: float
+    coarse: MinimizationResult  # the M-grid run
+    fine: MinimizationResult  # the 2M-grid run
 
 
 def _forms_for(m: ModelManifold, M: int, gamma: float, sigma: float, bc: str | None):
@@ -258,4 +260,6 @@ def strict_inequality_report(
         verdict=verdict,
         init_tag=best.init_tag,
         concentration=best.concentration,
+        coarse=coarse,
+        fine=fine,
     )

@@ -133,6 +133,12 @@ def test_quotient_scale_invariance():
         assert bubble_quotient(5, 1.0, scale=c) == pytest.approx(base, rel=1e-12)
 
 
+def test_quotient_refuses_sigma_too_close_to_two():
+    # the profile's weight sits below the innermost panel, so hs_mass underflows to 0
+    with pytest.raises(DomainError, match="too close to 2"):
+        bubble_quotient(3, 1.999)
+
+
 @pytest.mark.parametrize("N,sigma", [(5, 0.5), (5, 1.0), (6, 1.0), (6, 0.5)])
 def test_pohozaev_identity(N, sigma):
     assert pohozaev_residual(N, sigma) <= 1e-8

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from hardylab.cli import main
+from hardylab.minimizer import minimize_quotient
 
 
 def run(args, tmp_path, extra=()):
@@ -51,6 +52,34 @@ def test_solve_sigma1_record(tmp_path):
     rec = read_records(tmp_path)[-1]
     assert rec["results"]["mu_upper"] < 5.3
     assert rec["results"]["radial_upper_bound_only"] is True
+
+
+def test_readme_solve_example_converges(tmp_path, capsys):
+    code = run(["solve", "--sigma", "1", "--lambda", "-1", "--dim", "4", "--nodes", "1024"], tmp_path)
+    assert code == 0
+    assert read_records(tmp_path)[-1]["results"]["converged"] is True
+    assert "WARNING" not in capsys.readouterr().out
+
+
+def test_unconverged_minimizer_is_reported(tmp_path, capsys, monkeypatch):
+    import hardylab.cli
+    import hardylab.thresholds
+
+    def two_steps(forms, lam, **kwargs):
+        return minimize_quotient(forms, lam, max_iters=2)
+
+    monkeypatch.setattr(hardylab.cli, "minimize_quotient", two_steps)
+    monkeypatch.setattr(hardylab.thresholds, "minimize_quotient", two_steps)
+    warning = "WARNING: minimizer did not converge (grad_norm="
+    run(["solve", "--sigma", "1", "--lambda", "-1", "--dim", "4", "--nodes", "64"], tmp_path)
+    assert capsys.readouterr().out.count(warning) == 1
+    run(["theorem2-check", "--dim", "4", "--lambda", "-1", "--sigma", "1", "--nodes", "32"], tmp_path)
+    assert capsys.readouterr().out.count(warning) == 2
+    rec = read_records(tmp_path)[-1]
+    for grid in ("coarse", "fine"):
+        assert rec["results"][f"{grid}_converged"] is False
+        assert rec["results"][f"{grid}_iterations"] == 2
+        assert rec["provenance"][f"{grid}_converged"] == "minimize"
 
 
 def test_mu_curve_csv(tmp_path):

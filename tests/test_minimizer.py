@@ -8,7 +8,8 @@ from hardylab.constants import hardy_sobolev_constant
 from hardylab.errors import DomainError
 from hardylab.forms import assemble_forms, build_grid, evaluate_quotient, hs_functional
 from hardylab.manifold import euclidean_ball, unit_sphere
-from hardylab.minimizer import bubble_init, constant_init, minimize_quotient
+from hardylab._kernels import ldl_factor
+from hardylab.minimizer import _shifted_factor, bubble_init, constant_init, minimize_quotient
 
 
 @pytest.fixture(scope="module")
@@ -101,15 +102,50 @@ def test_flat_floor(ball3_forms):
 
 
 def test_energy_monotonicity_via_budget(sphere4_forms):
-    # longer budgets never worsen the best value (accepted steps only
-    # decrease the energy)
-    vals = []
-    for iters in (5, 25, 125):
-        res = minimize_quotient(
-            sphere4_forms, -1.0, inits=[bubble_init(sphere4_forms, 8.0)], max_iters=iters
-        )
-        vals.append(res.mu_upper)
-    assert vals[0] >= vals[1] >= vals[2]
+    # longer budgets never worsen the best value, on A = K - lam*Mass itself
+    # (lam = -1, where descent is proved) and on the shifted operator
+    # (lam = 0.5, where A is indefinite on the full sphere); the runs return
+    # their lowest iterate, so a strict drop from budget k to k + 1 shows
+    # that the k-th step lowered Q
+    for lam in (-1.0, 0.5):
+        vals = []
+        for iters in (1, 2, 3, 4, 5, 25, 125):
+            res = minimize_quotient(
+                sphere4_forms, lam, inits=[bubble_init(sphere4_forms, 8.0)], max_iters=iters
+            )
+            vals.append(res.mu_upper)
+        assert all(a > b for a, b in zip(vals[:4], vals[1:5]))
+        assert vals[4] >= vals[5] >= vals[6]
+
+
+@pytest.mark.parametrize("lam,kappa", [(-1.0, 1.0), (0.5, 1.5), (0.0, 1.0)])
+def test_shift_branch(sphere4_forms, lam, kappa):
+    # A = K - lam*Mass is factored itself when definite; on the full sphere
+    # it is indefinite at lam = 0.5 and singular (constant mode) at lam = 0,
+    # and then K + (1 + |lam|) Mass is factored; kappa is the Mass multiple
+    f = sphere4_forms
+    got = _shifted_factor(f, lam)
+    want = ldl_factor(f.kd + kappa * f.md, f.ke + kappa * f.me)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize(
+    "N,lam,sigma,M,seed_value",
+    [
+        (4, -1.0, 1.0, 32, 3.433614535822),
+        (4, -1.0, 1.0, 64, 3.433242636385),
+        (5, -0.5, 0.5, 32, 1.777465176254),
+        (4, 0.5, 1.0, 64, -1.871855211042),
+    ],
+)
+def test_matches_projected_gradient_values(N, lam, sigma, M, seed_value):
+    # values of the projected gradient descent that preceded the
+    # inverse-power iteration; the last case is the indefinite (shifted) one
+    m = unit_sphere(N)
+    forms = assemble_forms(build_grid(m.r_max, M, 2.0, "reflected"), m, sigma)
+    res = minimize_quotient(forms, lam)
+    assert res.converged
+    assert res.mu_upper == pytest.approx(seed_value, rel=1e-8)
 
 
 def test_nonconverged_flag_is_honest(sphere4_forms):
