@@ -1,71 +1,84 @@
 #!/usr/bin/env python3
-"""Time the hot kernels on the numba path vs the pure-NumPy/Python fallback.
+"""Time the hot kernels against the element-indexing reference loops that
+``tests/test_kernels.py`` holds as their oracles, in one process.
 
-Each mode runs in a child interpreter because the path is chosen at import
-time from HARDYLAB_DISABLE_NUMBA.  Usage: python benchmarks/bench_kernels.py
+Prints ns per row (recurrences) or per cell (power functional) of both and
+the measured ratio reference / kernel.  Inputs: M = 4096, numpy rng seed 7
+(the same as ``perfbench/kernel_bench.py``).
+
+Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
 
-import json
-import os
-import subprocess
+import argparse
+import statistics
 import sys
-
-SNIPPET = r"""
-import json
 import time
+from pathlib import Path
 
 import numpy as np
 
-from hardylab import _kernels
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-rng = np.random.default_rng(7)
+from hardylab import _kernels  # noqa: E402
+from test_kernels import (  # noqa: E402
+    _ldl_factor_py,
+    _ldl_solve_py,
+    _negcount_py,
+    _power_moment_grad_loop_py,
+    _power_moment_loop_py,
+    _tridiag_solve_py,
+)
+
 M = 4096
-d = np.abs(rng.standard_normal(M)) + 2.0
-e = 0.3 * rng.standard_normal(M - 1)
-w = np.abs(rng.standard_normal(M)) + 0.5
-b = rng.standard_normal(M)
-u = np.abs(rng.standard_normal(M + 1)) + 0.1
-wq = np.abs(rng.standard_normal((M, 16)))
-tq = np.linspace(0.02, 0.98, 16)
 
 
-def bench(fn, *args, repeat=200):
-    fn(*args)  # warm-up (includes JIT compilation when enabled)
-    t0 = time.perf_counter()
+def median_ns(fn, args, per, repeat):
+    fn(*args)
+    times = []
     for _ in range(repeat):
+        t0 = time.perf_counter()
         fn(*args)
-    return (time.perf_counter() - t0) / repeat
-
-
-out = {
-    "mode": "numba" if _kernels.HAVE_NUMBA else "numpy-fallback",
-    "negcount_ms": 1e3 * bench(_kernels.negcount, d - 0.5 * w, e),
-    "tridiag_solve_ms": 1e3 * bench(_kernels.tridiag_solve, d, e, b),
-    "power_moment_ms": 1e3 * bench(_kernels.power_moment, u, wq, tq, 2.6667),
-    "power_moment_grad_ms": 1e3 * bench(_kernels.power_moment_grad, u, wq, tq, 2.6667),
-}
-print(json.dumps(out))
-"""
-
-
-def run(disable: bool) -> dict:
-    env = dict(os.environ, HARDYLAB_DISABLE_NUMBA="1" if disable else "0")
-    proc = subprocess.run(
-        [sys.executable, "-c", SNIPPET], env=env, capture_output=True, text=True, check=True
-    )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+        times.append(time.perf_counter() - t0)
+    return 1e9 * statistics.median(times) / per
 
 
 def main():
-    rows = [run(disable=False), run(disable=True)]
-    keys = ["negcount_ms", "tridiag_solve_ms", "power_moment_ms", "power_moment_grad_ms"]
-    header = f"{'kernel':24s} " + " ".join(f"{r['mode']:>16s}" for r in rows) + f" {'speedup':>9s}"
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=15)
+    repeat = parser.parse_args().repeat
+
+    rng = np.random.default_rng(7)
+    d = np.abs(rng.standard_normal(M)) + 2.0
+    e = 0.3 * rng.standard_normal(M - 1)
+    w = np.abs(rng.standard_normal(M)) + 0.5
+    b = rng.standard_normal(M)
+    u = np.abs(rng.standard_normal(M + 1)) + 0.1
+    wq = np.abs(rng.standard_normal((M, 16)))
+    tq = np.linspace(0.02, 0.98, 16)
+    p = 2.6667
+    factors = _kernels.ldl_factor(d, e)
+
+    def grad_loop(u, wq, tq, p):
+        return _power_moment_grad_loop_py(u, wq, tq, p, np.zeros(u.shape[0]))
+
+    rows = [
+        ("negcount", "row", _kernels.negcount, _negcount_py, (d - 0.5 * w, e)),
+        ("ldl_factor", "row", _kernels.ldl_factor, _ldl_factor_py, (d, e)),
+        ("ldl_solve", "row", _kernels.ldl_solve, _ldl_solve_py, (*factors, b)),
+        ("tridiag_solve", "row", _kernels.tridiag_solve, _tridiag_solve_py, (d, e, b)),
+        ("power_moment", "cell", _kernels.power_moment, _power_moment_loop_py, (u, wq, tq, p)),
+        ("power_moment_grad", "cell", _kernels.power_moment_grad, grad_loop, (u, wq, tq, p)),
+    ]
+    header = f"{'kernel':18s} {'unit':>8s} {'kernel':>10s} {'reference':>10s} {'ratio':>7s}"
     print(header)
     print("-" * len(header))
-    for key in keys:
-        vals = [r[key] for r in rows]
-        speedup = vals[1] / vals[0] if vals[0] > 0 else float("inf")
-        print(f"{key:24s} " + " ".join(f"{v:13.4f} ms" for v in vals) + f" {speedup:8.1f}x")
+    for name, unit, fast, ref, args in rows:
+        # the reference power loops are ~100x slower; time them less often
+        ref_repeat = repeat if unit == "row" else max(1, repeat // 5)
+        t_fast = median_ns(fast, args, M, repeat)
+        t_ref = median_ns(ref, args, M, ref_repeat)
+        print(f"{name:18s} {'ns/' + unit:>8s} {t_fast:10.0f} {t_ref:10.0f} {t_ref / t_fast:6.1f}x")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from . import _kernels
 from .errors import DomainError
 from .forms import QuadraticForms, tri_matvec, tri_quadform
 
-__all__ = ["EigenResult", "inertia_count", "smallest_generalized_eigen", "concentration_fraction"]
+__all__ = ["EigenResult", "count_below", "inertia_count", "smallest_generalized_eigen", "concentration_fraction"]
 
 
 @dataclass
@@ -32,21 +32,30 @@ class EigenResult:
     fallback_residual: float | None = None
 
 
-def inertia_count(d: np.ndarray, e: np.ndarray, w: np.ndarray, shift: float) -> int:
+def inertia_count(
+    d: np.ndarray, e: np.ndarray, w: np.ndarray, shift: float, w_off: np.ndarray | None = None
+) -> int:
     """Number of generalized eigenvalues of (T, W) strictly below ``shift``.
 
-    T is symmetric tridiagonal (diagonal d, off-diagonal e) and W a positive
-    diagonal.  On an exact zero pivot the shift is perturbed by one
-    ulp-scale step and the count retried.
+    T is symmetric tridiagonal (diagonal d, off-diagonal e).  W is the
+    positive diagonal ``w``, or the positive definite tridiagonal with
+    off-diagonal ``w_off``.  The count is the number of negative pivots of
+    T - shift*W (Sylvester's law of inertia).  On an exact zero pivot the
+    shift is perturbed by one ulp-scale step and the count retried.
     """
     if np.any(w <= 0.0):
         raise DomainError("weight diagonal must be positive")
     shift = float(shift)
-    scale = float(np.max(np.abs(d)) + np.max(np.abs(e), initial=0.0) + abs(shift))
+    scale = None
     for attempt in range(4):
-        count = _kernels.negcount(d - shift * w, e.copy())
+        if w_off is None:
+            count = _kernels.negcount(d - shift * w, e)
+        else:
+            count = _kernels.negcount(d - shift * w, e - shift * w_off)
         if count >= 0:
-            return int(count)
+            return count
+        if scale is None:
+            scale = float(np.max(np.abs(d)) + np.max(np.abs(e), initial=0.0) + abs(shift))
         shift += (attempt + 1) * 1e-15 * max(scale, 1.0)
     raise RuntimeError("inertia count kept hitting exact singularities")
 
@@ -64,22 +73,14 @@ def _pencil_arrays(forms: QuadraticForms, lam: float, denominator: str):
         we = forms.me[: n - 1]
     else:
         raise DomainError(f"unknown denominator {denominator!r}")
-    return d.copy(), e.copy(), wd.copy(), we if we is None else we.copy()
+    return d, e, wd, we
 
 
-def _count(d, e, wd, we, shift):
-    if we is None:
-        return _kernels.negcount(d - shift * wd, e.copy())
-    return _kernels.negcount(d - shift * wd, e - shift * we)
-
-
-def _count_retry(d, e, wd, we, shift, scale):
-    for attempt in range(4):
-        c = _count(d, e, wd, we, shift)
-        if c >= 0:
-            return c
-        shift += (attempt + 1) * 1e-15 * max(scale, 1.0)
-    raise RuntimeError("inertia count kept hitting exact singularities")
+def count_below(forms: QuadraticForms, lam: float, shift: float, denominator: str = "w2") -> int:
+    """Number of eigenvalues of the pencil (K - lambda*Mass, W) strictly
+    below ``shift``: one inertia count, no eigensolve."""
+    d, e, wd, we = _pencil_arrays(forms, lam, denominator)
+    return inertia_count(d, e, wd, shift, we)
 
 
 def smallest_generalized_eigen(
@@ -104,12 +105,12 @@ def smallest_generalized_eigen(
     hi = float(np.min(d / wd)) + 1e-12 * max(scale, 1.0)
     lo = hi - max(1.0, 0.1 * abs(hi))
     it = 0
-    while _count_retry(d, e, wd, we, lo, scale) > 0:
+    while inertia_count(d, e, wd, lo, we) > 0:
         lo -= 2.0 * (hi - lo)
         it += 1
         if it > 200:
             raise RuntimeError("failed to bracket the smallest eigenvalue from below")
-    while _count_retry(d, e, wd, we, hi, scale) < 1:
+    while inertia_count(d, e, wd, hi, we) < 1:
         hi += max(1.0, hi - lo)
         it += 1
         if it > 400:
@@ -119,7 +120,7 @@ def smallest_generalized_eigen(
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # double-precision resolution reached
             break
-        if _count_retry(d, e, wd, we, mid, scale) >= 1:
+        if inertia_count(d, e, wd, mid, we) >= 1:
             hi = mid
         else:
             lo = mid

@@ -9,8 +9,7 @@ exact on constants.  All forms carry the full surface factor |S^{N-1}|, so
 quotient values are directly comparable to the sharp constants.
 
 The sigma < 2 constraint functional and its first variation are evaluated
-from per-cell Gauss tables through the kernels module (numba-compiled by
-default).
+from per-cell Gauss tables through the kernels module (vectorized NumPy).
 """
 
 from __future__ import annotations

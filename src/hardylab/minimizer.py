@@ -38,6 +38,7 @@ import numpy as np
 
 from . import _kernels
 from .bubble import bubble_value
+from .eigensolver import inertia_count
 from .errors import DomainError
 from .forms import (
     QuadraticForms,
@@ -149,8 +150,8 @@ def _shifted_factor(forms: QuadraticForms, lam: float):
     K + (1 + |lam|) Mass."""
     n = forms.dof.stop
     kd, ke, md, me = forms.kd[:n], forms.ke[: n - 1], forms.md[:n], forms.me[: n - 1]
-    shift = lam + 1e-8 * (1.0 + abs(lam))
-    kappa = -lam if _kernels.negcount(kd - shift * md, ke - shift * me) == 0 else 1.0 + abs(lam)
+    definite = inertia_count(kd, ke, md, lam + 1e-8 * (1.0 + abs(lam)), me) == 0
+    kappa = -lam if definite else 1.0 + abs(lam)
     return _kernels.ldl_factor(kd + kappa * md, ke + kappa * me)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import hardy_constant, hardy_sobolev_constant
-from .eigensolver import EigenResult, smallest_generalized_eigen
+from .eigensolver import EigenResult, count_below, smallest_generalized_eigen
 from .errors import DomainError, SweepRangeError
 from .forms import assemble_forms, build_grid
 from .manifold import ModelManifold, curvature_criterion
@@ -144,7 +144,8 @@ def lambda_star_bracket(
     bc: str | None = None,
     sweep: tuple[float, float] = (-20.0, 0.0),
 ) -> LambdaStarBracket:
-    """Bisect the predicate mu_h(lambda) < cap - delta.
+    """Bisect the predicate mu_h(lambda) < cap - delta, tested by one
+    inertia count per lambda (no eigensolve).
 
     The returned hi over-estimates the threshold (discrete detection only
     certifies genuinely-below-cap values); delta defaults to the measured
@@ -155,18 +156,11 @@ def lambda_star_bracket(
     cap = hardy_constant(m.N)
     forms = _forms_for(m, M, gamma, 2.0, bc)
 
-    def gap_at(lam):
-        forms2 = _forms_for(m, 2 * M, gamma, 2.0, bc)
-        return abs(
-            smallest_generalized_eigen(forms, lam).mu
-            - smallest_generalized_eigen(forms2, lam).mu
-        )
-
     def bisect(delta):
         lo, hi = float(sweep[0]), float(sweep[1])
 
         def below(lam):
-            return smallest_generalized_eigen(forms, lam).mu < cap - delta
+            return count_below(forms, lam, cap - delta) >= 1
 
         widen = 0
         while below(lo):
@@ -199,6 +193,14 @@ def lambda_star_bracket(
     if detection_delta is None:
         # provisional pass with the gap at the sweep midpoint, then re-bisect
         # with the gap measured at the bracket midpoint
+        forms2 = _forms_for(m, 2 * M, gamma, 2.0, bc)
+
+        def gap_at(lam):
+            return abs(
+                smallest_generalized_eigen(forms, lam).mu
+                - smallest_generalized_eigen(forms2, lam).mu
+            )
+
         provisional = max(gap_at(0.5 * (sweep[0] + sweep[1])), 1e-9)
         lo, hi = bisect(provisional)
         detection_delta = max(gap_at(0.5 * (lo + hi)), 1e-9)

@@ -42,6 +42,26 @@ def test_inertia_matches_dense_count():
         assert inertia_count(d, e, w, shift) == int(np.sum(evals < shift))
 
 
+def test_inertia_matches_dense_count_tridiagonal_weight():
+    rng = np.random.default_rng(6)
+    n = 40
+    d = rng.standard_normal(n)
+    e = rng.standard_normal(n - 1)
+    wd = np.abs(rng.standard_normal(n)) + 2.0
+    we = 0.5 * rng.standard_normal(n - 1)  # diagonally dominant, so W is definite
+    a = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    b = np.diag(wd) + np.diag(we, 1) + np.diag(we, -1)
+    evals = scipy.linalg.eigh(a, b, eigvals_only=True)
+    for shift in (-2.0, -0.3, 0.1, 1.7):
+        assert inertia_count(d, e, wd, shift, we) == int(np.sum(evals < shift))
+
+
+def test_inertia_retries_exact_zero_pivot():
+    # every pivot of I - 1*I is exactly zero; the retry nudges the shift up
+    n = 5
+    assert inertia_count(np.ones(n), np.zeros(n - 1), np.ones(n), 1.0) == n
+
+
 def test_inertia_rejects_bad_weight():
     with pytest.raises(DomainError):
         inertia_count(np.ones(4), np.zeros(3), np.array([1.0, -1.0, 1.0, 1.0]), 0.0)

@@ -1,9 +1,116 @@
-"""The jitted kernels and their pure-NumPy/Python fallbacks must agree."""
+"""The kernels must return the same bits as plain reference loops that index
+the arrays element by element."""
+
+import math
 
 import numpy as np
 import pytest
 
 from hardylab import _kernels as K
+from hardylab.forms import assemble_forms, build_grid
+from hardylab.manifold import unit_sphere
+
+# ---------------------------------------------------------------------------
+# Reference loops (the oracles)
+# ---------------------------------------------------------------------------
+
+
+def _negcount_py(d, e):
+    n = d.shape[0]
+    count = 0
+    piv = d[0]
+    if piv == 0.0:
+        return -1
+    if piv < 0.0:
+        count += 1
+    for i in range(1, n):
+        piv = d[i] - e[i - 1] * e[i - 1] / piv
+        if piv == 0.0:
+            return -1
+        if piv < 0.0:
+            count += 1
+    return count
+
+
+def _ldl_factor_py(d, e):
+    n = d.shape[0]
+    diag = np.empty(n)
+    low = np.empty(n - 1)
+    diag[0] = d[0]
+    for i in range(1, n):
+        low[i - 1] = e[i - 1] / diag[i - 1]
+        diag[i] = d[i] - low[i - 1] * e[i - 1]
+    return diag, low
+
+
+def _ldl_solve_py(diag, low, b):
+    n = diag.shape[0]
+    x = b.copy()
+    for i in range(1, n):
+        x[i] -= low[i - 1] * x[i - 1]
+    x[n - 1] /= diag[n - 1]
+    for i in range(n - 2, -1, -1):
+        x[i] = x[i] / diag[i] - low[i] * x[i + 1]
+    return x
+
+
+def _tridiag_solve_py(d, e, b):
+    """Thomas solve in one loop."""
+    n = d.shape[0]
+    diag = np.empty(n)
+    low = np.empty(n - 1)
+    x = b.copy()
+    diag[0] = d[0]
+    for i in range(1, n):
+        low[i - 1] = e[i - 1] / diag[i - 1]
+        diag[i] = d[i] - low[i - 1] * e[i - 1]
+    for i in range(1, n):
+        x[i] -= low[i - 1] * x[i - 1]
+    x[n - 1] /= diag[n - 1]
+    for i in range(n - 2, -1, -1):
+        x[i] = x[i] / diag[i] - low[i] * x[i + 1]
+    return x
+
+
+def _power_moment_loop_py(u, w, t, p):
+    ncell, nq = w.shape
+    total = 0.0
+    for c in range(ncell):
+        ul = u[c]
+        ur = u[c + 1]
+        for q in range(nq):
+            v = ul + (ur - ul) * t[q]
+            total += w[c, q] * abs(v) ** p
+    return total
+
+
+def _power_moment_grad_loop_py(u, w, t, p, grad):
+    ncell, nq = w.shape
+    total = 0.0
+    for c in range(ncell):
+        ul = u[c]
+        ur = u[c + 1]
+        gl = 0.0
+        gr = 0.0
+        for q in range(nq):
+            v = ul + (ur - ul) * t[q]
+            av = abs(v)
+            total += w[c, q] * av ** p
+            if av > 0.0:
+                s = p * av ** (p - 1.0)
+                if v < 0.0:
+                    s = -s
+                s *= w[c, q]
+                gl += s * (1.0 - t[q])
+                gr += s * t[q]
+        grad[c] += gl
+        grad[c + 1] += gr
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Inputs
+# ---------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -11,35 +118,101 @@ def rng():
     return np.random.default_rng(11)
 
 
-def test_negcount_matches_fallback(rng):
-    for _ in range(20):
-        n = rng.integers(3, 200)
-        d = rng.standard_normal(n)
-        e = rng.standard_normal(n - 1) * 0.5
-        assert K.negcount(d, e) == K._negcount_py(d, e)
+def _random_pencils(rng):
+    """Indefinite random tridiagonals, sizes 1, 2 and up to 200."""
+    for n in [1, 2, 1, 2] + [int(v) for v in rng.integers(3, 200, size=20)]:
+        yield rng.standard_normal(n), rng.standard_normal(n - 1) * 0.5
+
+
+def _graded_pencils():
+    """K - lam*Mass - s*W on graded grids: 1/h^2 entries spanning many
+    decades, shifts on both sides of the least eigenvalue."""
+    for m, r_max, bc, M in [
+        (unit_sphere(3), math.pi, "reflected", 256),
+        (unit_sphere(5), math.pi, "reflected", 64),
+        (unit_sphere(3), 1.0, "dirichlet", 128),
+    ]:
+        f = assemble_forms(build_grid(r_max, M, 2.0, bc), m, 2.0)
+        sl = f.dof
+        n = sl.stop
+        for lam in (-1.0, 0.0, 0.5):
+            for s in (-1.0, 0.2, 0.25, 0.3, 5.0):
+                d = f.kd[sl] - lam * f.md[sl] - s * f.w2[sl]
+                e = (f.ke - lam * f.me)[: n - 1]
+                yield d, e
+
+
+def _definite(d, e):
+    """Diagonally dominant (so definite) variant with the same off-diagonal."""
+    return np.abs(d) + np.concatenate([[0.0], np.abs(e)]) + np.concatenate([np.abs(e), [0.0]]) + 1.0
+
+
+# ---------------------------------------------------------------------------
+# Tests
+# ---------------------------------------------------------------------------
+
+
+def test_negcount_matches_reference(rng):
+    cases = list(_random_pencils(rng)) + list(_graded_pencils())
+    counts = set()
+    for d, e in cases:
+        got = K.negcount(d, e)
+        assert type(got) is int
+        assert got == _negcount_py(d, e)
+        counts.add(got)
+    assert len(counts) > 5  # the cases cover definite and indefinite pencils
 
 
 def test_negcount_zero_pivot_sentinel():
-    d = np.array([0.0, 1.0, 1.0])
-    e = np.zeros(2)
-    assert K._negcount_py(d, e) == -1
-    assert K.negcount(d, e) == -1
+    for d, e in [
+        (np.array([0.0, 1.0, 1.0]), np.zeros(2)),
+        (np.array([1.0, 1.0, 1.0]), np.array([1.0, 0.0])),  # second pivot 1 - 1/1 = 0
+        (np.array([0.0]), np.zeros(0)),
+        (np.array([2.0, -0.0]), np.zeros(1)),
+    ]:
+        assert _negcount_py(d, e) == -1
+        assert K.negcount(d, e) == -1
 
 
-def test_tridiag_solve_matches_fallback_and_numpy(rng):
-    # the factor-once pair performs the reference loop's operations in the
-    # same order, so every path returns the same bits
-    for _ in range(10):
-        n = int(rng.integers(3, 120))
-        d = np.abs(rng.standard_normal(n)) + 2.0
-        e = rng.standard_normal(n - 1) * 0.4
-        b = rng.standard_normal(n)
-        ref = K._tridiag_solve_py(d, e, b)
+def test_factor_and_solve_match_reference(rng):
+    cases = [(_definite(d, e), e) for d, e in _random_pencils(rng)]
+    cases += list(_graded_pencils())  # indefinite: pivots of both signs
+    for d, e in cases:
+        b = rng.standard_normal(d.shape[0])
+        diag, low = K.ldl_factor(d, e)
+        ref_diag, ref_low = _ldl_factor_py(d, e)
+        assert np.array_equal(diag, ref_diag) and np.array_equal(low, ref_low)
+        ref = _tridiag_solve_py(d, e, b)
+        assert np.array_equal(_ldl_solve_py(ref_diag, ref_low, b), ref)
+        assert np.array_equal(K.ldl_solve(diag, low, b), ref)
         assert np.array_equal(K.tridiag_solve(d, e, b), ref)
-        assert np.array_equal(K.ldl_solve(*K.ldl_factor(d, e), b), ref)
-        assert np.array_equal(K._ldl_solve_py(*K._ldl_factor_py(d, e), b), ref)
+
+
+def test_factor_and_solve_agree_with_dense_solve(rng):
+    for d, e in _random_pencils(rng):
+        d = _definite(d, e)
+        b = rng.standard_normal(d.shape[0])
         a = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        assert np.allclose(ref, np.linalg.solve(a, b), rtol=1e-9, atol=1e-9)
+        assert np.allclose(K.tridiag_solve(d, e, b), np.linalg.solve(a, b), rtol=1e-9, atol=1e-9)
+
+
+def test_exact_zero_pivot_gives_reference_inf_and_nan():
+    # pivot 2 is exactly zero: the reference loop divides by it and carries
+    # inf/nan on; the kernels must return the same bits
+    d = np.array([1.0, 1.0, 3.0, 2.0])
+    e = np.array([1.0, 0.5, 1.0])
+    b = np.array([1.0, -2.0, 0.5, 1.0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ref_diag, ref_low = _ldl_factor_py(d, e)
+        ref = _tridiag_solve_py(d, e, b)
+        diag, low = K.ldl_factor(d, e)
+        x = K.tridiag_solve(d, e, b)
+        x_factored = K.ldl_solve(diag, low, b)
+    assert ref_diag[1] == 0.0 and not np.all(np.isfinite(ref))
+    np.testing.assert_array_equal(diag, ref_diag)
+    np.testing.assert_array_equal(low, ref_low)
+    np.testing.assert_array_equal(x, ref)
+    np.testing.assert_array_equal(x_factored, ref)
 
 
 def test_power_moment_paths_agree(rng):
@@ -48,33 +221,10 @@ def test_power_moment_paths_agree(rng):
     w = np.abs(rng.standard_normal((ncell, nq)))
     t = np.linspace(0.01, 0.99, nq)
     p = 8.0 / 3.0
-    v_np = K._power_moment_np(u, w, t, p)
-    v_loop = K._power_moment_loop_py(u, w, t, p)
-    assert v_np == pytest.approx(v_loop, rel=1e-12)
-    assert K.power_moment(u, w, t, p) == pytest.approx(v_np, rel=1e-12)
+    assert K.power_moment(u, w, t, p) == pytest.approx(_power_moment_loop_py(u, w, t, p), rel=1e-12)
 
-    g_np = np.zeros(ncell + 1)
-    f_np = K._power_moment_grad_np(u, w, t, p, g_np)
     g_loop = np.zeros(ncell + 1)
-    f_loop = K._power_moment_grad_loop_py(u, w, t, p, g_loop)
-    assert f_np == pytest.approx(f_loop, rel=1e-12)
-    assert np.allclose(g_np, g_loop, rtol=1e-10, atol=1e-12)
-    f_sel, g_sel = K.power_moment_grad(u, w, t, p)
-    assert f_sel == pytest.approx(f_np, rel=1e-12)
-    assert np.allclose(g_sel, g_np, rtol=1e-10, atol=1e-12)
-
-
-def test_env_flag_is_respected():
-    import os
-    import subprocess
-    import sys
-
-    code = "import hardylab._kernels as k; print(k.HAVE_NUMBA)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, HARDYLAB_DISABLE_NUMBA="1"),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "False"
+    f_loop = _power_moment_grad_loop_py(u, w, t, p, g_loop)
+    f, g = K.power_moment_grad(u, w, t, p)
+    assert f == pytest.approx(f_loop, rel=1e-12)
+    assert np.allclose(g, g_loop, rtol=1e-10, atol=1e-12)

@@ -8,6 +8,7 @@ from hardylab.constants import hardy_sobolev_constant
 from hardylab.errors import DomainError
 from hardylab.forms import assemble_forms, build_grid, evaluate_quotient, hs_functional
 from hardylab.manifold import euclidean_ball, unit_sphere
+from hardylab import _kernels
 from hardylab._kernels import ldl_factor
 from hardylab.minimizer import _shifted_factor, bubble_init, constant_init, minimize_quotient
 
@@ -126,6 +127,23 @@ def test_shift_branch(sphere4_forms, lam, kappa):
     f = sphere4_forms
     got = _shifted_factor(f, lam)
     want = ldl_factor(f.kd + kappa * f.md, f.ke + kappa * f.me)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_shift_test_retries_zero_pivot(sphere4_forms, monkeypatch):
+    # a zero pivot (-1 from negcount) must not read as "indefinite"
+    f = sphere4_forms
+    real = _kernels.negcount
+    calls = []
+
+    def zero_pivot_first(d, e):
+        calls.append(1)
+        return -1 if len(calls) == 1 else real(d, e)
+
+    monkeypatch.setattr(_kernels, "negcount", zero_pivot_first)
+    got = _shifted_factor(f, -1.0)
+    assert len(calls) == 2
+    want = ldl_factor(f.kd + f.md, f.ke + f.me)  # A = K + Mass itself
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from hardylab.constants import hardy_constant
+from hardylab.eigensolver import count_below, smallest_generalized_eigen
+from hardylab.forms import assemble_forms, build_grid
 from hardylab.manifold import euclidean_ball, unit_sphere
 from hardylab.thresholds import (
     constant_profile_bound,
@@ -54,6 +56,37 @@ def test_bracket_s3():
     # detection invariant: mu(hi) < cap - delta <= mu(lo) + delta
     assert br.mu_hi < br.cap - br.detection_delta
     assert br.cap - br.detection_delta <= br.mu_lo + br.detection_delta
+
+
+@pytest.mark.parametrize(
+    "m,bc,lams",
+    [
+        (unit_sphere(3), "reflected", np.linspace(-2.0, 1.0, 31)),
+        (euclidean_ball(3, 1.0), "dirichlet", np.linspace(4.0, 8.0, 31)),
+    ],
+)
+def test_count_predicate_matches_eigensolve(m, bc, lams):
+    # the bracket's predicate mu_h(lam) < cap - delta, asked as one inertia
+    # count, gives the eigensolver's answer wherever the two are resolved
+    forms = assemble_forms(build_grid(m.r_max, 256, 2.0, bc), m, 2.0)
+    cap = hardy_constant(m.N)
+    outcomes = set()
+    for lam in lams:
+        mu = smallest_generalized_eigen(forms, lam).mu
+        for delta in (1e-3, 1e-2):
+            if abs(mu - (cap - delta)) <= 1e-9:
+                continue
+            below = count_below(forms, lam, cap - delta) >= 1
+            assert below == (mu < cap - delta), (lam, delta, mu)
+            outcomes.add(below)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("M,tol,lo,hi", [(256, 0.1, -0.390625, -0.3125), (512, 0.05, -0.390625, -0.3515625)])
+def test_bracket_s3_pinned(M, tol, lo, hi):
+    # the brackets the eigensolve predicate gave before the count predicate
+    br = lambda_star_bracket(unit_sphere(3), tol_lambda=tol, M=M)
+    assert (br.lo, br.hi) == (lo, hi)
 
 
 def test_bracket_stability_under_refinement():
