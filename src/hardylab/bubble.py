@@ -24,6 +24,7 @@ import numpy as np
 
 from .constants import check_dimension, check_sigma, hardy_sobolev_constant, sphere_area
 from .errors import DomainError
+from .forms import gauss_panels
 
 __all__ = [
     "bubble_value",
@@ -73,25 +74,20 @@ def bubble_grad(r, N: int, sigma: float):
 # quadrature machinery
 # ---------------------------------------------------------------------------
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = (x, w)
-    return _GL_CACHE[order]
-
-
 def _panels_value(f, edges: np.ndarray, order: int) -> float:
-    x, w = _gl(order)
-    a = edges[:-1]
-    b = edges[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (b + a)
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    vals = f(nodes.ravel()).reshape(nodes.shape)
-    return float(np.sum(vals @ w * half))
+    nodes, weights = gauss_panels(edges, order)
+    return float(np.sum(f(nodes.ravel()).reshape(nodes.shape) * weights))
+
+
+def _embedded(f, edges: np.ndarray) -> tuple[float, float]:
+    """16-point panel value and its distance to the embedded 8-point rule."""
+    i16 = _panels_value(f, edges, 16)
+    return i16, abs(i16 - _panels_value(f, edges, 8))
+
+
+def _halve(edges: np.ndarray) -> np.ndarray:
+    """Split every panel at its midpoint."""
+    return np.sort(np.concatenate((edges, 0.5 * (edges[:-1] + edges[1:]))))
 
 
 def _geometric_edges(lo_exp: int) -> np.ndarray:
@@ -102,11 +98,8 @@ def _geometric_edges(lo_exp: int) -> np.ndarray:
 def _integral_01(f, refine: int = 0) -> tuple[float, float]:
     edges = _geometric_edges(54)
     for _ in range(refine):
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        edges = np.sort(np.concatenate((edges, mids)))
-    i16 = _panels_value(f, edges, 16)
-    i8 = _panels_value(f, edges, 8)
-    return i16, abs(i16 - i8)
+        edges = _halve(edges)
+    return _embedded(f, edges)
 
 
 def _tail_cutoff(f, tail_power: float, abs_target: float) -> float:
@@ -137,20 +130,15 @@ def _improper_integral(f, tail_power: float, tol: float) -> tuple[float, float]:
     # map [1, R] through r = 1/t onto [1/R, 1]
     g = lambda t: f(1.0 / t) / t**2
     edges = 2.0 ** np.arange(-kmax, 1, dtype=float)
-    far16 = _panels_value(g, edges, 16)
-    far8 = _panels_value(g, edges, 8)
-    value = near + far16
-    err = err_near + abs(far16 - far8) + abs_target
-    for refine in (1, 2):
+    for refine in (0, 1, 2):
+        if refine:
+            near, err_near = _integral_01(f, refine=refine)
+            edges = _halve(edges)
+        far, err_far = _embedded(g, edges)
+        value = near + far
+        err = err_near + err_far + abs_target
         if err <= tol * max(abs(value), 1e-300):
             break
-        near, err_near = _integral_01(f, refine=refine)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        edges = np.sort(np.concatenate((edges, mids)))
-        far16 = _panels_value(g, edges, 16)
-        far8 = _panels_value(g, edges, 8)
-        value = near + far16
-        err = err_near + abs(far16 - far8) + abs_target
     return value, err
 
 

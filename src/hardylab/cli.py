@@ -110,6 +110,29 @@ def _load_config(path: Path) -> dict:
     return out
 
 
+def _config_defaults(argv: list[str], subparsers: dict[str, argparse.ArgumentParser]) -> None:
+    """Make the ``--config`` file's values the subcommands' defaults, each
+    typed and checked by its own argparse action."""
+    at = argv.index("--config") + 1
+    if at == len(argv):
+        raise DomainError("--config needs a path")
+    cfg = _load_config(Path(argv[at]))
+    for sp in subparsers.values():
+        defaults = {}
+        for action in sp._actions:
+            if action.dest not in cfg:
+                continue
+            value = cfg[action.dest]
+            try:
+                value = value if action.type is None else action.type(value)
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"config value {action.dest} = {value!r}: {exc}") from exc
+            if action.choices is not None and value not in action.choices:
+                raise DomainError(f"config value {action.dest} = {value!r} is not one of {list(action.choices)}")
+            defaults[action.dest] = value
+        sp.set_defaults(**defaults)
+
+
 def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     parser = _Parser(prog="hardylab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -475,25 +498,11 @@ def main(argv=None) -> int:
     # pre-scan for --config so its values become defaults that flags override
     argv = list(sys.argv[1:] if argv is None else argv)
     if "--config" in argv:
-        cfg_path = Path(argv[argv.index("--config") + 1])
         try:
-            cfg = _load_config(cfg_path)
+            _config_defaults(argv, subparsers)
         except (OSError, DomainError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return _EXIT_ERROR
-        typed = {}
-        for key, value in cfg.items():
-            if key in ("rmax",):
-                typed[key] = _parse_rmax(value)
-            elif key in ("manifold", "bc", "suite", "n"):
-                typed[key] = value
-            elif key in ("dim", "nodes", "steps"):
-                typed[key] = int(value)
-            else:
-                typed[key] = float(value)
-        for action in subparsers.values():
-            known = {a.dest for a in action._actions}
-            action.set_defaults(**{k: v for k, v in typed.items() if k in known})
     try:
         args = parser.parse_args(argv)
         out = args.out if args.out is not None else default_out_dir()

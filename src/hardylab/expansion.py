@@ -70,6 +70,7 @@ import numpy as np
 from .bubble import bubble_grad, bubble_moments, bubble_value
 from .constants import check_sigma, critical_exponent, hardy_sobolev_constant, sphere_area
 from .errors import DomainError
+from .forms import gauss_panels
 from .manifold import ModelManifold, scalar_curvature_at_pole
 from .minimizer import smooth_cutoff, smooth_cutoff_deriv
 
@@ -109,12 +110,7 @@ def _family_integrals(m: ModelManifold, lam, sigma, n, r_cut, order=24, levels_e
     om = sphere_area(nn - 1)
     p = critical_exponent(sigma, nn)
     amp = n ** ((nn - 2) / 2.0)
-    x, wgl = np.polynomial.legendre.leggauss(order)
-    edges = _panel_edges(r_cut, n, levels_extra)
-    a, b = edges[:-1], edges[1:]
-    half = 0.5 * (b - a)
-    r = (0.5 * (a + b)[:, None] + half[:, None] * x[None, :]).ravel()
-    w = (half[:, None] * wgl[None, :]).ravel()
+    r, w = (q.ravel() for q in gauss_panels(_panel_edges(r_cut, n, levels_extra), order))
 
     eta = smooth_cutoff((r - r_cut) / r_cut)
     deta = smooth_cutoff_deriv((r - r_cut) / r_cut) / r_cut

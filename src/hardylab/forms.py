@@ -10,11 +10,15 @@ quotient values are directly comparable to the sharp constants.
 
 The sigma < 2 constraint functional and its first variation are evaluated
 from per-cell Gauss tables through the kernels module (vectorized NumPy).
+``gauss_panels`` is the package's one composite Gauss-Legendre rule; the
+bubble moments, the expansion family and the constant-profile bound use it
+too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +34,7 @@ __all__ = [
     "QuadraticForms",
     "assemble_forms",
     "assemble_lumped_weight",
+    "gauss_panels",
     "hs_functional",
     "hs_gradient",
     "evaluate_quotient",
@@ -116,15 +121,37 @@ class QuadraticForms:
         return u
 
 
-def _cell_quadrature(grid: RadialGrid):
-    x, w = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
-    a = grid.nodes[:-1]
-    b = grid.nodes[1:]
+@lru_cache(maxsize=None)
+def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(order)
+
+
+def gauss_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on every panel [edges[i], edges[i+1]],
+    as two (panels, order) arrays."""
+    x, w = _legendre(order)
+    a, b = edges[:-1], edges[1:]
     half = 0.5 * (b - a)
-    rq = 0.5 * (b + a)[:, None] + half[:, None] * x[None, :]
-    wq = half[:, None] * w[None, :]
-    t = 0.5 * (x + 1.0)
+    return 0.5 * (b + a)[:, None] + half[:, None] * x, half[:, None] * w
+
+
+def _cell_quadrature(grid: RadialGrid):
+    rq, wq = gauss_panels(grid.nodes, _GAUSS_ORDER)
+    t = 0.5 * (_legendre(_GAUSS_ORDER)[0] + 1.0)
     return rq, wq, t
+
+
+def _to_nodes(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Add each cell's contribution to its left and its right node."""
+    out = np.zeros(len(left) + 1)
+    out[:-1] += left
+    out[1:] += right
+    return out
+
+
+def _lump(vals: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Row-sum lumping of per-cell quadrature values against the hat functions."""
+    return _to_nodes((vals * (1.0 - t)).sum(axis=1), (vals * t).sum(axis=1))
 
 
 def assemble_forms(grid: RadialGrid, m: ModelManifold, sigma: float) -> QuadraticForms:
@@ -140,32 +167,19 @@ def assemble_forms(grid: RadialGrid, m: ModelManifold, sigma: float) -> Quadrati
     rq, wq, t = _cell_quadrature(grid)
     psi_pow = m.warp(rq) ** (n - 1)
     base = om * wq * psi_pow
-    h = np.diff(grid.nodes)
-    nn = len(grid.nodes)
 
     # Dirichlet form: per-cell integral of the weight / h^2
-    s_cell = base.sum(axis=1)
-    kd = np.zeros(nn)
-    ke = np.zeros(nn - 1)
-    np.add.at(kd, np.arange(nn - 1), s_cell / h**2)
-    np.add.at(kd, np.arange(1, nn), s_cell / h**2)
-    ke -= s_cell / h**2
+    k_cell = base.sum(axis=1) / np.diff(grid.nodes) ** 2
+    kd = _to_nodes(k_cell, k_cell)
+    ke = -k_cell
 
     # consistent mass
-    phl = 1.0 - t[None, :]
-    phr = t[None, :]
-    md = np.zeros(nn)
-    me = np.zeros(nn - 1)
-    np.add.at(md, np.arange(nn - 1), (base * phl**2).sum(axis=1))
-    np.add.at(md, np.arange(1, nn), (base * phr**2).sum(axis=1))
-    me += (base * phl * phr).sum(axis=1)
+    md = _to_nodes((base * (1.0 - t) ** 2).sum(axis=1), (base * t**2).sum(axis=1))
+    me = (base * (1.0 - t) * t).sum(axis=1)
 
     # lumped inverse-square weight: r^{-2} psi^{N-1} = (psi/r)^2 psi^{N-3},
     # written in the right-hand form so it stays finite at r = 0
-    w2_weight = om * wq * m.warp_over_r(rq) ** 2 * m.warp(rq) ** (n - 3)
-    w2 = np.zeros(nn)
-    np.add.at(w2, np.arange(nn - 1), (w2_weight * phl).sum(axis=1))
-    np.add.at(w2, np.arange(1, nn), (w2_weight * phr).sum(axis=1))
+    w2 = _lump(om * wq * m.warp_over_r(rq) ** 2 * m.warp(rq) ** (n - 3), t)
 
     forms = QuadraticForms(
         grid=grid, manifold=m, sigma=s, kd=kd, ke=ke, md=md, me=me, w2=w2
@@ -183,12 +197,7 @@ def assemble_lumped_weight(grid: RadialGrid, m: ModelManifold, weight_fn) -> np.
     """Row-sum lumped diagonal for an arbitrary radial weight function."""
     om = sphere_area(m.N - 1)
     rq, wq, t = _cell_quadrature(grid)
-    vals = om * wq * m.warp(rq) ** (m.N - 1) * weight_fn(rq)
-    nn = len(grid.nodes)
-    out = np.zeros(nn)
-    np.add.at(out, np.arange(nn - 1), (vals * (1.0 - t[None, :])).sum(axis=1))
-    np.add.at(out, np.arange(1, nn), (vals * t[None, :]).sum(axis=1))
-    return out
+    return _lump(om * wq * m.warp(rq) ** (m.N - 1) * weight_fn(rq), t)
 
 
 def tri_quadform(d: np.ndarray, e: np.ndarray, u: np.ndarray) -> float:

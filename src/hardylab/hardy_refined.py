@@ -76,27 +76,10 @@ def flat_operator_residual(a: float, lam: float, N: int, grid: np.ndarray, r0: f
     lambda-independent; the argument is kept for interface parity with the
     curved variant.  The residual is weighted by r^{(N-2)/2} |log r|^{-a}
     (the inverse of the profile growth), and decays at second order under
-    refinement of a log-uniform grid.
+    refinement of a log-uniform grid.  This is the curved residual on the
+    flat ball, whose drift psi'/psi is 1/r.
     """
-    n = check_dimension(N)
-    grid = np.asarray(grid, dtype=float)
-    if grid[-1] > r0 + 1e-15 or r0 >= 1.0:
-        raise DomainError("grid must live in (0, r0] with r0 < 1")
-    cap = hardy_constant(n)
-    r = grid
-    v = log_bubble_value(r, a, n)
-    rm, rc, rp = r[:-2], r[1:-1], r[2:]
-    vm, vc, vp = v[:-2], v[1:-1], v[2:]
-    hm = rc - rm
-    hp = rp - rc
-    d2 = 2.0 * (vm / (hm * (hm + hp)) - vc / (hm * hp) + vp / (hp * (hm + hp)))
-    d1 = (-hp / (hm * (hm + hp))) * vm + ((hp - hm) / (hm * hp)) * vc + (
-        hm / (hp * (hm + hp))
-    ) * vp
-    lap = d2 + (n - 1.0) / rc * d1
-    resid = lap + cap * rc**-2 * vc - a * (a - 1.0) * rc**-2 * np.log(rc) ** -2 * vc
-    weight = rc ** ((n - 2.0) / 2.0) * np.abs(np.log(rc)) ** (-a)
-    return float(np.max(np.abs(resid) * weight))
+    return curved_operator_residual(euclidean_ball(N), a, lam, grid, r0)
 
 
 def curved_operator_residual(
@@ -124,14 +107,13 @@ def curved_operator_residual(
     d1 = (-hp / (hm * (hm + hp))) * vm + ((hp - hm) / (hm * hp)) * vc + (
         hm / (hp * (hm + hp))
     ) * vp
-    # psi'/psi: 1/r flat, cot(r/a)/a sphere, coth(r/a)/a hyperbolic
+    # (N-1) psi'/psi: (N-1)/r flat, (N-1) cot(r/a)/a sphere, (N-1) coth(r/a)/a hyperbolic
     if m.kind == "euclidean-ball":
-        drift = 1.0 / rc
-    elif m.kind == "sphere":
-        drift = 1.0 / (m.a * np.tan(rc / m.a))
+        drift = (n - 1.0) / rc
     else:
-        drift = 1.0 / (m.a * np.tanh(rc / m.a))
-    lap = d2 + (n - 1.0) * drift * d1
+        trig = np.tan if m.kind == "sphere" else np.tanh
+        drift = (n - 1.0) * (1.0 / (m.a * trig(rc / m.a)))
+    lap = d2 + drift * d1
     resid = lap + cap * rc**-2 * vc - a * (a - 1.0) * rc**-2 * np.log(rc) ** -2 * vc
     weight = rc ** ((n - 2.0) / 2.0) * np.abs(np.log(rc)) ** (-a)
     return float(np.max(np.abs(resid) * weight))

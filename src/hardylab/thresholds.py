@@ -17,7 +17,7 @@ import numpy as np
 from .constants import hardy_constant, hardy_sobolev_constant
 from .eigensolver import EigenResult, count_below, smallest_generalized_eigen
 from .errors import DomainError, SweepRangeError
-from .forms import assemble_forms, build_grid
+from .forms import assemble_forms, build_grid, gauss_panels
 from .manifold import ModelManifold, curvature_criterion
 from .minimizer import MinimizationResult, minimize_quotient
 
@@ -123,12 +123,7 @@ def constant_profile_bound(m: ModelManifold) -> float:
     """Quotient of the constant profile at the cap: the threshold must sit at
     or below lambda = -cap * Vol / int rho^{-2} dv, computed by direct
     quadrature of the warp."""
-    x, w = np.polynomial.legendre.leggauss(64)
-    panels = np.linspace(0.0, m.r_max, 65)
-    a, b = panels[:-1], panels[1:]
-    half = 0.5 * (b - a)
-    r = (0.5 * (a + b)[:, None] + half[:, None] * x[None, :]).ravel()
-    wq = (half[:, None] * w[None, :]).ravel()
+    r, wq = (q.ravel() for q in gauss_panels(np.linspace(0.0, m.r_max, 65), 64))
     nm1 = m.N - 1
     vol = float(np.dot(wq, m.warp(r) ** nm1))
     inv2 = float(np.dot(wq, m.warp_over_r(r) ** 2 * m.warp(r) ** (m.N - 3)))
@@ -164,8 +159,9 @@ def lambda_star_bracket(
 
         widen = 0
         while below(lo):
+            step = max(abs(lo), hi - lo)
             hi = lo
-            lo *= 2.0
+            lo -= step
             widen += 1
             if widen > 3:
                 raise SweepRangeError(

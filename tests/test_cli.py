@@ -159,6 +159,32 @@ def test_config_file_defaults(tmp_path):
     assert base == pytest.approx(7.7500223341, rel=1e-9)
 
 
+def test_config_out_directory(tmp_path):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text(f"out = {tmp_path / 'DIR'}\n")
+    assert main(["constants", "--dim", "3", "--sigma", "1", "--config", str(cfg)]) == 0
+    assert (tmp_path / "DIR" / "records.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "text,args",
+    [
+        ("dim = three\n", ["constants", "--sigma", "1"]),  # not an int
+        ("suite = foo\n", ["verify"]),  # not one of the choices
+    ],
+)
+def test_config_bad_value_exits_1(tmp_path, capsys, text, args):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text(text)
+    assert main([*args, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert f"error: config value {text.split(' =')[0]} = " in capsys.readouterr().err
+
+
+def test_config_flag_without_path_exits_1(capsys):
+    assert main(["constants", "--dim", "3", "--sigma", "1", "--config"]) == 1
+    assert "error: --config needs a path" in capsys.readouterr().err
+
+
 def test_determinism(tmp_path):
     args = ["solve", "--sigma", "1", "--lambda", "-1", "--dim", "4", "--nodes", "128"]
     run(args, tmp_path)

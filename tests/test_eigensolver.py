@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hardylab.eigensolver import inertia_count, smallest_generalized_eigen
 from hardylab.errors import DomainError
@@ -56,6 +58,27 @@ def test_inertia_matches_dense_count_tridiagonal_weight():
         assert inertia_count(d, e, wd, shift, we) == int(np.sum(evals < shift))
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 24), tridiagonal_weight=st.booleans())
+def test_inertia_matches_dense_count_property(data, n, tridiagonal_weight):
+    def vector(size, lo, hi):
+        return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
+
+    d = vector(n, -10.0, 10.0)
+    e = vector(n - 1, -10.0, 10.0)
+    wd = vector(n, 0.1, 10.0)
+    # |we| < min(wd)/2 keeps the tridiagonal weight diagonally dominant, so definite
+    we = vector(n - 1, -0.49, 0.49) * float(np.min(wd)) if tridiagonal_weight else None
+    shift = data.draw(st.floats(-60.0, 60.0))
+    a = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    b = np.diag(wd) if we is None else np.diag(wd) + np.diag(we, 1) + np.diag(we, -1)
+    chol = np.linalg.cholesky(b)
+    evals = np.linalg.eigvalsh(np.linalg.solve(chol, np.linalg.solve(chol, a).T))
+    # a shift resolved from every eigenvalue, so rounding cannot flip the count
+    assume(np.min(np.abs(evals - shift)) > 1e-8 * (1.0 + np.max(np.abs(evals))))
+    assert inertia_count(d, e, wd, shift, we) == int(np.sum(evals < shift))
+
+
 def test_inertia_retries_exact_zero_pivot():
     # every pivot of I - 1*I is exactly zero; the retry nudges the shift up
     n = 5
@@ -79,6 +102,40 @@ def test_smallest_eigen_against_scipy():
         d / w, e / np.sqrt(w[:-1] * w[1:]), eigvals_only=True, select="i", select_range=(0, 0)
     )
     assert res.mu == pytest.approx(float(evals[0]), abs=1e-9)
+
+
+def _mpmath_smallest_eigen(forms, lam, denominator):
+    """Least eigenvalue of the same double-precision pencil at 30 digits."""
+    mp = pytest.importorskip("mpmath")
+    n = len(forms.kd[forms.dof])
+    with mp.workdps(30):
+        a = mp.matrix(n, n)
+        w = mp.matrix(n, n)
+        lam = mp.mpf(lam)
+        for i in range(n):
+            a[i, i] = mp.mpf(forms.kd[i]) - lam * mp.mpf(forms.md[i])
+            w[i, i] = mp.mpf(forms.w2[i] if denominator == "w2" else forms.md[i])
+            if i + 1 < n:
+                a[i, i + 1] = a[i + 1, i] = mp.mpf(forms.ke[i]) - lam * mp.mpf(forms.me[i])
+                if denominator == "mass":
+                    w[i, i + 1] = w[i + 1, i] = mp.mpf(forms.me[i])
+        linv = mp.inverse(mp.cholesky(w))
+        c = linv * a * linv.T
+        return float(min(mp.eigsy((c + c.T) / 2, eigvals_only=True)))
+
+
+@pytest.mark.parametrize(
+    "m,bc,M",
+    [(unit_sphere(3), "reflected", 8), (unit_sphere(3), "reflected", 16), (euclidean_ball(3, 1.0), "dirichlet", 12)],
+)
+def test_smallest_eigen_against_mpmath(m, bc, M):
+    forms = assemble_forms(build_grid(m.r_max, M, 2.0, bc), m, 2.0)
+    for lam in (-2.0, -0.5, 1.0):
+        for denominator in ("w2", "mass"):
+            want = _mpmath_smallest_eigen(forms, lam, denominator)
+            got = smallest_generalized_eigen(forms, lam, denominator=denominator)
+            assert got.mu == pytest.approx(want, rel=1e-12), (lam, denominator)
+            assert got.method == "inverse-iteration"
 
 
 def test_laplacian_sanity_pi_squared():

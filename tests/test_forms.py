@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hardylab.constants import hardy_sobolev_constant, sphere_area
 from hardylab.errors import DomainError
@@ -104,6 +106,28 @@ def test_quotient_scale_invariance():
     base = evaluate_quotient(forms, u, -1.0)
     for c in (1e-3, 1e3):
         assert evaluate_quotient(forms, c * u, -1.0) == pytest.approx(base, rel=1e-12)
+
+
+_S3_SIGMA2 = assemble_forms(build_grid(math.pi, 32, 2.0, "reflected"), unit_sphere(3), 2.0)
+_BALL_SIGMA1 = assemble_forms(build_grid(1.0, 32, 2.0, "dirichlet"), euclidean_ball(4, 1.0), 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    values=st.lists(st.floats(-1e3, 1e3, allow_subnormal=False), min_size=33, max_size=33),
+    scale=st.floats(1e-3, 1e3),
+    negate=st.booleans(),
+    flat=st.booleans(),
+)
+def test_quotient_homogeneous_of_degree_zero(values, scale, negate, flat):
+    forms, lam = (_BALL_SIGMA1, 0.0) if flat else (_S3_SIGMA2, -1.0)
+    u = np.array(values)
+    if forms.grid.bc == "dirichlet":
+        u[-1] = 0.0
+    assume(np.max(np.abs(u)) >= 1e-3)
+    c = -scale if negate else scale
+    base = evaluate_quotient(forms, u, lam)
+    assert evaluate_quotient(forms, c * u, lam) == pytest.approx(base, rel=1e-12)
 
 
 def test_quotient_zero_profile_rejected():

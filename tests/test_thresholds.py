@@ -89,6 +89,18 @@ def test_bracket_s3_pinned(M, tol, lo, hi):
     assert (br.lo, br.hi) == (lo, hi)
 
 
+@pytest.mark.parametrize(
+    "m,sweep,lo,hi",
+    [
+        (euclidean_ball(3, 1.0), (7.0, 10.0), 6.2890625, 6.34375),  # positive bottom
+        (unit_sphere(3), (0.0, 5.0), -0.390625, -0.3125),  # zero bottom: the default sweep's bracket
+    ],
+)
+def test_bracket_widens_down_from_nonnegative_bottom(m, sweep, lo, hi):
+    br = lambda_star_bracket(m, tol_lambda=0.1, M=256, sweep=sweep)
+    assert (br.lo, br.hi) == (lo, hi)
+
+
 def test_bracket_stability_under_refinement():
     m = unit_sphere(3)
     a = lambda_star_bracket(m, tol_lambda=0.1, M=256)
