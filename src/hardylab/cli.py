@@ -111,26 +111,35 @@ def _load_config(path: Path) -> dict:
 
 
 def _config_defaults(argv: list[str], subparsers: dict[str, argparse.ArgumentParser]) -> None:
-    """Make the ``--config`` file's values the subcommands' defaults, each
-    typed and checked by its own argparse action."""
+    """Make the ``--config`` file's values the subcommands' defaults.  A key
+    names an option as written on the command line (``lambda`` for
+    ``--lambda``); each value is typed and checked by that option's argparse
+    action, and a key no subcommand has is an error."""
     at = argv.index("--config") + 1
     if at == len(argv):
         raise DomainError("--config needs a path")
     cfg = _load_config(Path(argv[at]))
+    used = set()
     for sp in subparsers.values():
         defaults = {}
         for action in sp._actions:
-            if action.dest not in cfg:
+            keys = [o.lstrip("-").replace("-", "_") for o in action.option_strings if action.dest != "help"]
+            key = next((k for k in keys if k in cfg), None)
+            if key is None:
                 continue
-            value = cfg[action.dest]
+            used.add(key)
+            value = cfg[key]
             try:
                 value = value if action.type is None else action.type(value)
             except (TypeError, ValueError) as exc:
-                raise DomainError(f"config value {action.dest} = {value!r}: {exc}") from exc
+                raise DomainError(f"config value {key} = {value!r}: {exc}") from exc
             if action.choices is not None and value not in action.choices:
-                raise DomainError(f"config value {action.dest} = {value!r} is not one of {list(action.choices)}")
+                raise DomainError(f"config value {key} = {value!r} is not one of {list(action.choices)}")
             defaults[action.dest] = value
         sp.set_defaults(**defaults)
+    unknown = sorted(set(cfg) - used)
+    if unknown:
+        raise DomainError(f"unknown config key {', '.join(unknown)}: no subcommand has that option")
 
 
 def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
@@ -264,6 +273,7 @@ def _cmd_solve(args, out):
             "concentration": res.concentration,
             "grad_norm": res.grad_norm,
             "iterations": res.iterations,
+            "iterations_total": res.iterations_total,
             "init": res.init_tag,
             "converged": res.converged,
             "radial_upper_bound_only": True,
@@ -340,8 +350,10 @@ def _cmd_theorem2(args, out):
         "verdict": rep.verdict,
         "coarse_converged": rep.coarse.converged,
         "coarse_iterations": rep.coarse.iterations,
+        "coarse_iterations_total": rep.coarse.iterations_total,
         "fine_converged": rep.fine.converged,
         "fine_iterations": rep.fine.iterations,
+        "fine_iterations_total": rep.fine.iterations_total,
     }
     prov = {
         "mu_upper": "minimize",
@@ -355,8 +367,10 @@ def _cmd_theorem2(args, out):
         "verdict": "artifact-derived",
         "coarse_converged": "minimize",
         "coarse_iterations": "minimize",
+        "coarse_iterations_total": "minimize",
         "fine_converged": "minimize",
         "fine_iterations": "minimize",
+        "fine_iterations_total": "minimize",
     }
     rec = RunRecord(
         "theorem2-check",

@@ -267,10 +267,11 @@ def test_criterion_11_flat_non_attainment_echo():
     ball = euclidean_ball(3, 1.0)
     forms = assemble_forms(build_grid(1.0, 1024, 2.0, "dirichlet"), ball, 1.0)
     s31 = hardy_sobolev_constant(3, 1.0)
-    vals = []
+    vals, conv = [], []
     for n in (4.0, 16.0, 64.0):
         res = minimize_quotient(forms, 0.0, inits=[bubble_init(forms, n)])
         vals.append(res.mu_upper)
+        conv.append(res.converged)
     # the descent converges from every init, so successive values may tie at
     # the discrete minimum; "decreasing" is asserted up to the solver's
     # stationarity tolerance
@@ -283,7 +284,8 @@ def test_criterion_11_flat_non_attainment_echo():
     assert _report(
         11,
         ok,
-        f"values {[f'{v:.6f}' for v in vals]} vs S31={s31:.6f} (floor -1e-3, decreasing, toward)",
+        f"values {[f'{v:.6f}' for v in vals]} vs S31={s31:.6f} (floor -1e-3, decreasing, toward), "
+        f"converged {conv}",
         t0,
     )
 

@@ -4,11 +4,18 @@ import math
 import pytest
 
 from hardylab.cli import main
+from hardylab.forms import assemble_forms, build_grid
+from hardylab.manifold import unit_sphere
 from hardylab.minimizer import minimize_quotient
 
 
 def run(args, tmp_path, extra=()):
     return main([*args, "--out", str(tmp_path / "runs"), *extra])
+
+
+def _forms(dim, nodes):
+    m = unit_sphere(dim)
+    return assemble_forms(build_grid(m.r_max, nodes, 2.0, "reflected"), m, 1.0)
 
 
 def read_records(tmp_path):
@@ -59,6 +66,30 @@ def test_readme_solve_example_converges(tmp_path, capsys):
     assert code == 0
     assert read_records(tmp_path)[-1]["results"]["converged"] is True
     assert "WARNING" not in capsys.readouterr().out
+
+
+def test_flat_ball_solve_converges_without_warning(tmp_path, capsys):
+    # the concentrating case that exhausted the step budget before mixing
+    args = ["solve", "--sigma", "1", "--lambda", "0", "--manifold", "euclidean-ball", "--dim", "3", "--rmax", "1"]
+    assert run([*args, "--nodes", "1024"], tmp_path) == 0
+    assert "WARNING:" not in capsys.readouterr().out
+    res = read_records(tmp_path)[-1]["results"]
+    assert res["converged"] is True
+    assert res["iterations"] <= res["iterations_total"] <= 4 * 800
+
+
+def test_records_count_iterations_over_all_starts(tmp_path):
+    assert run(["solve", "--sigma", "1", "--lambda", "-1", "--dim", "4", "--nodes", "64"], tmp_path) == 0
+    rec = read_records(tmp_path)[-1]
+    m = minimize_quotient(_forms(4, 64), -1.0)
+    assert rec["results"]["iterations_total"] == m.iterations_total
+    assert rec["provenance"]["iterations_total"] == "minimize"
+    args = ["theorem2-check", "--dim", "4", "--lambda", "-1", "--sigma", "1", "--nodes", "32"]
+    run(args, tmp_path)
+    rec = read_records(tmp_path)[-1]
+    for grid, nodes in (("coarse", 32), ("fine", 64)):
+        assert rec["results"][f"{grid}_iterations_total"] == minimize_quotient(_forms(4, nodes), -1.0).iterations_total
+        assert rec["provenance"][f"{grid}_iterations_total"] == "minimize"
 
 
 def test_unconverged_minimizer_is_reported(tmp_path, capsys, monkeypatch):
@@ -178,6 +209,23 @@ def test_config_bad_value_exits_1(tmp_path, capsys, text, args):
     cfg.write_text(text)
     assert main([*args, "--config", str(cfg), "--out", str(tmp_path)]) == 1
     assert f"error: config value {text.split(' =')[0]} = " in capsys.readouterr().err
+
+
+def test_config_keys_are_option_names(tmp_path):
+    # --lambda stores to the destination lam; the file names the option
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("lambda = -1\n")
+    assert main(["solve", "--sigma", "2", "--dim", "3", "--nodes", "64", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    rec = json.loads((tmp_path / "records.jsonl").read_text().splitlines()[-1])
+    assert rec["parameters"]["lambda"] == -1.0
+    assert rec["results"]["mu"] == pytest.approx(0.3113462892, rel=1e-8)
+
+
+def test_config_unknown_key_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("nodez = 64\n")
+    assert main(["solve", "--sigma", "2", "--dim", "3", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "error: unknown config key nodez" in capsys.readouterr().err
 
 
 def test_config_flag_without_path_exits_1(capsys):

@@ -8,7 +8,7 @@ from hardylab.constants import hardy_sobolev_constant
 from hardylab.errors import DomainError
 from hardylab.forms import assemble_forms, build_grid, evaluate_quotient, hs_functional
 from hardylab.manifold import euclidean_ball, unit_sphere
-from hardylab import _kernels
+from hardylab import _kernels, minimizer
 from hardylab._kernels import ldl_factor
 from hardylab.minimizer import _shifted_factor, bubble_init, constant_init, minimize_quotient
 
@@ -172,3 +172,55 @@ def test_nonconverged_flag_is_honest(sphere4_forms):
     )
     assert not res.converged
     assert res.iterations == 3
+
+
+def _starts(forms):
+    return [constant_init(forms)] + [bubble_init(forms, n) for n in (2.0, 8.0, 32.0)]
+
+
+def test_flat_ball_converges_from_every_start():
+    # lambda = 0 on the flat ball concentrates; the plain inverse-power step
+    # converges linearly there and used up the 800-step budget at M = 1024
+    forms = assemble_forms(build_grid(1.0, 1024, 2.0, "dirichlet"), euclidean_ball(3, 1.0), 1.0)
+    for u0 in _starts(forms):
+        res = minimize_quotient(forms, 0.0, inits=[u0])
+        assert res.converged and res.iterations < 800
+        assert res.mu_upper == pytest.approx(2.8987628382, rel=1e-8)
+
+
+def test_mixing_cuts_flat_ball_steps():
+    # 34-39 steps per start with mixing, 722-729 without
+    forms = assemble_forms(build_grid(1.0, 256, 2.0, "dirichlet"), euclidean_ball(3, 1.0), 1.0)
+    runs = [minimize_quotient(forms, 0.0, inits=[u0]) for u0 in _starts(forms)]
+    assert all(res.converged and res.iterations <= 100 for res in runs)
+    assert minimize_quotient(forms, 0.0).iterations_total == sum(res.iterations for res in runs)
+
+
+@pytest.mark.parametrize(
+    "N,lam,sigma,M",
+    [(4, -1.0, 1.0, 32), (4, -1.0, 1.0, 64), (5, -0.5, 0.5, 32), (4, 0.5, 1.0, 64)],
+)
+def test_mixing_matches_plain_step(N, lam, sigma, M, monkeypatch):
+    # the cases of test_matches_projected_gradient_values, with depth 0
+    # (every step the plain inverse-power step) against the mixed run
+    m = unit_sphere(N)
+    forms = assemble_forms(build_grid(m.r_max, M, 2.0, "reflected"), m, sigma)
+    mixed = minimize_quotient(forms, lam)
+    monkeypatch.setattr(minimizer, "_DEPTH", 0)
+    plain = minimize_quotient(forms, lam)
+    assert mixed.converged and plain.converged
+    assert mixed.mu_upper == pytest.approx(plain.mu_upper, rel=1e-9)
+    assert mixed.iterations_total <= plain.iterations_total
+
+
+def test_mixing_skips_dependent_differences():
+    # equal columns of dF make the normal equations singular: no candidate
+    rng = np.random.default_rng(3)
+    g, f, d = rng.random(8), rng.random(8), rng.random(8)
+    assert not np.any(minimizer._mixed(g, f, [d, d], [d, d]))
+    # independent columns: the least-squares combination, made non-negative
+    d_u, d_f = [rng.random(8), rng.random(8)], [rng.random(8), rng.random(8)]
+    df = np.column_stack(d_f)
+    gamma = np.linalg.lstsq(df, f, rcond=None)[0]
+    want = np.abs(g - (np.column_stack(d_u) + df) @ gamma)
+    np.testing.assert_allclose(minimizer._mixed(g, f, d_u, d_f), want, rtol=1e-12)
