@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import check_dimension, check_sigma, hardy_sobolev_constant, sphere_area
+from .constants import check_dimension, check_sigma, critical_exponent, hardy_sobolev_constant, sphere_area
 from .errors import DomainError
 from .forms import gauss_panels
 
@@ -157,7 +157,7 @@ def _truncated_integral(f, r_max: float) -> float:
 def _integrands(N: int, sigma: float, scale: float = 1.0):
     n, s = N, sigma
     om = sphere_area(n - 1)
-    p_crit = 2.0 * (n - s) / (n - 2.0)
+    p_crit = critical_exponent(s, n)
     w = lambda r: scale * bubble_value(r, n, s)
     dw = lambda r: scale * bubble_grad(r, n, s)
     return {
@@ -262,14 +262,14 @@ def bubble_quotient(
     hs_mass, _ = _improper_integral(h_f, h_p, tol)
     if not hs_mass > 0.0:
         raise DomainError(f"sigma = {s!r} is too close to 2 for the panel quadrature (hs_mass underflows to 0)")
-    p_crit = 2.0 * (n - s) / (n - 2.0)
+    p_crit = critical_exponent(s, n)
     return dirichlet / hs_mass ** (2.0 / p_crit)
 
 
 def pohozaev_residual(N: int, sigma: float, tol: float = 1e-10) -> float:
     """Relative residual of the moment identity
 
-        r2_dirichlet = N * mass2 + S * hs_mass^{(2-p)/p} * r2_hs,   p = 2*(sigma),
+        r2_dirichlet = N * mass2 + S * hs_mass^{(2-p)/p} * r2_hs,   p = 2(N - sigma)/(N - 2),
 
     which is the constraint-normalized form of the identity obtained by
     pairing the profile equation with |x|^2 w.  All terms are finite only
@@ -281,7 +281,7 @@ def pohozaev_residual(N: int, sigma: float, tol: float = 1e-10) -> float:
     if n < 5:
         raise DomainError("pohozaev_residual requires N >= 5 (divergent terms otherwise)")
     m = bubble_moments(n, s, tol=tol)
-    p_crit = 2.0 * (n - s) / (n - 2.0)
+    p_crit = critical_exponent(s, n)
     s_best = hardy_sobolev_constant(n, s)
     coeff = s_best * m.hs_mass.value ** ((2.0 - p_crit) / p_crit)
     lhs = m.r2_dirichlet.value

@@ -53,22 +53,30 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_EXIT_ERROR)
 
 
+def finite_float(text: str) -> float:
+    """A float option's value; NaN and infinities are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _parse_rmax(text: str) -> float:
     if text.strip().lower() == "pi":
         return math.pi
-    return float(text)
+    return finite_float(text)
 
 
 def _add_manifold_args(p):
     p.add_argument("--manifold", default="sphere", choices=["sphere", "euclidean-ball", "hyperbolic-cap"])
-    p.add_argument("--radius", type=float, default=1.0, help="curvature radius a")
+    p.add_argument("--radius", type=finite_float, default=1.0, help="curvature radius a")
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--rmax", type=_parse_rmax, default=None, help="domain radius; accepts the literal token pi")
 
 
 def _add_grid_args(p, nodes=2048):
     p.add_argument("--nodes", type=int, default=nodes)
-    p.add_argument("--grading", type=float, default=2.0)
+    p.add_argument("--grading", type=finite_float, default=2.0)
     p.add_argument("--bc", default="auto", choices=["auto", "dirichlet", "reflected"])
 
 
@@ -149,49 +157,49 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
 
     p = sub.add_parser("constants", help="closed-form sharp constants")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--sigma", type=float, required=True)
+    p.add_argument("--sigma", type=finite_float, required=True)
     _add_common(p)
 
     p = sub.add_parser("bubble-moments", help="moment integrals of the concentrating profile")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--sigma", type=finite_float, required=True)
+    p.add_argument("--tol", type=finite_float, default=1e-8)
     _add_common(p)
 
     p = sub.add_parser("solve", help="discrete quotient minimum at fixed lambda")
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    p.add_argument("--sigma", type=finite_float, required=True)
+    p.add_argument("--lambda", dest="lam", type=finite_float, default=0.0)
     _add_manifold_args(p)
     _add_grid_args(p)
     _add_common(p)
 
     p = sub.add_parser("mu-curve", help="sweep of the sigma=2 pencil over lambda")
-    p.add_argument("--lambda-min", dest="lambda_min", type=float, required=True)
-    p.add_argument("--lambda-max", dest="lambda_max", type=float, required=True)
+    p.add_argument("--lambda-min", dest="lambda_min", type=finite_float, required=True)
+    p.add_argument("--lambda-max", dest="lambda_max", type=finite_float, required=True)
     p.add_argument("--steps", type=int, default=11)
     _add_manifold_args(p)
     _add_grid_args(p)
     _add_common(p)
 
     p = sub.add_parser("lambda-star", help="bracket the attainment threshold")
-    p.add_argument("--tol", type=float, default=0.05)
-    p.add_argument("--delta", type=float, default=None, help="detection margin (default: measured refinement gap)")
+    p.add_argument("--tol", type=finite_float, default=0.05)
+    p.add_argument("--delta", type=finite_float, default=None, help="detection margin (default: measured refinement gap)")
     _add_manifold_args(p)
     _add_grid_args(p)
     _add_common(p)
 
     p = sub.add_parser("theorem2-check", help="strict-inequality report under the curvature criterion")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--sigma", type=float, required=True)
+    p.add_argument("--lambda", dest="lam", type=finite_float, required=True)
+    p.add_argument("--sigma", type=finite_float, required=True)
     _add_manifold_args(p)
     _add_grid_args(p, nodes=1024)
     _add_common(p)
 
     p = sub.add_parser("expansion-fit", help="concentrating-family quotient series and second-order fit")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--sigma", type=float, required=True)
+    p.add_argument("--lambda", dest="lam", type=finite_float, required=True)
+    p.add_argument("--sigma", type=finite_float, required=True)
     p.add_argument("--n", default="4,8,16,32,64", help="comma-separated concentration indices")
-    p.add_argument("--rcut", type=float, default=None)
+    p.add_argument("--rcut", type=finite_float, default=None)
     _add_manifold_args(p)
     _add_common(p)
 
@@ -292,6 +300,8 @@ def _cmd_solve(args, out):
 def _cmd_mu_curve(args, out):
     m = _manifold_from(args)
     bc = _bc_from(args, m)
+    if args.steps < 1:
+        raise DomainError(f"--steps must be at least 1, got {args.steps}")
     lams = np.linspace(args.lambda_min, args.lambda_max, args.steps)
     curve = mu_curve(m, lams, M=args.nodes, gamma=args.grading, bc=bc)
     rows = list(zip(curve.lambdas, curve.mus, curve.concentrations))
@@ -389,7 +399,10 @@ def _cmd_theorem2(args, out):
 
 def _cmd_expansion_fit(args, out):
     m = _manifold_from(args)
-    n_list = [float(tok) for tok in str(args.n).split(",") if tok.strip()]
+    try:
+        n_list = [finite_float(tok) for tok in str(args.n).split(",") if tok.strip()]
+    except ValueError as exc:
+        raise DomainError(f"--n: {exc}") from exc
     series = quotient_series(m, args.lam, args.sigma, n_list, r_cut=args.rcut)
     fit = fit_expansion(series)
     try:

@@ -1,12 +1,15 @@
 """Smallest generalized eigenvalue of the pencil (K - lambda*Mass, W).
 
-Bisection on the tridiagonal inertia count localizes the eigenvalue to
-absolute 1e-10 regardless of the indefiniteness of K - lambda*Mass; the
-eigenvector follows by inverse iteration seeded from the definite side of
-the final bracket (so the shifted matrix is positive definite and the
-unpivoted tridiagonal solve is stable).  There is no other path: if
-inverse iteration stops above its 1e-9 target, the returned ``residual``
-says so.
+Every pencil in the package goes one way: ``_pencil_arrays`` slices it to
+the free nodes, ``inertia_count`` counts it, ``_kernels.ldl_factor`` factors
+it once and ``_kernels.ldl_solve`` solves against the factors.  Bisection on
+the inertia count localizes the eigenvalue to absolute _TOL_ABS = 1e-10
+regardless of the indefiniteness of K - lambda*Mass; the eigenvector follows
+by inverse iteration from the constant vector, shifted to the definite side
+of the final bracket (so the shifted matrix is positive definite, its
+unpivoted LDL^T factor is stable, and it is factored once).  There is no
+other path: if inverse iteration stops above its 1e-9 target, the returned
+``residual`` says so.
 """
 
 from __future__ import annotations
@@ -20,6 +23,9 @@ from .errors import DomainError
 from .forms import QuadraticForms, tri_matvec, tri_quadform
 
 __all__ = ["EigenResult", "count_below", "inertia_count", "smallest_generalized_eigen", "concentration_fraction"]
+
+_TOL_ABS = 1e-10  # absolute width at which bisection stops
+_CORE = 0.01  # concentration diagnostics: the core is radius _CORE * r_max
 
 
 @dataclass
@@ -76,20 +82,14 @@ def _pencil_arrays(forms: QuadraticForms, lam: float, denominator: str):
     return d, e, wd, we
 
 
-def count_below(forms: QuadraticForms, lam: float, shift: float, denominator: str = "w2") -> int:
+def count_below(forms: QuadraticForms, lam: float, shift: float) -> int:
     """Number of eigenvalues of the pencil (K - lambda*Mass, W) strictly
     below ``shift``: one inertia count, no eigensolve."""
-    d, e, wd, we = _pencil_arrays(forms, lam, denominator)
+    d, e, wd, we = _pencil_arrays(forms, lam, "w2")
     return inertia_count(d, e, wd, shift, we)
 
 
-def smallest_generalized_eigen(
-    forms: QuadraticForms,
-    lam: float,
-    denominator: str = "w2",
-    tol_abs: float = 1e-10,
-    warm: np.ndarray | None = None,
-) -> EigenResult:
+def smallest_generalized_eigen(forms: QuadraticForms, lam: float, denominator: str = "w2") -> EigenResult:
     """Least eigenvalue and eigenvector of (K - lambda*Mass) u = mu W u.
 
     ``denominator="w2"`` is the singular-weight pencil; ``"mass"`` swaps in
@@ -98,7 +98,6 @@ def smallest_generalized_eigen(
     W-normalized and carries the boundary node.
     """
     d, e, wd, we = _pencil_arrays(forms, lam, denominator)
-    n = d.shape[0]
     scale = float(np.max(np.abs(d)) + np.max(np.abs(e), initial=0.0))
 
     # upper start: Rayleigh quotient of every basis vector
@@ -116,7 +115,7 @@ def smallest_generalized_eigen(
         if it > 400:
             raise RuntimeError("failed to bracket the smallest eigenvalue from above")
 
-    while hi - lo > tol_abs:
+    while hi - lo > _TOL_ABS:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # double-precision resolution reached
             break
@@ -125,8 +124,6 @@ def smallest_generalized_eigen(
         else:
             lo = mid
         it += 1
-
-    mu = 0.5 * (lo + hi)
 
     def w_apply(x):
         return wd * x if we is None else tri_matvec(wd, we, x)
@@ -140,19 +137,15 @@ def smallest_generalized_eigen(
         return float(np.linalg.norm(r)) / max(denom, 1e-300)
 
     # inverse iteration from the definite side of the bracket
-    shift = lo - max(10.0 * tol_abs, 1e-14 * max(scale, 1.0))
-    ad, ae = d - shift * wd, e if we is None else e - shift * we
-    x = None
-    if warm is not None and warm.shape[0] == n:
-        x = warm.astype(float).copy()
-    if x is None or not np.any(x):
-        x = np.ones(n)
+    shift = lo - max(10.0 * _TOL_ABS, 1e-14 * max(scale, 1.0))
+    factor = _kernels.ldl_factor(d - shift * wd, e if we is None else e - shift * we)
+    x = np.ones(d.shape[0])
     x /= w_norm(x)
     rho = tri_quadform(d, e, x)
     res = residual_of(x, rho)
     inv_it = 0
     for inv_it in range(1, 61):
-        y = _kernels.tridiag_solve(ad, ae, w_apply(x))
+        y = _kernels.ldl_solve(*factor, w_apply(x))
         if not np.all(np.isfinite(y)):
             break
         x = y / w_norm(y)
@@ -176,8 +169,8 @@ def smallest_generalized_eigen(
     )
 
 
-def concentration_fraction(forms: QuadraticForms, u: np.ndarray, frac: float = 0.01) -> float:
-    """Share of the singular-weight norm carried inside radius frac*r_max.
+def concentration_fraction(forms: QuadraticForms, u: np.ndarray) -> float:
+    """Share of the singular-weight norm carried inside radius _CORE*r_max.
 
     Approaches 1 under refinement when minimizing sequences escape to the
     pole (non-attainment signature) and stabilizes when a genuine minimizer
@@ -188,5 +181,5 @@ def concentration_fraction(forms: QuadraticForms, u: np.ndarray, frac: float = 0
     total = float(wu.sum())
     if total <= 0.0:
         return 0.0
-    inner = float(wu[forms.grid.nodes <= frac * forms.grid.r_max].sum())
+    inner = float(wu[forms.grid.nodes <= _CORE * forms.grid.r_max].sum())
     return inner / total

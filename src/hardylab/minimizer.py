@@ -9,11 +9,12 @@ curved phenomenology) is returned.
 
 A step solves Ã s = r for the Lagrange residual r = Au - (Q/p) g, g = grad
 F(u) (u'g = pF), on the free nodes and moves to u - s, rescaled.  Ã = A + c
-Mass is factored once per call.  c = 0 when A - 1e-8 (1 + |lambda|) Mass
-has only positive pivots, so A is definite with a margin far above the
-pivots' rounding; then u - s = (Q/p) w with w = A^{-1} g, and Q cannot
-rise: Hoelder gives w'Aw = g'w <= p F(w)^{1/p}, so
-Q(w) <= p^2 / (w'Aw), and Cauchy-Schwarz in the A inner product gives
+Mass goes the eigensolver's pencil path (``_pencil_arrays``,
+``inertia_count``) and is factored once per call.  c = 0 when
+A - 1e-8 (1 + |lambda|) Mass has only positive pivots, so A is definite
+with a margin far above the pivots' rounding; then u - s = (Q/p) w with
+w = A^{-1} g, and Q cannot rise: Hoelder gives w'Aw = g'w <= p F(w)^{1/p},
+so Q(w) <= p^2 / (w'Aw), and Cauchy-Schwarz in the A inner product gives
 p^2 = (u'Aw)^2 <= Q(u) w'Aw.  Otherwise (A indefinite or singular, as for
 lambda >= 0 on the full sphere) Ã = K + (1 + |lambda|) Mass, definite for
 every lambda; no descent is proved there, and measured rises stay below
@@ -36,7 +37,7 @@ evaluation that rescaled it: F(cv) = c^p F(v), grad F(cv) = c^{p-1} grad F(v).
 Where a candidate is on offer, G(u) is rescaled by F alone, and its
 gradient is evaluated only if G(u) is taken.
 
-gnorm = sqrt(r'Ã^{-1}r) / (1 + |Q|); converged means gnorm <= grad_tol.
+gnorm = sqrt(r'Ã^{-1}r) / (1 + |Q|); converged means gnorm <= _GRAD_TOL = 1e-8.
 A run stops when it converges, when max_iters runs out, or when Q rises
 above its lowest value by more than the two energies' rounding bounds
 gamma_{n+3} |u|'|A||u| (gamma_k = k eps / (1 - k eps), eps = 2^-53:
@@ -55,7 +56,7 @@ import numpy as np
 
 from . import _kernels
 from .bubble import bubble_value
-from .eigensolver import inertia_count
+from .eigensolver import _CORE, _pencil_arrays, inertia_count
 from .errors import DomainError
 from .forms import (
     QuadraticForms,
@@ -67,6 +68,7 @@ from .forms import (
 )
 
 _DEPTH = 5  # Anderson mixing depth: differences kept in the history
+_GRAD_TOL = 1e-8  # convergence: gnorm at or below this
 
 __all__ = ["MinimizationResult", "bubble_init", "constant_init", "minimize_quotient", "smooth_cutoff"]
 
@@ -149,7 +151,6 @@ def minimize_quotient(
     lam: float,
     inits: list[np.ndarray] | None = None,
     max_iters: int = 800,
-    grad_tol: float = 1e-8,
 ) -> MinimizationResult:
     """Best constrained stationary value over all starting profiles; a run
     that stops above tolerance is flagged non-converged but its value
@@ -166,7 +167,7 @@ def minimize_quotient(
 
     a = (forms.kd - lam * forms.md, forms.ke - lam * forms.me)
     factor = _shifted_factor(forms, lam)
-    runs = [_descend(forms, lam, a, factor, u0, tag, max_iters, grad_tol) for tag, u0 in zip(tags, inits)]
+    runs = [_descend(forms, lam, a, factor, u0, tag, max_iters) for tag, u0 in zip(tags, inits)]
     best = min(runs, key=lambda res: res.mu_upper)
     best.iterations_total = sum(res.iterations for res in runs)
     return best
@@ -176,11 +177,10 @@ def _shifted_factor(forms: QuadraticForms, lam: float):
     """LDL^T factors on the free nodes of A = K - lam*Mass when
     A - 1e-8 (1 + |lam|) Mass has only positive pivots, else of
     K + (1 + |lam|) Mass."""
-    n = forms.dof.stop
-    kd, ke, md, me = forms.kd[:n], forms.ke[: n - 1], forms.md[:n], forms.me[: n - 1]
-    definite = inertia_count(kd, ke, md, lam + 1e-8 * (1.0 + abs(lam)), me) == 0
-    kappa = -lam if definite else 1.0 + abs(lam)
-    return _kernels.ldl_factor(kd + kappa * md, ke + kappa * me)
+    d, e, md, me = _pencil_arrays(forms, lam, "mass")
+    if inertia_count(d, e, md, 1e-8 * (1.0 + abs(lam)), me) != 0:
+        d, e, _, _ = _pencil_arrays(forms, -1.0 - abs(lam), "mass")
+    return _kernels.ldl_factor(d, e)
 
 
 def _energy(a, u):
@@ -206,7 +206,7 @@ def _mixed(g, f, d_u, d_f):
     return np.abs(g - (np.column_stack(d_u) + df) @ gamma)
 
 
-def _descend(forms, lam, a, factor, u0, tag, max_iters, grad_tol):
+def _descend(forms, lam, a, factor, u0, tag, max_iters):
     sl = forms.dof
     u, grad = _project_grad(forms, forms.check_profile(np.asarray(u0, dtype=float).copy()))
     au, q = _energy(a, u)
@@ -226,7 +226,7 @@ def _descend(forms, lam, a, factor, u0, tag, max_iters, grad_tol):
         r = (au - (q / forms.p_crit) * grad)[sl]
         s = _kernels.ldl_solve(*factor, r)
         gnorm = math.sqrt(max(float(np.dot(r, s)), 0.0)) / (1.0 + abs(q))
-        if gnorm <= grad_tol:
+        if gnorm <= _GRAD_TOL:
             break
         v = u.copy()
         v[sl] -= s
@@ -264,13 +264,13 @@ def _descend(forms, lam, a, factor, u0, tag, max_iters, grad_tol):
         grad_norm=gnorm,
         init_tag=tag,
         concentration=_hs_concentration(forms, u),
-        converged=gnorm <= grad_tol,
+        converged=gnorm <= _GRAD_TOL,
     )
 
 
-def _hs_concentration(forms: QuadraticForms, u: np.ndarray, frac: float = 0.01) -> float:
+def _hs_concentration(forms: QuadraticForms, u: np.ndarray) -> float:
     """Share of the constraint integral in the cells whose inner node lies
-    within radius frac*r_max."""
-    k = int(np.searchsorted(forms.grid.nodes[:-1], frac * forms.grid.r_max, side="right"))
+    within radius _CORE*r_max."""
+    k = int(np.searchsorted(forms.grid.nodes[:-1], _CORE * forms.grid.r_max, side="right"))
     inner = _kernels.power_moment(u[: k + 1], forms.hs_weights[:k], forms.hs_t, forms.p_crit)
     return inner / hs_functional(forms, u)

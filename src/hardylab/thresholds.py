@@ -6,10 +6,16 @@ the discrete eigenvalue over-estimates the continuous infimum, so a grid
 can only certify "strictly below the inverse-square cap", and it does so
 through the predicate mu_h(lambda) < cap - delta with delta tied to the
 measured refinement gap.
+
+A mu curve assembles the forms once and solves every lambda from cold (no
+warm start: each eigensolve takes one inverse step either way), so each
+entry is bit for bit the ``mu_of_lambda`` value.  The strict-inequality
+report runs the minimizer with its own 800-step budget on both grids.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,10 +66,6 @@ class LambdaStarBracket:
 
 @dataclass
 class TheoremReport:
-    manifold_kind: str
-    N: int
-    lam: float
-    sigma: float
     mu_upper: float
     sharp_constant: float
     margin: float
@@ -72,8 +74,6 @@ class TheoremReport:
     lambda_negative: bool
     within_theorem_dims: bool
     verdict: str  # CONFIRMS_THEOREM or INCONCLUSIVE
-    init_tag: str
-    concentration: float
     coarse: MinimizationResult  # the M-grid run
     fine: MinimizationResult  # the 2M-grid run
 
@@ -90,11 +90,10 @@ def mu_of_lambda(
     M: int = 2048,
     gamma: float = 2.0,
     bc: str | None = None,
-    warm: np.ndarray | None = None,
 ) -> tuple[float, float, EigenResult]:
     """Discrete mu at sigma = 2 plus its concentration diagnostic."""
     forms = _forms_for(m, M, gamma, 2.0, bc)
-    res = smallest_generalized_eigen(forms, lam, warm=warm)
+    res = smallest_generalized_eigen(forms, lam)
     return res.mu, res.concentration, res
 
 
@@ -105,17 +104,16 @@ def mu_curve(
     gamma: float = 2.0,
     bc: str | None = None,
 ) -> MuCurve:
-    """Sweep of the sigma = 2 pencil; warm-started in increasing lambda."""
+    """Sweep of the sigma = 2 pencil in increasing lambda, on forms
+    assembled once."""
     lams = np.asarray(sorted(float(v) for v in lambdas), dtype=float)
     forms = _forms_for(m, M, gamma, 2.0, bc)
     mus = np.empty_like(lams)
     concs = np.empty_like(lams)
-    warm = None
     for i, lam in enumerate(lams):
-        res = smallest_generalized_eigen(forms, lam, warm=warm)
+        res = smallest_generalized_eigen(forms, lam)
         mus[i] = res.mu
         concs[i] = res.concentration
-        warm = res.profile[forms.dof]
     return MuCurve(lambdas=lams, mus=mus, concentrations=concs, M=M, gamma=gamma)
 
 
@@ -146,8 +144,10 @@ def lambda_star_bracket(
     certifies genuinely-below-cap values); delta defaults to the measured
     refinement gap |mu_M - mu_2M| at the midpoint of the sweep.
     """
-    if tol_lambda <= 0.0:
-        raise DomainError("tol_lambda must be positive")
+    if not (math.isfinite(tol_lambda) and tol_lambda > 0.0):
+        raise DomainError(f"tol_lambda must be finite and positive, got {tol_lambda!r}")
+    if detection_delta is not None and not (math.isfinite(detection_delta) and detection_delta > 0.0):
+        raise DomainError(f"detection_delta must be finite and positive, got {detection_delta!r}")
     cap = hardy_constant(m.N)
     forms = _forms_for(m, M, gamma, 2.0, bc)
 
@@ -221,7 +221,6 @@ def strict_inequality_report(
     M: int = 1024,
     gamma: float = 2.0,
     bc: str | None = None,
-    max_iters: int = 800,
 ) -> TheoremReport:
     """Compare the minimized quotient against the sharp flat constant.
 
@@ -230,8 +229,8 @@ def strict_inequality_report(
     estimate; anything weaker is INCONCLUSIVE.
     """
     s_best = hardy_sobolev_constant(m.N, sigma)
-    coarse = minimize_quotient(_forms_for(m, M, gamma, sigma, bc), lam, max_iters=max_iters)
-    fine = minimize_quotient(_forms_for(m, 2 * M, gamma, sigma, bc), lam, max_iters=max_iters)
+    coarse = minimize_quotient(_forms_for(m, M, gamma, sigma, bc), lam)
+    fine = minimize_quotient(_forms_for(m, 2 * M, gamma, sigma, bc), lam)
     err = abs(coarse.mu_upper - fine.mu_upper)
     mu_upper = min(coarse.mu_upper, fine.mu_upper)
     margin = s_best - mu_upper
@@ -242,12 +241,7 @@ def strict_inequality_report(
         if crit and within_dims and margin > 5.0 * err and margin > 0.0
         else "INCONCLUSIVE"
     )
-    best = fine if fine.mu_upper <= coarse.mu_upper else coarse
     return TheoremReport(
-        manifold_kind=m.kind,
-        N=m.N,
-        lam=float(lam),
-        sigma=float(sigma),
         mu_upper=mu_upper,
         sharp_constant=s_best,
         margin=margin,
@@ -256,8 +250,6 @@ def strict_inequality_report(
         lambda_negative=lam < 0.0,
         within_theorem_dims=within_dims,
         verdict=verdict,
-        init_tag=best.init_tag,
-        concentration=best.concentration,
         coarse=coarse,
         fine=fine,
     )

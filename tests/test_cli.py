@@ -202,6 +202,7 @@ def test_config_out_directory(tmp_path):
     [
         ("dim = three\n", ["constants", "--sigma", "1"]),  # not an int
         ("suite = foo\n", ["verify"]),  # not one of the choices
+        ("lambda = nan\n", ["solve", "--sigma", "1"]),  # not finite
     ],
 )
 def test_config_bad_value_exits_1(tmp_path, capsys, text, args):
@@ -209,6 +210,33 @@ def test_config_bad_value_exits_1(tmp_path, capsys, text, args):
     cfg.write_text(text)
     assert main([*args, "--config", str(cfg), "--out", str(tmp_path)]) == 1
     assert f"error: config value {text.split(' =')[0]} = " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mu-curve", "--lambda-min", "-1", "--lambda-max", "0", "--steps", "0", "--nodes", "64"],
+        ["mu-curve", "--lambda-min", "-1", "--lambda-max", "0", "--steps", "-2", "--nodes", "64"],
+        ["expansion-fit", "--lambda", "-1", "--sigma", "1", "--dim", "5", "--n", "4,x,16,32"],
+        ["expansion-fit", "--lambda", "-1", "--sigma", "1", "--dim", "5", "--n", "4,8,16,nan"],
+        ["solve", "--sigma", "2", "--lambda", "nan", "--nodes", "64"],
+        ["solve", "--sigma", "2", "--rmax", "nan", "--nodes", "64"],
+        ["solve", "--sigma", "1", "--lambda", "nan", "--nodes", "64"],
+        ["solve", "--sigma", "inf", "--nodes", "64"],
+        ["lambda-star", "--dim", "3", "--tol", "nan", "--nodes", "64"],
+        ["lambda-star", "--dim", "3", "--delta", "nan", "--nodes", "64"],
+        ["lambda-star", "--dim", "3", "--delta", "-0.01", "--nodes", "64"],
+    ],
+)
+def test_bad_numeric_input_is_an_error(tmp_path, capsys, argv):
+    # exit 1 with an error: line, no traceback and no record
+    try:
+        code = run(argv, tmp_path)
+    except SystemExit as exc:  # argparse rejects the value itself
+        code = exc.code
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "runs" / "records.jsonl").exists()
 
 
 def test_config_keys_are_option_names(tmp_path):

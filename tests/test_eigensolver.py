@@ -207,11 +207,3 @@ def test_every_profile_bounds_the_discrete_minimum():
     for _ in range(12):
         u = rng.standard_normal(forms.n_nodes)
         assert evaluate_quotient(forms, u, -0.5, sigma=2.0) >= res.mu - 1e-9
-
-
-def test_warm_start_consistency():
-    s3 = unit_sphere(3)
-    forms = assemble_forms(build_grid(math.pi, 512, 2.0, "reflected"), s3, 2.0)
-    cold = smallest_generalized_eigen(forms, -0.8)
-    warm = smallest_generalized_eigen(forms, -0.81, warm=cold.profile[forms.dof])
-    assert warm.mu == pytest.approx(smallest_generalized_eigen(forms, -0.81).mu, abs=1e-9)

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardylab.constants import hardy_constant
 from hardylab.eigensolver import count_below, smallest_generalized_eigen
-from hardylab.forms import assemble_forms, build_grid
+from hardylab.errors import DomainError
+from hardylab.forms import assemble_forms, build_grid, tri_quadform
 from hardylab.manifold import euclidean_ball, unit_sphere
 from hardylab.thresholds import (
     constant_profile_bound,
@@ -36,6 +39,44 @@ def test_mu_curve_shape_and_decrease():
     assert curve.lambdas.shape == curve.mus.shape == curve.concentrations.shape
 
 
+@pytest.mark.parametrize(
+    "m,lams",
+    [(unit_sphere(3), np.linspace(-2.0, 1.0, 9)), (euclidean_ball(3, 1.0), np.linspace(0.0, 8.0, 9))],
+)
+def test_mu_curve_matches_single_solves(m, lams):
+    curve = mu_curve(m, lams, M=256)
+    for lam, mu, conc in zip(curve.lambdas, curve.mus, curve.concentrations):
+        assert (mu, conc) == mu_of_lambda(m, lam, M=256)[:2], lam
+
+
+@pytest.mark.parametrize(
+    "m,bc,lam_range",
+    [(unit_sphere(3), "reflected", (-3.0, 1.0)), (euclidean_ball(3, 1.0), "dirichlet", (0.0, 9.0))],
+)
+@pytest.mark.parametrize("M", [64, 256])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_mu_concave_decreasing_with_hellmann_feynman_slope(m, bc, lam_range, M, data):
+    # mu_h(lam) is a minimum of functions affine in lam: concave, strictly
+    # decreasing, with slope -u'Mu / u'Wu at its eigenvector u
+    forms = assemble_forms(build_grid(m.r_max, M, 2.0, bc), m, 2.0)
+    a = data.draw(st.floats(*lam_range))
+    b = data.draw(st.floats(a + 0.01, a + 2.0))
+
+    def mu(lam):
+        return smallest_generalized_eigen(forms, lam).mu
+
+    mu_a, mu_b, mu_mid = mu(a), mu(b), mu(0.5 * (a + b))
+    assert mu_a > mu_mid > mu_b
+    assert mu_mid >= 0.5 * (mu_a + mu_b) - 1e-9
+
+    h = 1e-3
+    res = smallest_generalized_eigen(forms, a)
+    u = res.profile
+    slope = -tri_quadform(forms.md, forms.me, u) / float(np.dot(forms.w2, u * u))
+    assert (mu(a + h) - mu(a - h)) / (2.0 * h) == pytest.approx(slope, rel=1e-4)
+
+
 def test_constant_profile_bound_s3():
     # -cap * int rho^{-2} / Vol on the unit three-sphere; independent
     # quadrature cross-check against the sin^2/r^2 integral
@@ -56,6 +97,24 @@ def test_bracket_s3():
     # detection invariant: mu(hi) < cap - delta <= mu(lo) + delta
     assert br.mu_hi < br.cap - br.detection_delta
     assert br.cap - br.detection_delta <= br.mu_lo + br.detection_delta
+
+
+@pytest.mark.parametrize(
+    "tol,delta",
+    [
+        (math.nan, None),
+        (math.inf, None),
+        (0.0, None),
+        (-0.05, None),
+        (0.05, math.nan),
+        (0.05, math.inf),
+        (0.05, 0.0),
+        (0.05, -0.01),
+    ],
+)
+def test_bracket_rejects_bad_tolerances(tol, delta):
+    with pytest.raises(DomainError):
+        lambda_star_bracket(unit_sphere(3), tol_lambda=tol, detection_delta=delta, M=64)
 
 
 @pytest.mark.parametrize(
