@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""Time the hot kernels against the element-indexing reference loops that
-``tests/test_kernels.py`` holds as their oracles, in one process.
+"""Time the hot kernels on both backends against the element-indexing
+reference loops that ``tests/test_kernels.py`` holds as their oracles, in
+one process.
 
-Prints ns per row (recurrences) or per cell (power functional) of both and
-the measured ratio reference / kernel.  Inputs: M = 4096, numpy rng seed 7
-(the same as ``perfbench/kernel_bench.py``).
+Prints ns per row (recurrences) or per cell (power functional) of the LAPACK
+backend, of the Python-float backend (the LAPACK handles set to None) and of
+the reference loop, and the measured ratios reference / backend.  The power
+functional is the same NumPy code on both backends, so it is timed once.
+Inputs: M = 4096, numpy rng seed 7 (the same as ``perfbench/kernel_bench.py``).
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
 
 import argparse
+import contextlib
 import statistics
 import sys
 import time
@@ -43,6 +47,17 @@ def median_ns(fn, args, per, repeat):
     return 1e9 * statistics.median(times) / per
 
 
+@contextlib.contextmanager
+def python_backend():
+    """Run the kernels on their Python-float recurrences."""
+    saved = _kernels._PTTRF, _kernels._PTTRS
+    _kernels._PTTRF = _kernels._PTTRS = None
+    try:
+        yield
+    finally:
+        _kernels._PTTRF, _kernels._PTTRS = saved
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=15)
@@ -70,15 +85,26 @@ def main():
         ("power_moment", "cell", _kernels.power_moment, _power_moment_loop_py, (u, wq, tq, p)),
         ("power_moment_grad", "cell", _kernels.power_moment_grad, grad_loop, (u, wq, tq, p)),
     ]
-    header = f"{'kernel':18s} {'unit':>8s} {'kernel':>10s} {'reference':>10s} {'ratio':>7s}"
+    lapack = _kernels.BACKEND == "lapack"
+    header = (
+        f"{'kernel':18s} {'unit':>8s} {'lapack':>8s} {'python':>8s} {'reference':>10s}"
+        f" {'ref/lapack':>11s} {'ref/python':>11s}"
+    )
+    print(f"backend resolved at import: {_kernels.BACKEND}")
     print(header)
     print("-" * len(header))
     for name, unit, fast, ref, args in rows:
         # the reference power loops are ~100x slower; time them less often
         ref_repeat = repeat if unit == "row" else max(1, repeat // 5)
-        t_fast = median_ns(fast, args, M, repeat)
+        t_lapack = median_ns(fast, args, M, repeat) if lapack and unit == "row" else None
+        with python_backend():
+            t_python = median_ns(fast, args, M, repeat)
         t_ref = median_ns(ref, args, M, ref_repeat)
-        print(f"{name:18s} {'ns/' + unit:>8s} {t_fast:10.0f} {t_ref:10.0f} {t_ref / t_fast:6.1f}x")
+        lapack_ns, lapack_ratio = ("-", "-") if t_lapack is None else (f"{t_lapack:.0f}", f"{t_ref / t_lapack:.1f}x")
+        print(
+            f"{name:18s} {'ns/' + unit:>8s} {lapack_ns:>8s} {t_python:8.0f} {t_ref:10.0f}"
+            f" {lapack_ratio:>11s} {t_ref / t_python:10.1f}x"
+        )
 
 
 if __name__ == "__main__":

@@ -2,14 +2,18 @@
 
 Every pencil in the package goes one way: ``_pencil_arrays`` slices it to
 the free nodes, ``inertia_count`` counts it, ``_kernels.ldl_factor`` factors
-it once and ``_kernels.ldl_solve`` solves against the factors.  Bisection on
-the inertia count localizes the eigenvalue to absolute _TOL_ABS = 1e-10
-regardless of the indefiniteness of K - lambda*Mass; the eigenvector follows
-by inverse iteration from the constant vector, shifted to the definite side
-of the final bracket (so the shifted matrix is positive definite, its
-unpivoted LDL^T factor is stable, and it is factored once).  There is no
-other path: if inverse iteration stops above its 1e-9 target, the returned
-``residual`` says so.
+it once and ``_kernels.ldl_solve`` solves against the factors.  Counts,
+factors and solves run in LAPACK ``dpttrf``/``dpttrs`` when numpy bundles
+them (``_kernels.BACKEND``), else in Python-float recurrences; the factors
+and solves of both are the same bits.
+
+Bisection on the inertia count localizes the eigenvalue to absolute
+_TOL_ABS = 1e-10 regardless of the indefiniteness of K - lambda*Mass; the
+eigenvector follows by inverse iteration from the constant vector, shifted
+to the definite side of the final bracket (so the shifted matrix is positive
+definite, its unpivoted LDL^T factor is stable, and it is factored once).
+There is no other path: if inverse iteration stops above its 1e-9 target,
+the returned ``residual`` says so.
 """
 
 from __future__ import annotations

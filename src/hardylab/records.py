@@ -4,7 +4,9 @@ for anything plottable.
 Every result key carries a provenance tag naming how the number was
 obtained: "closed-form", "quadrature", "eigensolve", "minimize", "fit" or
 "artifact-derived" (for quantities the underlying theory does not pin to a
-formula, e.g. threshold brackets).
+formula, e.g. threshold brackets).  A ``diagnostics`` block beside the
+results says how the numbers were computed (the kernel backend and the numpy
+version); it is not a result and carries no provenance tags.
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
+from . import _kernels
+
 __all__ = ["RunRecord", "write_record", "write_table", "default_out_dir"]
 
 ENV_OUT_DIR = "HARDYLAB_OUT"
@@ -23,6 +29,11 @@ ENV_OUT_DIR = "HARDYLAB_OUT"
 
 def default_out_dir() -> Path:
     return Path(os.environ.get(ENV_OUT_DIR, "runs"))
+
+
+def _diagnostics() -> dict:
+    """How this process computes: the kernel backend and the numpy version."""
+    return {"kernel_backend": _kernels.BACKEND, "numpy": np.__version__}
 
 
 @dataclass
@@ -33,6 +44,7 @@ class RunRecord:
     provenance: dict  # name -> tag; must cover every result key
     grid: dict = field(default_factory=dict)
     timestamp: str = ""
+    diagnostics: dict = field(default_factory=_diagnostics)  # outside the provenance rule
 
     def __post_init__(self):
         if not self.timestamp:
@@ -52,6 +64,7 @@ def write_record(record: RunRecord, out_dir: Path | str | None = None) -> Path:
         "timestamp": record.timestamp,
         "parameters": record.parameters,
         "results": record.results,
+        "diagnostics": record.diagnostics,
         "provenance": record.provenance,
         "grid": record.grid,
     }

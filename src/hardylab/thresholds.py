@@ -142,7 +142,10 @@ def lambda_star_bracket(
 
     The returned hi over-estimates the threshold (discrete detection only
     certifies genuinely-below-cap values); delta defaults to the measured
-    refinement gap |mu_M - mu_2M| at the midpoint of the sweep.
+    refinement gap |mu_M - mu_2M| at the midpoint of the sweep.  A sweep
+    that misses the threshold widens: downward at most three times, upward
+    at most six times by doubling steps (0, 1, 3, 7, 15, 31, 63 from the
+    default top).
     """
     if not (math.isfinite(tol_lambda) and tol_lambda > 0.0):
         raise DomainError(f"tol_lambda must be finite and positive, got {tol_lambda!r}")
@@ -174,7 +177,7 @@ def lambda_star_bracket(
             hi += step
             step *= 2.0
             widen += 1
-            if widen > 3:
+            if widen > 6:
                 raise SweepRangeError(
                     "predicate never detected below-cap over the sweep; widen the sweep upward"
                 )

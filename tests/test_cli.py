@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from hardylab import _kernels
 from hardylab.cli import main
 from hardylab.forms import assemble_forms, build_grid
 from hardylab.manifold import unit_sphere
@@ -29,6 +31,14 @@ def test_constants_roundtrip(tmp_path, capsys):
     assert recs[0]["command"] == "constants"
     assert recs[0]["results"]["hardy_sobolev_constant"] == pytest.approx(2.8944050182, rel=1e-9)
     assert all(k in recs[0]["provenance"] for k in recs[0]["results"])
+
+
+def test_record_carries_diagnostics(tmp_path):
+    # beside the results, outside the provenance rule
+    assert run(["constants", "--dim", "3", "--sigma", "1"], tmp_path) == 0
+    rec = read_records(tmp_path)[0]
+    assert rec["diagnostics"] == {"kernel_backend": _kernels.BACKEND, "numpy": np.__version__}
+    assert set(rec["provenance"]) == set(rec["results"])
 
 
 def test_solve_sigma_out_of_range(tmp_path):

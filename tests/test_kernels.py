@@ -1,7 +1,13 @@
 """The kernels must return the same bits as plain reference loops that index
-the arrays element by element."""
+the arrays element by element, on both backends: the one resolved at import
+(LAPACK ``dpttrf``/``dpttrs`` where numpy bundles them) and the Python-float
+recurrences that run when the LAPACK handles are missing."""
 
+import glob
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -169,6 +175,9 @@ def test_negcount_zero_pivot_sentinel():
         (np.array([1.0, 1.0, 1.0]), np.array([1.0, 0.0])),  # second pivot 1 - 1/1 = 0
         (np.array([0.0]), np.zeros(0)),
         (np.array([2.0, -0.0]), np.zeros(1)),
+        (np.array([-1.0, 1.0, 2.0]), np.array([1.0, 2.0])),  # zero pivot after a negative one
+        # zero pivot after the fifth negative one, where the count leaves dpttrf
+        (np.array([-1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 2.0]), np.array([0.0, 0.0, 0.0, 0.0, 1.0, 2.0])),
     ]:
         assert _negcount_py(d, e) == -1
         assert K.negcount(d, e) == -1
@@ -213,6 +222,57 @@ def test_exact_zero_pivot_gives_reference_inf_and_nan():
     np.testing.assert_array_equal(low, ref_low)
     np.testing.assert_array_equal(x, ref)
     np.testing.assert_array_equal(x_factored, ref)
+
+
+def test_one_and_two_row_pencils():
+    # n = 1 divides (dpttrs would multiply by 1/D(1), an ulp off: 5 * (1/3) != 5/3)
+    d1, e1, b1 = np.array([3.0]), np.zeros(0), np.array([5.0])
+    diag, low = K.ldl_factor(d1, e1)
+    assert diag.tolist() == [3.0] and low.shape == (0,)
+    assert K.ldl_solve(diag, low, b1).tolist() == [5.0 / 3.0] != [5.0 * (1.0 / 3.0)]
+    assert K.tridiag_solve(d1, e1, b1).tolist() == _tridiag_solve_py(d1, e1, b1).tolist()
+    assert [K.negcount(np.array([v]), e1) for v in (3.0, -3.0, 0.0)] == [0, 1, -1]
+    for d in ([3.0, 2.0], [3.0, -2.0], [-3.0, 2.0], [-3.0, -2.0], [0.5, 1.0 / 3.0]):
+        d2, e2, b2 = np.array(d), np.array([0.7]), np.array([5.0, -1.0])
+        assert K.negcount(d2, e2) == _negcount_py(d2, e2)
+        ref_diag, ref_low = _ldl_factor_py(d2, e2)
+        diag, low = K.ldl_factor(d2, e2)
+        assert np.array_equal(diag, ref_diag) and np.array_equal(low, ref_low)
+        assert np.array_equal(K.ldl_solve(diag, low, b2), _ldl_solve_py(ref_diag, ref_low, b2))
+        assert np.array_equal(K.tridiag_solve(d2, e2, b2), _tridiag_solve_py(d2, e2, b2))
+
+
+def test_python_path_matches_reference(rng, monkeypatch):
+    """The exact-equality tests above, run on the Python-float recurrences
+    (the LAPACK handles set to None); the tests themselves run on the
+    backend resolved at import."""
+    monkeypatch.setattr(K, "_PTTRF", None)
+    monkeypatch.setattr(K, "_PTTRS", None)
+    test_negcount_matches_reference(rng)
+    test_negcount_zero_pivot_sentinel()
+    test_factor_and_solve_match_reference(rng)
+    test_factor_and_solve_agree_with_dense_solve(rng)
+    test_exact_zero_pivot_gives_reference_inf_and_nan()
+    test_one_and_two_row_pencils()
+
+
+def test_lapack_solve_rejects_mismatched_factors():
+    # dpttrs reads n - 1 multipliers and writes n values through raw pointers
+    if K.BACKEND != "lapack":
+        pytest.skip("numpy bundles no LAPACK with dpttrf/dpttrs")
+    diag, low = K.ldl_factor(np.full(4, 3.0), np.ones(3))
+    for lo, b in [(low[:2], np.ones(4)), (low, np.ones(3)), (low, np.ones((4, 1)))]:
+        with pytest.raises(ValueError):
+            K.ldl_solve(diag, lo, b)
+
+
+def test_import_resolves_backend_without_scipy():
+    bundled = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*"))
+    src = os.path.dirname(os.path.dirname(K.__file__))
+    code = "import sys, hardylab.cli, hardylab._kernels as K; print('scipy' in sys.modules, K.BACKEND)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "lapack" if bundled else "python"]
 
 
 def test_power_moment_paths_agree(rng):

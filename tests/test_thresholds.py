@@ -9,7 +9,7 @@ from hardylab.constants import hardy_constant
 from hardylab.eigensolver import count_below, smallest_generalized_eigen
 from hardylab.errors import DomainError
 from hardylab.forms import assemble_forms, build_grid, tri_quadform
-from hardylab.manifold import euclidean_ball, unit_sphere
+from hardylab.manifold import euclidean_ball, hyperbolic_cap, unit_sphere
 from hardylab.thresholds import (
     constant_profile_bound,
     lambda_star_bracket,
@@ -158,6 +158,14 @@ def test_bracket_s3_pinned(M, tol, lo, hi):
 def test_bracket_widens_down_from_nonnegative_bottom(m, sweep, lo, hi):
     br = lambda_star_bracket(m, tol_lambda=0.1, M=256, sweep=sweep)
     assert (br.lo, br.hi) == (lo, hi)
+
+
+def test_bracket_widens_up_to_hyperbolic_cap_threshold():
+    # the default sweep tops out at 0; the cap's threshold is about 7.3, so
+    # the upward sweep must test 0, 1, 3, 7 and 15 (the doubling steps)
+    br = lambda_star_bracket(hyperbolic_cap(3), M=512)
+    assert (br.lo, br.hi) == (7.25, 7.28125)
+    assert br.mu_hi < br.cap - br.detection_delta <= br.mu_lo
 
 
 def test_bracket_stability_under_refinement():
