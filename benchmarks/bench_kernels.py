@@ -7,6 +7,9 @@ Prints ns per row (recurrences) or per cell (power functional) of the LAPACK
 backend, of the Python-float backend (the LAPACK handles set to None) and of
 the reference loop, and the measured ratios reference / backend.  The power
 functional is the same NumPy code on both backends, so it is timed once.
+The ``inertia_count`` row counts the same shifted matrix as the ``negcount``
+row through ``eigensolver.inertia_count`` (weight check, shift, count), so
+the difference of the two rows is the per-call cost around the count.
 Inputs: M = 4096, numpy rng seed 7 (the same as ``perfbench/kernel_bench.py``).
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
@@ -25,6 +28,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from hardylab import _kernels  # noqa: E402
+from hardylab.eigensolver import inertia_count  # noqa: E402
 from test_kernels import (  # noqa: E402
     _ldl_factor_py,
     _ldl_solve_py,
@@ -77,8 +81,12 @@ def main():
     def grad_loop(u, wq, tq, p):
         return _power_moment_grad_loop_py(u, wq, tq, p, np.zeros(u.shape[0]))
 
+    def shifted_loop(d, e, w, shift):
+        return _negcount_py(d - shift * w, e)
+
     rows = [
         ("negcount", "row", _kernels.negcount, _negcount_py, (d - 0.5 * w, e)),
+        ("inertia_count", "row", inertia_count, shifted_loop, (d, e, w, 0.5)),
         ("ldl_factor", "row", _kernels.ldl_factor, _ldl_factor_py, (d, e)),
         ("ldl_solve", "row", _kernels.ldl_solve, _ldl_solve_py, (*factors, b)),
         ("tridiag_solve", "row", _kernels.tridiag_solve, _tridiag_solve_py, (d, e, b)),

@@ -7,11 +7,18 @@ the HARDYLAB_OUT environment variable, or ./runs.
 
 Exit codes: 0 success, 1 domain/usage errors, 2 INCONCLUSIVE theorem
 check (distinct so harnesses can triage).
+
+In-process callers: ``main`` builds its parser (about 2 ms) on its first
+call and reuses it for every later call in the process; nothing is built at
+import.  A run with ``--config`` builds a parser of its own, because the
+file's values become that parser's defaults.  A one-shot ``hardylab``
+command builds one parser either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -151,7 +158,7 @@ def _config_defaults(argv: list[str], subparsers: dict[str, argparse.ArgumentPar
 
 
 def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
-    parser = _Parser(prog="hardylab", description=__doc__)
+    parser = _Parser(prog="hardylab", description=__doc__.partition("\n\nIn-process callers:")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers: dict[str, argparse.ArgumentParser] = {}
 
@@ -520,16 +527,24 @@ def _cmd_verify(args, out):
     return _EXIT_OK if all_ok else _EXIT_ERROR
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser of every call of ``main`` without ``--config``."""
+    return build_parser()[0]
+
+
 def main(argv=None) -> int:
-    parser, subparsers = build_parser()
     # pre-scan for --config so its values become defaults that flags override
     argv = list(sys.argv[1:] if argv is None else argv)
     if "--config" in argv:
+        parser, subparsers = build_parser()  # its own: the shared one keeps its defaults
         try:
             _config_defaults(argv, subparsers)
         except (OSError, DomainError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return _EXIT_ERROR
+    else:
+        parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
         out = args.out if args.out is not None else default_out_dir()

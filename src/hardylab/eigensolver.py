@@ -2,7 +2,10 @@
 
 Every pencil in the package goes one way: ``_pencil_arrays`` slices it to
 the free nodes, ``inertia_count`` counts it, ``_kernels.ldl_factor`` factors
-it once and ``_kernels.ldl_solve`` solves against the factors.  Counts,
+it once and ``_kernels.ldl_solve`` solves against the factors.  The weight
+is checked once per pencil: ``inertia_count`` is that check plus the count
+body ``_count``, and an eigensolve checks its weight once and then calls
+``_count`` for each of its ~36 bisection counts.  Counts,
 factors and solves run in LAPACK ``dpttrf``/``dpttrs`` when numpy bundles
 them (``_kernels.BACKEND``), else in Python-float recurrences; the factors
 and solves of both are the same bits.
@@ -53,8 +56,17 @@ def inertia_count(
     T - shift*W (Sylvester's law of inertia).  On an exact zero pivot the
     shift is perturbed by one ulp-scale step and the count retried.
     """
-    if np.any(w <= 0.0):
+    _check_weight(w)
+    return _count(d, e, w, shift, w_off)
+
+
+def _check_weight(w: np.ndarray) -> None:
+    if not np.all(w > 0.0):  # NaN fails too
         raise DomainError("weight diagonal must be positive")
+
+
+def _count(d, e, w, shift, w_off) -> int:
+    """``inertia_count`` on a weight already checked."""
     shift = float(shift)
     scale = None
     for attempt in range(4):
@@ -102,18 +114,19 @@ def smallest_generalized_eigen(forms: QuadraticForms, lam: float, denominator: s
     W-normalized and carries the boundary node.
     """
     d, e, wd, we = _pencil_arrays(forms, lam, denominator)
+    _check_weight(wd)
     scale = float(np.max(np.abs(d)) + np.max(np.abs(e), initial=0.0))
 
     # upper start: Rayleigh quotient of every basis vector
     hi = float(np.min(d / wd)) + 1e-12 * max(scale, 1.0)
     lo = hi - max(1.0, 0.1 * abs(hi))
     it = 0
-    while inertia_count(d, e, wd, lo, we) > 0:
+    while _count(d, e, wd, lo, we) > 0:
         lo -= 2.0 * (hi - lo)
         it += 1
         if it > 200:
             raise RuntimeError("failed to bracket the smallest eigenvalue from below")
-    while inertia_count(d, e, wd, hi, we) < 1:
+    while _count(d, e, wd, hi, we) < 1:
         hi += max(1.0, hi - lo)
         it += 1
         if it > 400:
@@ -123,7 +136,7 @@ def smallest_generalized_eigen(forms: QuadraticForms, lam: float, denominator: s
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # double-precision resolution reached
             break
-        if inertia_count(d, e, wd, mid, we) >= 1:
+        if _count(d, e, wd, mid, we) >= 1:
             hi = mid
         else:
             lo = mid

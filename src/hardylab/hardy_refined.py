@@ -144,7 +144,7 @@ def improved_hardy_eigen(N: int, r0: float, M: int = 1024, gamma: float = 3.0) -
     grid = build_grid(r0, M, gamma, "dirichlet")
     forms = assemble_forms(grid, ball, 2.0)
     with np.errstate(divide="ignore"):
-        wlog = assemble_lumped_weight(grid, ball, lambda r: r**-2.0 * np.log(r) ** -2.0)
+        wlog = assemble_lumped_weight(grid, ball, lambda r: 1.0 / np.square(r * np.log(r)))
     pencil = replace(
         forms,
         kd=forms.kd - hardy_constant(n) * forms.w2,

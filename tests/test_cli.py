@@ -1,10 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from hardylab import _kernels
+from hardylab import _kernels, cli
 from hardylab.cli import main
 from hardylab.forms import assemble_forms, build_grid
 from hardylab.manifold import unit_sphere
@@ -284,3 +287,45 @@ def test_verify_fast_suite(tmp_path):
     recs = read_records(tmp_path)
     assert all(r["command"] == "verify" for r in recs)
     assert all(r["results"]["pass"] is True for r in recs)
+
+
+def test_config_run_leaves_the_shared_parser_alone(tmp_path):
+    cli._shared_parser.cache_clear()  # as in a fresh process
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("nodes = 64\n")
+    solve = ["solve", "--sigma", "2", "--dim", "3"]
+    default = cli.build_parser()[1]["solve"].get_default("nodes")
+    assert default != 64
+    for _ in range(2):  # config first, then again once the shared parser exists
+        assert run([*solve, "--config", str(cfg)], tmp_path) == 0
+        assert read_records(tmp_path)[-1]["grid"]["nodes"] == 64
+        assert run(solve, tmp_path) == 0
+        assert read_records(tmp_path)[-1]["grid"]["nodes"] == default
+
+
+def test_bad_argument_after_a_good_call_exits_1(tmp_path, capsys):
+    assert run(["constants", "--dim", "3", "--sigma", "1"], tmp_path) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(["constants", "--dim", "3", "--sigma", "1", "--frobnicate"], tmp_path)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+    assert run(["constants", "--dim", "4", "--sigma", "1"], tmp_path) == 0
+
+
+def test_import_builds_no_parser():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(self)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import hardylab.cli\n"
+        "print(len(built), hardylab.cli._shared_parser.cache_info().currsize)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["0", "0"]

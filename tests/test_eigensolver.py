@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hardylab import _kernels, eigensolver
 from hardylab.eigensolver import inertia_count, smallest_generalized_eigen
 from hardylab.errors import DomainError
 from hardylab.forms import assemble_forms, build_grid
@@ -88,6 +90,79 @@ def test_inertia_retries_exact_zero_pivot():
 def test_inertia_rejects_bad_weight():
     with pytest.raises(DomainError):
         inertia_count(np.ones(4), np.zeros(3), np.array([1.0, -1.0, 1.0, 1.0]), 0.0)
+
+
+def test_inertia_rejects_nan_weight():
+    with pytest.raises(DomainError):
+        inertia_count(np.ones(4), np.zeros(3), np.array([1.0, np.nan, 1.0, 1.0]), 2.0)
+
+
+@pytest.fixture(params=["lapack", "python"])
+def backend(request, monkeypatch):
+    """Run the counts on each kernel backend."""
+    if request.param == "python":
+        monkeypatch.setattr(_kernels, "_PTTRF", None)
+    elif _kernels.BACKEND != "lapack":
+        pytest.skip("numpy bundles no LAPACK dpttrf here")
+    return request.param
+
+
+@pytest.fixture
+def negcount_results(monkeypatch):
+    """What every ``_kernels.negcount`` call returned, in call order."""
+    results = []
+    negcount = _kernels.negcount
+
+    def recorded(d, e):
+        results.append(negcount(d, e))
+        return results[-1]
+
+    monkeypatch.setattr(_kernels, "negcount", recorded)
+    return results
+
+
+def test_inertia_count_is_weight_check_plus_count_body(backend, negcount_results):
+    rng = np.random.default_rng(13)
+    counts = set()
+    for n in (1, 2, 7, 40, 120):
+        d = 3.0 * rng.standard_normal(n)
+        e = rng.standard_normal(n - 1)
+        wd = np.abs(rng.standard_normal(n)) + 2.0
+        # |we| < min(wd)/2 keeps the tridiagonal weight definite
+        for we in (None, 0.9 * rng.uniform(-1.0, 1.0, n - 1)):
+            for shift in (-5.0, -0.5, 0.0, 0.7, 4.0):
+                got = inertia_count(d, e, wd, shift, we)
+                assert got == eigensolver._count(d, e, wd, shift, we)
+                counts.add(got)
+    assert max(counts) > _kernels._RESTARTS  # deep counts leave dpttrf for the Python rows
+    # every pivot of I - 1*I is exactly zero: both retry with a nudged shift
+    n = 9
+    one, zero = np.ones(n), np.zeros(n - 1)
+    negcount_results.clear()
+    assert inertia_count(one, zero, one, 1.0) == eigensolver._count(one, zero, one, 1.0, None) == n
+    assert negcount_results.count(-1) == 2
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("denominator,field", [("w2", "w2"), ("mass", "md")])
+def test_eigensolve_rejects_bad_weight_before_counting(denominator, field, bad, negcount_results):
+    forms = assemble_forms(build_grid(1.0, 64, 2.0, "dirichlet"), euclidean_ball(3, 1.0), 2.0)
+    weight = getattr(forms, field).copy()
+    weight[5] = bad
+    with pytest.raises(DomainError, match="weight diagonal must be positive"):
+        smallest_generalized_eigen(dataclasses.replace(forms, **{field: weight}), 0.0, denominator)
+    assert negcount_results == []
+
+
+@pytest.mark.parametrize("denominator", ["w2", "mass"])
+def test_eigensolve_checks_its_weight_once(denominator, monkeypatch, negcount_results):
+    checks = []
+    check = eigensolver._check_weight
+    monkeypatch.setattr(eigensolver, "_check_weight", lambda w: checks.append(w.shape) or check(w))
+    forms = assemble_forms(build_grid(1.0, 64, 2.0, "dirichlet"), euclidean_ball(3, 1.0), 2.0)
+    smallest_generalized_eigen(forms, 0.0, denominator)
+    assert len(checks) == 1
+    assert len(negcount_results) > 30  # the bracket search and the bisection
 
 
 def test_smallest_eigen_against_scipy():
