@@ -10,6 +10,10 @@ functional is the same NumPy code on both backends, so it is timed once.
 The ``inertia_count`` row counts the same shifted matrix as the ``negcount``
 row through ``eigensolver.inertia_count`` (weight check, shift, count), so
 the difference of the two rows is the per-call cost around the count.
+The power functional is timed at p = 2.6667 (the exponent of
+``perfbench/kernel_bench.py``), 3 (the S^4 and S^5 cases of the minimizer
+workload) and 4 (its flat ball), on M = 4096 cells and on a 256-cell table,
+where the per-call overhead shows.
 Inputs: M = 4096, numpy rng seed 7 (the same as ``perfbench/kernel_bench.py``).
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
@@ -39,6 +43,7 @@ from test_kernels import (  # noqa: E402
 )
 
 M = 4096
+SMALL = 256  # cells of the small power-functional table
 
 
 def median_ns(fn, args, per, repeat):
@@ -75,7 +80,6 @@ def main():
     u = np.abs(rng.standard_normal(M + 1)) + 0.1
     wq = np.abs(rng.standard_normal((M, 16)))
     tq = np.linspace(0.02, 0.98, 16)
-    p = 2.6667
     factors = _kernels.ldl_factor(d, e)
 
     def grad_loop(u, wq, tq, p):
@@ -90,12 +94,17 @@ def main():
         ("ldl_factor", "row", _kernels.ldl_factor, _ldl_factor_py, (d, e)),
         ("ldl_solve", "row", _kernels.ldl_solve, _ldl_solve_py, (*factors, b)),
         ("tridiag_solve", "row", _kernels.tridiag_solve, _tridiag_solve_py, (d, e, b)),
-        ("power_moment", "cell", _kernels.power_moment, _power_moment_loop_py, (u, wq, tq, p)),
-        ("power_moment_grad", "cell", _kernels.power_moment_grad, grad_loop, (u, wq, tq, p)),
     ]
+    for cells in (M, SMALL):
+        for p in (2.6667, 3.0, 4.0):
+            args = (u[: cells + 1], wq[:cells], tq, p)
+            rows += [
+                (f"power_moment {cells} p={p:g}", "cell", _kernels.power_moment, _power_moment_loop_py, args),
+                (f"power_moment_grad {cells} p={p:g}", "cell", _kernels.power_moment_grad, grad_loop, args),
+            ]
     lapack = _kernels.BACKEND == "lapack"
     header = (
-        f"{'kernel':18s} {'unit':>8s} {'lapack':>8s} {'python':>8s} {'reference':>10s}"
+        f"{'kernel':30s} {'unit':>8s} {'lapack':>8s} {'python':>8s} {'reference':>10s}"
         f" {'ref/lapack':>11s} {'ref/python':>11s}"
     )
     print(f"backend resolved at import: {_kernels.BACKEND}")
@@ -104,13 +113,14 @@ def main():
     for name, unit, fast, ref, args in rows:
         # the reference power loops are ~100x slower; time them less often
         ref_repeat = repeat if unit == "row" else max(1, repeat // 5)
-        t_lapack = median_ns(fast, args, M, repeat) if lapack and unit == "row" else None
+        per = M if unit == "row" else args[1].shape[0]  # rows, or cells of the table
+        t_lapack = median_ns(fast, args, per, repeat) if lapack and unit == "row" else None
         with python_backend():
-            t_python = median_ns(fast, args, M, repeat)
-        t_ref = median_ns(ref, args, M, ref_repeat)
+            t_python = median_ns(fast, args, per, repeat)
+        t_ref = median_ns(ref, args, per, ref_repeat)
         lapack_ns, lapack_ratio = ("-", "-") if t_lapack is None else (f"{t_lapack:.0f}", f"{t_ref / t_lapack:.1f}x")
         print(
-            f"{name:18s} {'ns/' + unit:>8s} {lapack_ns:>8s} {t_python:8.0f} {t_ref:10.0f}"
+            f"{name:30s} {'ns/' + unit:>8s} {lapack_ns:>8s} {t_python:8.0f} {t_ref:10.0f}"
             f" {lapack_ratio:>11s} {t_ref / t_python:10.1f}x"
         )
 

@@ -3,7 +3,9 @@
 The three inner loops that dominate runtime are Sturm-sequence inertia
 counts, tridiagonal LDL^T factors and solves (inverse iteration and the
 minimizer), and the singular-weight power functional of the constrained
-minimizer.  The power functional is vectorized NumPy.
+minimizer.  The power functional is NumPy on every backend: u at the Gauss
+points of all cells is one (cells, 2) by (2, q) product, and F with its
+gradient costs one ``pow`` per point.
 
 The recurrences run on the backend resolved once at import, ``BACKEND``:
 
@@ -211,19 +213,34 @@ def tridiag_solve(d, e, b):
 # on piecewise-linear u; cells are consecutive node pairs.
 # ---------------------------------------------------------------------------
 
+def _cell_values(u, t):
+    """u at the quadrature points of every cell, and the hat basis: the
+    (cells, 2) matrix of cell end values times the (2, q) basis [1 - t; t]."""
+    basis = np.empty((2, t.shape[0]))
+    np.subtract(1.0, t, out=basis[0])
+    basis[1] = t
+    ends = np.empty((u.shape[0] - 1, 2))
+    ends[:, 0] = u[:-1]
+    ends[:, 1] = u[1:]
+    return ends @ basis, basis
+
+
 def power_moment(u, w, t, p):
     """Value of the weighted |u|^p moment over all cells."""
-    v = u[:-1, None] + (u[1:, None] - u[:-1, None]) * t[None, :]
-    return float(np.sum(w * np.abs(v) ** p))
+    v, _ = _cell_values(u, t)
+    return float(np.vdot(w, np.abs(v) ** p))
 
 
 def power_moment_grad(u, w, t, p):
-    """Value and nodal gradient of the weighted |u|^p moment."""
-    grad = np.zeros(u.shape[0])
-    v = u[:-1, None] + (u[1:, None] - u[:-1, None]) * t[None, :]
-    av = np.abs(v)
-    total = float(np.sum(w * av**p))
-    c = w * p * av ** (p - 1.0) * np.sign(v)
-    grad[:-1] += c @ (1.0 - t)
-    grad[1:] += c @ t
-    return total, grad
+    """Value and nodal gradient of the weighted |u|^p moment, from one
+    ``pow`` per point: with g = w sign(v) |v|^{p-1}, F = g.v and the
+    gradient is p g [1 - t; t]^T gathered onto the nodes."""
+    v, basis = _cell_values(u, t)
+    g = w * np.copysign(np.abs(v) ** (p - 1.0), v)
+    ends = g @ basis.T
+    ends *= p
+    grad = np.empty(u.shape[0])
+    grad[:-1] = ends[:, 0]
+    grad[-1] = 0.0
+    grad[1:] += ends[:, 1]
+    return float(np.vdot(g, v)), grad

@@ -296,6 +296,8 @@ def _cmd_solve(args, out):
         prov = {k: "minimize" for k in results}
         prov["radial_upper_bound_only"] = "artifact-derived"
     rec = RunRecord("solve", params, results, prov, grid=_grid_meta(args))
+    if s < 2.0:
+        rec.diagnostics.update(evaluations=res.evaluations, solves=res.solves)
     write_record(rec, out)
     for k, v in results.items():
         print(f"{k} = {v}")
@@ -396,6 +398,8 @@ def _cmd_theorem2(args, out):
         prov,
         grid=_grid_meta(args),
     )
+    for grid, res in (("coarse", rep.coarse), ("fine", rep.fine)):
+        rec.diagnostics.update({f"{grid}_evaluations": res.evaluations, f"{grid}_solves": res.solves})
     write_record(rec, out)
     for k, v in results.items():
         print(f"{k} = {v}")

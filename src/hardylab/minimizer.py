@@ -32,10 +32,11 @@ F = 1.  It is taken only when Q(candidate) <= Q(G(u)); else G(u) is
 taken and the history is cleared.  Every iterate therefore lies on F = 1
 and is still an upper bound, and Q(u_{k+1}) <= Q(G(u_k)) <= Q(u_k) keeps
 the descent wherever it is proved above (34-39 steps per start on the
-flat ball at M = 256).  grad F at a rescaled vector comes from the
-evaluation that rescaled it: F(cv) = c^p F(v), grad F(cv) = c^{p-1} grad F(v).
-Where a candidate is on offer, G(u) is rescaled by F alone, and its
-gradient is evaluated only if G(u) is taken.
+flat ball at M = 256).  G(u) and the candidate are each rescaled by one
+evaluation of F and grad F (``_kernels.power_moment_grad``, one ``pow`` per
+Gauss point), whose gradient carries over to the rescaled vector:
+F(cv) = c^p F(v), grad F(cv) = c^{p-1} grad F(v).  A step thus makes one
+solve and at most two evaluations, and no point is evaluated twice.
 
 gnorm = sqrt(r'Ã^{-1}r) / (1 + |Q|); converged means gnorm <= _GRAD_TOL = 1e-8.
 A run stops when it converges, when max_iters runs out, or when Q rises
@@ -83,6 +84,8 @@ class MinimizationResult:
     concentration: float
     converged: bool
     iterations_total: int = 0  # steps summed over all starts
+    evaluations: int = 0  # F and grad F evaluations, summed over all starts
+    solves: int = 0  # preconditioner solves, summed over all starts
 
 
 def smooth_cutoff(x):
@@ -166,10 +169,14 @@ def minimize_quotient(
         raise DomainError("at least one starting profile is required")
 
     a = (forms.kd - lam * forms.md, forms.ke - lam * forms.me)
+    abs_a = (np.abs(a[0]), np.abs(a[1]))
     factor = _shifted_factor(forms, lam)
-    runs = [_descend(forms, lam, a, factor, u0, tag, max_iters) for tag, u0 in zip(tags, inits)]
+    runs = [_descend(forms, lam, a, abs_a, factor, u0, tag, max_iters) for tag, u0 in zip(tags, inits)]
     best = min(runs, key=lambda res: res.mu_upper)
+    best.concentration = _hs_concentration(forms, best.profile)
     best.iterations_total = sum(res.iterations for res in runs)
+    best.evaluations = sum(res.evaluations for res in runs) + 2  # the concentration's two
+    best.solves = sum(res.solves for res in runs)
     return best
 
 
@@ -189,26 +196,29 @@ def _energy(a, u):
     return au, float(np.dot(u, au))
 
 
-def _rounding(a, u):
-    """gamma_{n+3} |u|'|A||u|, the bound on the rounding of u'Au."""
+def _rounding(abs_a, u):
+    """gamma_{n+3} |u|'|A||u|, the bound on the rounding of u'Au, from
+    |A| = (|d|, |e|)."""
     k_eps = (u.shape[0] + 3) * 2.0**-53
-    return k_eps / (1.0 - k_eps) * tri_quadform(np.abs(a[0]), np.abs(a[1]), np.abs(u))
+    return k_eps / (1.0 - k_eps) * tri_quadform(abs_a[0], abs_a[1], np.abs(u))
 
 
 def _mixed(g, f, d_u, d_f):
     """|g - (dU + dF) gamma|, gamma minimizing |f - dF gamma| by its normal
-    equations; zero when the differences dF are linearly dependent."""
-    df = np.column_stack(d_f)
+    equations; zero when the differences dF are linearly dependent.  The
+    differences are the rows of dU^T and dF^T."""
+    df = np.array(d_f)
     try:
-        gamma = np.linalg.solve(df.T @ df, df.T @ f)
+        gamma = np.linalg.solve(df @ df.T, df @ f)
     except np.linalg.LinAlgError:
         return 0.0
-    return np.abs(g - (np.column_stack(d_u) + df) @ gamma)
+    return np.abs(g - gamma @ (np.array(d_u) + df))
 
 
-def _descend(forms, lam, a, factor, u0, tag, max_iters):
+def _descend(forms, lam, a, abs_a, factor, u0, tag, max_iters):
     sl = forms.dof
     u, grad = _project_grad(forms, forms.check_profile(np.asarray(u0, dtype=float).copy()))
+    evals, solves = 1, 0
     au, q = _energy(a, u)
     best_q, best_err, best_u = math.inf, 0.0, u
     gnorm = math.inf
@@ -216,22 +226,22 @@ def _descend(forms, lam, a, factor, u0, tag, max_iters):
     d_u, d_f = [], []  # the mixing history: differences of both
     iters = 0
     for iters in range(1, max_iters + 1):
-        err = _rounding(a, u)
+        err = _rounding(abs_a, u)
         if q > best_q + best_err + err:
             break
         if q < best_q:
             best_q, best_err, best_u = q, err, u
-        if grad is None:
-            _, grad = hs_gradient(forms, u)
         r = (au - (q / forms.p_crit) * grad)[sl]
         s = _kernels.ldl_solve(*factor, r)
+        solves += 1
         gnorm = math.sqrt(max(float(np.dot(r, s)), 0.0)) / (1.0 + abs(q))
         if gnorm <= _GRAD_TOL:
             break
         v = u.copy()
         v[sl] -= s
         mix = prev is not None
-        v, v_grad = (_project(forms, v), None) if mix else _project_grad(forms, v)
+        v, v_grad = _project_grad(forms, v)
+        evals += 1
         f = (v - u)[sl]
         if mix:
             d_u.append(u[sl] - prev[0])
@@ -245,6 +255,7 @@ def _descend(forms, lam, a, factor, u0, tag, max_iters):
             x[sl] = _mixed(u[sl], f, d_u, d_f)
             if np.any(x):  # zero: no candidate, or none that can be rescaled
                 x, x_grad = _project_grad(forms, x)
+                evals += 1
                 ax, qx = _energy(a, x)
                 if qx <= q:
                     u, au, q, grad = x, ax, qx, x_grad
@@ -257,14 +268,17 @@ def _descend(forms, lam, a, factor, u0, tag, max_iters):
     if np.any(u < 0.0):
         # the shifted (c > 0) step need not keep the sign; |u| is admissible
         u = _project(forms, np.abs(u))
+        evals += 1
     return MinimizationResult(
         mu_upper=evaluate_quotient(forms, u, lam),
         profile=u,
         iterations=iters,
         grad_norm=gnorm,
         init_tag=tag,
-        concentration=_hs_concentration(forms, u),
+        concentration=math.nan,  # computed for the best start only
         converged=gnorm <= _GRAD_TOL,
+        evaluations=evals + 1,  # and the quotient's
+        solves=solves,
     )
 
 

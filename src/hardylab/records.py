@@ -6,7 +6,9 @@ obtained: "closed-form", "quadrature", "eigensolve", "minimize", "fit" or
 "artifact-derived" (for quantities the underlying theory does not pin to a
 formula, e.g. threshold brackets).  A ``diagnostics`` block beside the
 results says how the numbers were computed (the kernel backend and the numpy
-version); it is not a result and carries no provenance tags.
+version; on ``solve`` and ``theorem2-check`` records also the minimizer's
+F/grad F evaluations and preconditioner solves); it is not a result and
+carries no provenance tags.
 """
 
 from __future__ import annotations

@@ -105,6 +105,24 @@ def test_records_count_iterations_over_all_starts(tmp_path):
         assert rec["provenance"][f"{grid}_iterations_total"] == "minimize"
 
 
+def test_records_count_evaluations_and_solves_as_diagnostics(tmp_path):
+    # beside the results: no provenance tag, nothing in results
+    assert run(["solve", "--sigma", "1", "--lambda", "-1", "--dim", "4", "--nodes", "64"], tmp_path) == 0
+    rec = read_records(tmp_path)[-1]
+    m = minimize_quotient(_forms(4, 64), -1.0)
+    assert (rec["diagnostics"]["evaluations"], rec["diagnostics"]["solves"]) == (m.evaluations, m.solves)
+    assert not {"evaluations", "solves"} & (set(rec["results"]) | set(rec["provenance"]))
+    args = ["theorem2-check", "--dim", "4", "--lambda", "-1", "--sigma", "1", "--nodes", "32"]
+    run(args, tmp_path)
+    rec = read_records(tmp_path)[-1]
+    for grid, nodes in (("coarse", 32), ("fine", 64)):
+        m = minimize_quotient(_forms(4, nodes), -1.0)
+        assert rec["diagnostics"][f"{grid}_evaluations"] == m.evaluations
+        assert rec["diagnostics"][f"{grid}_solves"] == m.solves
+        assert f"{grid}_solves" not in rec["results"]
+    assert set(rec["provenance"]) == set(rec["results"])
+
+
 def test_unconverged_minimizer_is_reported(tmp_path, capsys, monkeypatch):
     import hardylab.cli
     import hardylab.thresholds

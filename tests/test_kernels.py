@@ -276,15 +276,29 @@ def test_import_resolves_backend_without_scipy():
 
 
 def test_power_moment_paths_agree(rng):
+    # p = 3 is the S^4 and S^5 exponent of the minimizer workload (p - 1 = 2
+    # takes NumPy's square path), p = 4 the flat ball's, 8/3 a general pow;
+    # u changes sign inside cells and is exactly zero at some nodes, where
+    # sign(v) |v|^{p-1} = 0
     ncell, nq = 64, 16
     u = rng.standard_normal(ncell + 1)
+    u[[0, 7, 8, 30, ncell]] = 0.0
+    assert np.any(u[:-1] * u[1:] < 0.0)
     w = np.abs(rng.standard_normal((ncell, nq)))
     t = np.linspace(0.01, 0.99, nq)
-    p = 8.0 / 3.0
-    assert K.power_moment(u, w, t, p) == pytest.approx(_power_moment_loop_py(u, w, t, p), rel=1e-12)
+    for p in (3.0, 4.0, 8.0 / 3.0):
+        f_only = K.power_moment(u, w, t, p)
+        assert f_only == pytest.approx(_power_moment_loop_py(u, w, t, p), rel=1e-12)
 
-    g_loop = np.zeros(ncell + 1)
-    f_loop = _power_moment_grad_loop_py(u, w, t, p, g_loop)
-    f, g = K.power_moment_grad(u, w, t, p)
-    assert f == pytest.approx(f_loop, rel=1e-12)
-    assert np.allclose(g, g_loop, rtol=1e-10, atol=1e-12)
+        g_loop = np.zeros(ncell + 1)
+        f_loop = _power_moment_grad_loop_py(u, w, t, p, g_loop)
+        f, g = K.power_moment_grad(u, w, t, p)
+        assert f == pytest.approx(f_loop, rel=1e-12)
+        assert f == pytest.approx(f_only, rel=1e-14)
+        np.testing.assert_allclose(g, g_loop, rtol=1e-12, atol=1e-12)
+
+        # a node whose cells are zero elsewhere: no gradient past its cells
+        z = np.zeros(ncell + 1)
+        z[10] = 1.0
+        _, g_z = K.power_moment_grad(z, w, t, p)
+        assert np.all(g_z[:9] == 0.0) and np.all(g_z[12:] == 0.0) and np.all(g_z[9:12] > 0.0)

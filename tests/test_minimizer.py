@@ -224,3 +224,32 @@ def test_mixing_skips_dependent_differences():
     gamma = np.linalg.lstsq(df, f, rcond=None)[0]
     want = np.abs(g - (np.column_stack(d_u) + df) @ gamma)
     np.testing.assert_allclose(minimizer._mixed(g, f, d_u, d_f), want, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "forms,lam",
+    [
+        (assemble_forms(build_grid(1.0, 64, 2.0, "dirichlet"), euclidean_ball(3, 1.0), 1.0), 0.0),
+        (assemble_forms(build_grid(math.pi, 32, 2.0, "reflected"), unit_sphere(4), 1.0), -1.0),
+    ],
+    ids=["flat-ball-64", "S4-32"],
+)
+def test_counters_match_kernel_calls(forms, lam, monkeypatch):
+    # every F / grad F evaluation and every preconditioner solve goes
+    # through _kernels; a step makes one solve and at most two evaluations
+    calls = {"F": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(_kernels, "power_moment", counted("F", _kernels.power_moment))
+    monkeypatch.setattr(_kernels, "power_moment_grad", counted("F", _kernels.power_moment_grad))
+    monkeypatch.setattr(_kernels, "ldl_solve", counted("solve", _kernels.ldl_solve))
+    res = minimize_quotient(forms, lam)
+    assert res.converged
+    assert res.evaluations == calls["F"] <= 2 * res.iterations_total
+    assert res.solves == calls["solve"] == res.iterations_total
