@@ -142,6 +142,18 @@ def _improper_integral(f, tail_power: float, tol: float) -> tuple[float, float]:
     return value, err
 
 
+def _moment(table: dict, name: str, sigma: float, tol: float) -> tuple[float, float]:
+    """One finite moment of ``table`` with its error estimate.  Every
+    integrand is positive; near sigma = 2 the profile's weight sits below
+    the innermost panel edge and the value underflows to 0, which is
+    refused."""
+    f, tail_power = table[name]
+    value, err = _improper_integral(f, tail_power, tol)
+    if not value > 0.0:
+        raise DomainError(f"sigma = {sigma!r} is too close to 2 for the panel quadrature ({name} underflows to 0)")
+    return value, err
+
+
 def _truncated_integral(f, r_max: float) -> float:
     """Integral of f over [0, r_max] (geometric panels, 16-point Gauss)."""
     near, _ = _integral_01(f)
@@ -210,7 +222,8 @@ def bubble_moments(
     mass2 and r2_dirichlet diverge logarithmically exactly at N = 4; they
     are then flagged infinite and reported through their truncation over a
     ball of ``truncation_radius`` together with the fitted d(value)/d(log R)
-    slope.
+    slope.  A finite moment that underflows to 0 (sigma too close to 2, as
+    in bubble_quotient) raises a DomainError.
     """
     n = check_dimension(N)
     s = check_sigma(sigma, closed=False)
@@ -236,7 +249,7 @@ def bubble_moments(
                 log_slope=slope,
             )
         else:
-            value, err = _improper_integral(f, tail_power, tol)
+            value, err = _moment(table, name, s, tol)
             out[name] = MomentValue(value=value, abs_error=err, finite=True)
     return BubbleMoments(N=n, sigma=s, **out)
 
@@ -256,12 +269,8 @@ def bubble_quotient(
     n = check_dimension(N)
     s = check_sigma(sigma, closed=False)
     table = _integrands(n, s, scale=scale)
-    d_f, d_p = table["dirichlet"]
-    h_f, h_p = table["hs_mass"]
-    dirichlet, _ = _improper_integral(d_f, d_p, tol)
-    hs_mass, _ = _improper_integral(h_f, h_p, tol)
-    if not hs_mass > 0.0:
-        raise DomainError(f"sigma = {s!r} is too close to 2 for the panel quadrature (hs_mass underflows to 0)")
+    hs_mass, _ = _moment(table, "hs_mass", s, tol)
+    dirichlet, _ = _moment(table, "dirichlet", s, tol)
     p_crit = critical_exponent(s, n)
     return dirichlet / hs_mass ** (2.0 / p_crit)
 

@@ -13,6 +13,12 @@ call and reuses it for every later call in the process; nothing is built at
 import.  A run with ``--config`` builds a parser of its own, because the
 file's values become that parser's defaults.  A one-shot ``hardylab``
 command builds one parser either way.
+
+Layout: each subcommand's handler is bound with ``set_defaults`` where the
+subcommand is declared in ``build_parser``.  A handler builds one
+``{name: (value, provenance tag)}`` mapping, so a result's tag is declared
+beside its value, and ``_write`` splits it into the record's results and
+provenance and appends the record.
 """
 
 from __future__ import annotations
@@ -34,11 +40,14 @@ from .hardy_refined import flat_operator_residual, build_log_grid, improved_hard
 from .manifold import (
     ModelManifold,
     density_expansion_residual,
+    euclidean_ball,
+    hyperbolic_cap,
     make_manifold,
     scalar_curvature_at_pole,
+    unit_sphere,
 )
 from .minimizer import minimize_quotient
-from .records import RunRecord, default_out_dir, write_record, write_table
+from .records import RunRecord, write_record, write_table
 from .eigensolver import smallest_generalized_eigen
 from .thresholds import (
     constant_profile_bound,
@@ -160,20 +169,22 @@ def _config_defaults(argv: list[str], subparsers: dict[str, argparse.ArgumentPar
 def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     parser = _Parser(prog="hardylab", description=__doc__.partition("\n\nIn-process callers:")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers: dict[str, argparse.ArgumentParser] = {}
 
     p = sub.add_parser("constants", help="closed-form sharp constants")
+    p.set_defaults(handler=_cmd_constants)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--sigma", type=finite_float, required=True)
     _add_common(p)
 
     p = sub.add_parser("bubble-moments", help="moment integrals of the concentrating profile")
+    p.set_defaults(handler=_cmd_bubble_moments)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--sigma", type=finite_float, required=True)
     p.add_argument("--tol", type=finite_float, default=1e-8)
     _add_common(p)
 
     p = sub.add_parser("solve", help="discrete quotient minimum at fixed lambda")
+    p.set_defaults(handler=_cmd_solve)
     p.add_argument("--sigma", type=finite_float, required=True)
     p.add_argument("--lambda", dest="lam", type=finite_float, default=0.0)
     _add_manifold_args(p)
@@ -181,6 +192,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     _add_common(p)
 
     p = sub.add_parser("mu-curve", help="sweep of the sigma=2 pencil over lambda")
+    p.set_defaults(handler=_cmd_mu_curve)
     p.add_argument("--lambda-min", dest="lambda_min", type=finite_float, required=True)
     p.add_argument("--lambda-max", dest="lambda_max", type=finite_float, required=True)
     p.add_argument("--steps", type=int, default=11)
@@ -189,6 +201,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     _add_common(p)
 
     p = sub.add_parser("lambda-star", help="bracket the attainment threshold")
+    p.set_defaults(handler=_cmd_lambda_star)
     p.add_argument("--tol", type=finite_float, default=0.05)
     p.add_argument("--delta", type=finite_float, default=None, help="detection margin (default: measured refinement gap)")
     _add_manifold_args(p)
@@ -196,6 +209,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     _add_common(p)
 
     p = sub.add_parser("theorem2-check", help="strict-inequality report under the curvature criterion")
+    p.set_defaults(handler=_cmd_theorem2)
     p.add_argument("--lambda", dest="lam", type=finite_float, required=True)
     p.add_argument("--sigma", type=finite_float, required=True)
     _add_manifold_args(p)
@@ -203,6 +217,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     _add_common(p)
 
     p = sub.add_parser("expansion-fit", help="concentrating-family quotient series and second-order fit")
+    p.set_defaults(handler=_cmd_expansion_fit)
     p.add_argument("--lambda", dest="lam", type=finite_float, required=True)
     p.add_argument("--sigma", type=finite_float, required=True)
     p.add_argument("--n", default="4,8,16,32,64", help="comma-separated concentration indices")
@@ -211,32 +226,42 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     _add_common(p)
 
     p = sub.add_parser("verify", help="run an invariant suite, one pass/fail record per check")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--suite", default="fast", choices=["fast", "refined-hardy", "all"])
     _add_common(p)
 
-    for name, action in sub.choices.items():
-        subparsers[name] = action
-    return parser, subparsers
+    return parser, dict(sub.choices)
 
 
 # ---------------------------------------------------------------------------
 # subcommand bodies
 # ---------------------------------------------------------------------------
 
+def _write(out, command, params, tagged, grid=None, diagnostics=None) -> dict:
+    """Append the record of ``tagged`` ({name: (value, provenance tag)})
+    and return its results ({name: value})."""
+    results = {k: v for k, (v, _) in tagged.items()}
+    rec = RunRecord(command, params, results, {k: tag for k, (_, tag) in tagged.items()}, grid=grid or {})
+    rec.diagnostics.update(diagnostics or {})
+    write_record(rec, out)
+    return results
+
+
+def _print(results: dict) -> None:
+    print("\n".join(f"{k} = {v}" for k, v in results.items()))
+
+
 def _cmd_constants(args, out):
     n, s = args.dim, args.sigma
-    results = {
+    values = {
         "hardy_constant": consts.hardy_constant(n),
         "sobolev_constant": consts.sobolev_constant(n),
         "critical_exponent": consts.critical_exponent(s, n),
         "sphere_area_nm1": consts.sphere_area(n - 1),
     }
-    prov = {k: "closed-form" for k in results}
     if s < 2.0:
-        results["hardy_sobolev_constant"] = consts.hardy_sobolev_constant(n, s)
-        prov["hardy_sobolev_constant"] = "closed-form"
-    rec = RunRecord("constants", {"dim": n, "sigma": s}, results, prov)
-    write_record(rec, out)
+        values["hardy_sobolev_constant"] = consts.hardy_sobolev_constant(n, s)
+    results = _write(out, "constants", {"dim": n, "sigma": s}, {k: (v, "closed-form") for k, v in values.items()})
     for k, v in results.items():
         print(f"{k} = {v:.12g}")
     return _EXIT_OK
@@ -244,22 +269,17 @@ def _cmd_constants(args, out):
 
 def _cmd_bubble_moments(args, out):
     m = bubble_moments(args.dim, args.sigma, tol=args.tol)
-    results, prov = {}, {}
+    values = {}
     for name in ("dirichlet", "mass2", "hs_mass", "r2_dirichlet", "r2_hs"):
         mv = getattr(m, name)
-        results[name] = mv.value if mv.finite else "infinite"
-        results[f"{name}_error"] = mv.abs_error if mv.finite else "infinite"
-        prov[name] = prov[f"{name}_error"] = "quadrature"
+        values[name] = mv.value if mv.finite else "infinite"
+        values[f"{name}_error"] = mv.abs_error if mv.finite else "infinite"
         if not mv.finite:
-            results[f"{name}_truncated"] = mv.truncated_value
-            results[f"{name}_log_slope"] = mv.log_slope
-            results[f"{name}_truncation_radius"] = mv.truncation_radius
-            for key in (f"{name}_truncated", f"{name}_log_slope", f"{name}_truncation_radius"):
-                prov[key] = "quadrature"
-    rec = RunRecord("bubble-moments", {"dim": args.dim, "sigma": args.sigma, "tol": args.tol}, results, prov)
-    write_record(rec, out)
-    for k, v in results.items():
-        print(f"{k} = {v}")
+            values[f"{name}_truncated"] = mv.truncated_value
+            values[f"{name}_log_slope"] = mv.log_slope
+            values[f"{name}_truncation_radius"] = mv.truncation_radius
+    params = {"dim": args.dim, "sigma": args.sigma, "tol": args.tol}
+    _print(_write(out, "bubble-moments", params, {k: (v, "quadrature") for k, v in values.items()}))
     return _EXIT_OK
 
 
@@ -274,35 +294,23 @@ def _cmd_solve(args, out):
     params = {"sigma": s, "lambda": args.lam, "manifold": m.kind, "radius": m.a, "dim": m.N, "rmax": m.r_max}
     if s == 2.0:
         res = smallest_generalized_eigen(forms, args.lam)
-        results = {
-            "mu": res.mu,
-            "concentration": res.concentration,
-            "residual": res.residual,
-            "iterations": res.iterations,
-        }
-        prov = {k: "eigensolve" for k in results}
-    else:
-        res = minimize_quotient(forms, args.lam)
-        results = {
-            "mu_upper": res.mu_upper,
-            "concentration": res.concentration,
-            "grad_norm": res.grad_norm,
-            "iterations": res.iterations,
-            "iterations_total": res.iterations_total,
-            "init": res.init_tag,
-            "converged": res.converged,
-            "radial_upper_bound_only": True,
-        }
-        prov = {k: "minimize" for k in results}
-        prov["radial_upper_bound_only"] = "artifact-derived"
-    rec = RunRecord("solve", params, results, prov, grid=_grid_meta(args))
-    if s < 2.0:
-        rec.diagnostics.update(evaluations=res.evaluations, solves=res.solves)
-    write_record(rec, out)
-    for k, v in results.items():
-        print(f"{k} = {v}")
-    if s < 2.0:
-        _warn_unconverged(res)
+        tagged = {k: (getattr(res, k), "eigensolve") for k in ("mu", "concentration", "residual", "iterations")}
+        _print(_write(out, "solve", params, tagged, grid=_grid_meta(args)))
+        return _EXIT_OK
+    res = minimize_quotient(forms, args.lam)
+    tagged = {
+        "mu_upper": (res.mu_upper, "minimize"),
+        "concentration": (res.concentration, "minimize"),
+        "grad_norm": (res.grad_norm, "minimize"),
+        "iterations": (res.iterations, "minimize"),
+        "iterations_total": (res.iterations_total, "minimize"),
+        "init": (res.init_tag, "minimize"),
+        "converged": (res.converged, "minimize"),
+        "radial_upper_bound_only": (True, "artifact-derived"),
+    }
+    diagnostics = {"evaluations": res.evaluations, "solves": res.solves}
+    _print(_write(out, "solve", params, tagged, grid=_grid_meta(args), diagnostics=diagnostics))
+    _warn_unconverged(res)
     return _EXIT_OK
 
 
@@ -315,14 +323,13 @@ def _cmd_mu_curve(args, out):
     curve = mu_curve(m, lams, M=args.nodes, gamma=args.grading, bc=bc)
     rows = list(zip(curve.lambdas, curve.mus, curve.concentrations))
     write_table("mu_curve", ["lambda", "mu", "concentration"], rows, out)
-    rec = RunRecord(
-        "mu-curve",
-        {"manifold": m.kind, "dim": m.N, "lambda_min": args.lambda_min, "lambda_max": args.lambda_max, "steps": args.steps},
-        {"mu_first": float(curve.mus[0]), "mu_last": float(curve.mus[-1]), "rows": len(rows)},
-        {"mu_first": "eigensolve", "mu_last": "eigensolve", "rows": "eigensolve"},
-        grid=_grid_meta(args),
-    )
-    write_record(rec, out)
+    params = {"manifold": m.kind, "dim": m.N, "lambda_min": args.lambda_min, "lambda_max": args.lambda_max, "steps": args.steps}
+    tagged = {
+        "mu_first": (float(curve.mus[0]), "eigensolve"),
+        "mu_last": (float(curve.mus[-1]), "eigensolve"),
+        "rows": (len(rows), "eigensolve"),
+    }
+    _write(out, "mu-curve", params, tagged, grid=_grid_meta(args))
     for lam, mu, c in rows:
         print(f"lambda={lam:+.6f} mu={mu:.10f} concentration={c:.4f}")
     return _EXIT_OK
@@ -332,24 +339,18 @@ def _cmd_lambda_star(args, out):
     m = _manifold_from(args)
     bc = _bc_from(args, m)
     br = lambda_star_bracket(m, tol_lambda=args.tol, detection_delta=args.delta, M=args.nodes, gamma=args.grading, bc=bc)
-    bound = constant_profile_bound(m)
-    results = {
-        "lo": br.lo,
-        "hi": br.hi,
-        "detection_delta": br.detection_delta,
-        "mu_lo": br.mu_lo,
-        "mu_hi": br.mu_hi,
-        "cap": br.cap,
-        "constant_profile_bound": bound,
-        "hi_overestimates_threshold": True,
+    tagged = {
+        "lo": (br.lo, "artifact-derived"),
+        "hi": (br.hi, "artifact-derived"),
+        "detection_delta": (br.detection_delta, "artifact-derived"),
+        "mu_lo": (br.mu_lo, "artifact-derived"),
+        "mu_hi": (br.mu_hi, "artifact-derived"),
+        "cap": (br.cap, "closed-form"),
+        "constant_profile_bound": (constant_profile_bound(m), "quadrature"),
+        "hi_overestimates_threshold": (True, "artifact-derived"),
     }
-    prov = {k: "artifact-derived" for k in results}
-    prov["cap"] = "closed-form"
-    prov["constant_profile_bound"] = "quadrature"
-    rec = RunRecord("lambda-star", {"manifold": m.kind, "dim": m.N, "tol": args.tol}, results, prov, grid=_grid_meta(args))
-    write_record(rec, out)
-    for k, v in results.items():
-        print(f"{k} = {v}")
+    params = {"manifold": m.kind, "dim": m.N, "tol": args.tol}
+    _print(_write(out, "lambda-star", params, tagged, grid=_grid_meta(args)))
     return _EXIT_OK
 
 
@@ -357,52 +358,24 @@ def _cmd_theorem2(args, out):
     m = _manifold_from(args)
     bc = _bc_from(args, m)
     rep = strict_inequality_report(m, args.lam, args.sigma, M=args.nodes, gamma=args.grading, bc=bc)
-    results = {
-        "mu_upper": rep.mu_upper,
-        "sharp_constant": rep.sharp_constant,
-        "margin": rep.margin,
-        "error_estimate": rep.error_estimate,
-        "criterion_holds": rep.criterion_holds,
-        "scalar_curvature_at_pole": scalar_curvature_at_pole(m),
-        "lambda_negative": rep.lambda_negative,
-        "within_theorem_dims": rep.within_theorem_dims,
-        "verdict": rep.verdict,
-        "coarse_converged": rep.coarse.converged,
-        "coarse_iterations": rep.coarse.iterations,
-        "coarse_iterations_total": rep.coarse.iterations_total,
-        "fine_converged": rep.fine.converged,
-        "fine_iterations": rep.fine.iterations,
-        "fine_iterations_total": rep.fine.iterations_total,
+    tagged = {
+        "mu_upper": (rep.mu_upper, "minimize"),
+        "sharp_constant": (rep.sharp_constant, "closed-form"),
+        "margin": (rep.margin, "artifact-derived"),
+        "error_estimate": (rep.error_estimate, "artifact-derived"),
+        "criterion_holds": (rep.criterion_holds, "closed-form"),
+        "scalar_curvature_at_pole": (scalar_curvature_at_pole(m), "closed-form"),
+        "lambda_negative": (rep.lambda_negative, "artifact-derived"),
+        "within_theorem_dims": (rep.within_theorem_dims, "artifact-derived"),
+        "verdict": (rep.verdict, "artifact-derived"),
     }
-    prov = {
-        "mu_upper": "minimize",
-        "sharp_constant": "closed-form",
-        "margin": "artifact-derived",
-        "error_estimate": "artifact-derived",
-        "criterion_holds": "closed-form",
-        "scalar_curvature_at_pole": "closed-form",
-        "lambda_negative": "artifact-derived",
-        "within_theorem_dims": "artifact-derived",
-        "verdict": "artifact-derived",
-        "coarse_converged": "minimize",
-        "coarse_iterations": "minimize",
-        "coarse_iterations_total": "minimize",
-        "fine_converged": "minimize",
-        "fine_iterations": "minimize",
-        "fine_iterations_total": "minimize",
-    }
-    rec = RunRecord(
-        "theorem2-check",
-        {"manifold": m.kind, "dim": m.N, "lambda": args.lam, "sigma": args.sigma},
-        results,
-        prov,
-        grid=_grid_meta(args),
-    )
+    diagnostics = {}
     for grid, res in (("coarse", rep.coarse), ("fine", rep.fine)):
-        rec.diagnostics.update({f"{grid}_evaluations": res.evaluations, f"{grid}_solves": res.solves})
-    write_record(rec, out)
-    for k, v in results.items():
-        print(f"{k} = {v}")
+        for key in ("converged", "iterations", "iterations_total"):
+            tagged[f"{grid}_{key}"] = (getattr(res, key), "minimize")
+        diagnostics.update({f"{grid}_evaluations": res.evaluations, f"{grid}_solves": res.solves})
+    params = {"manifold": m.kind, "dim": m.N, "lambda": args.lam, "sigma": args.sigma}
+    _print(_write(out, "theorem2-check", params, tagged, grid=_grid_meta(args), diagnostics=diagnostics))
     _warn_unconverged(rep.coarse)
     _warn_unconverged(rep.fine)
     return _EXIT_OK if rep.verdict == "CONFIRMS_THEOREM" else _EXIT_INCONCLUSIVE
@@ -422,37 +395,19 @@ def _cmd_expansion_fit(args, out):
         theory = None
     rows = list(zip(series.n, series.energy, series.denom, series.quotient))
     write_table("expansion_series", ["n", "energy", "denom", "quotient"], rows, out)
-    results = {
-        "model": fit.model,
-        "c0": fit.c0,
-        "c1": fit.c1,
-        "c2": fit.c2,
-        "rms_residual": fit.rms_residual,
-        "sharp_constant": consts.hardy_sobolev_constant(m.N, args.sigma),
-    }
-    prov = {k: "fit" for k in ("model", "c0", "c1", "c2", "rms_residual")}
-    prov["sharp_constant"] = "closed-form"
+    tagged = {k: (getattr(fit, k), "fit") for k in ("model", "c0", "c1", "c2", "rms_residual")}
+    tagged["sharp_constant"] = (consts.hardy_sobolev_constant(m.N, args.sigma), "closed-form")
     if theory is not None:
-        results["theory_coefficient"] = theory
-        prov["theory_coefficient"] = "quadrature"
-    rec = RunRecord(
-        "expansion-fit",
-        {"manifold": m.kind, "dim": m.N, "lambda": args.lam, "sigma": args.sigma, "n": args.n, "rcut": series.r_cut},
-        results,
-        prov,
-        grid={"quadrature": "dedicated panels, refined ~1/n at the pole"},
-    )
-    write_record(rec, out)
+        tagged["theory_coefficient"] = (theory, "quadrature")
+    params = {"manifold": m.kind, "dim": m.N, "lambda": args.lam, "sigma": args.sigma, "n": args.n, "rcut": series.r_cut}
+    results = _write(out, "expansion-fit", params, tagged, grid={"quadrature": "dedicated panels, refined ~1/n at the pole"})
     for n, _, _, q in rows:
         print(f"n={n:6.0f} Q={q:.10f}")
-    for k, v in results.items():
-        print(f"{k} = {v}")
+    _print(results)
     return _EXIT_OK
 
 
 def _verify_checks(suite: str):
-    from .manifold import euclidean_ball, hyperbolic_cap, unit_sphere
-
     checks = []
     if suite in ("fast", "all"):
         checks += [
@@ -494,8 +449,6 @@ def _residual_order(a, N):
 
 
 def _check_laplacian():
-    from .manifold import euclidean_ball
-
     ball = euclidean_ball(3, 1.0)
     forms = assemble_forms(build_grid(1.0, 512, 2.0, "dirichlet"), ball, 2.0)
     res = smallest_generalized_eigen(forms, 0.0, denominator="mass")
@@ -503,8 +456,6 @@ def _check_laplacian():
 
 
 def _check_constant_mode():
-    from .manifold import unit_sphere
-
     s3 = unit_sphere(3)
     forms = assemble_forms(build_grid(math.pi, 256, 2.0, "reflected"), s3, 2.0)
     res = smallest_generalized_eigen(forms, 0.0)
@@ -521,10 +472,7 @@ def _cmd_verify(args, out):
         except Exception as exc:  # a crashed invariant is a failed invariant
             ok = False
             print(f"{name}: ERROR ({exc})")
-        rec = RunRecord(
-            "verify", {"suite": args.suite, "check": name}, {"pass": ok}, {"pass": "artifact-derived"}
-        )
-        write_record(rec, out)
+        _write(out, "verify", {"suite": args.suite, "check": name}, {"pass": (ok, "artifact-derived")})
         print(f"{name}: {'PASS' if ok else 'FAIL'}")
         if not ok:
             all_ok = False
@@ -551,18 +499,7 @@ def main(argv=None) -> int:
         parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
-        out = args.out if args.out is not None else default_out_dir()
-        handler = {
-            "constants": _cmd_constants,
-            "bubble-moments": _cmd_bubble_moments,
-            "solve": _cmd_solve,
-            "mu-curve": _cmd_mu_curve,
-            "lambda-star": _cmd_lambda_star,
-            "theorem2-check": _cmd_theorem2,
-            "expansion-fit": _cmd_expansion_fit,
-            "verify": _cmd_verify,
-        }[args.command]
-        return handler(args, out)
+        return args.handler(args, args.out)
     except (DomainError, SweepRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_ERROR

@@ -72,7 +72,7 @@ from .constants import check_sigma, critical_exponent, hardy_sobolev_constant, s
 from .errors import DomainError
 from .forms import gauss_panels
 from .manifold import ModelManifold, scalar_curvature_at_pole
-from .minimizer import smooth_cutoff, smooth_cutoff_deriv
+from .minimizer import cutoff_radius, smooth_cutoff, smooth_cutoff_deriv
 
 __all__ = ["ExpansionSeries", "ExpansionFit", "quotient_series", "theory_coefficient", "fit_expansion"]
 
@@ -146,10 +146,7 @@ def quotient_series(
     ns = np.asarray(sorted(float(v) for v in n_list), dtype=float)
     if len(ns) == 0 or ns[0] < 2.0:
         raise DomainError("n_list must be increasing with min(n) >= 2")
-    if r_cut is None:
-        r_cut = m.r_max / 2.0
-    if 2.0 * r_cut > m.r_max * (1.0 + 1e-12):
-        raise DomainError("cutoff support 2*r_cut exceeds the domain radius")
+    r_cut = cutoff_radius(r_cut, m.r_max)
     energy = np.empty_like(ns)
     denom = np.empty_like(ns)
     for i, n in enumerate(ns):

@@ -103,6 +103,16 @@ def smooth_cutoff_deriv(x):
     return np.where((x > 0.0) & (x < 1.0), -ds, 0.0)
 
 
+def cutoff_radius(r_cut: float | None, r_max: float) -> float:
+    """The cutoff radius r_cut (default r_max/2); its support [0, 2*r_cut]
+    must be a nonempty part of the domain [0, r_max]."""
+    if r_cut is None:
+        return r_max / 2.0
+    if not (r_cut > 0.0 and 2.0 * r_cut <= r_max * (1.0 + 1e-12)):
+        raise DomainError(f"cutoff radius must satisfy 0 < r_cut <= r_max/2, got r_cut = {r_cut!r}")
+    return r_cut
+
+
 def bubble_init(forms: QuadraticForms, n: float, r_cut: float | None = None) -> np.ndarray:
     """Nodal interpolation of the cutoff concentrating profile
     eta(r) * n^{(N-2)/2} w(n r), with eta == 1 on [0, r_cut] and eta == 0
@@ -110,10 +120,7 @@ def bubble_init(forms: QuadraticForms, n: float, r_cut: float | None = None) -> 
     if n < 1.0:
         raise DomainError(f"concentration index must be >= 1, got {n!r}")
     grid = forms.grid
-    if r_cut is None:
-        r_cut = grid.r_max / 2.0
-    if 2.0 * r_cut > grid.r_max * (1.0 + 1e-12):
-        raise DomainError("cutoff support 2*r_cut exceeds the domain radius")
+    r_cut = cutoff_radius(r_cut, grid.r_max)
     m = forms.manifold
     r = grid.nodes
     eta = smooth_cutoff((r - r_cut) / r_cut)

@@ -58,7 +58,6 @@ class LambdaStarBracket:
     lo: float
     hi: float
     detection_delta: float
-    grid_tag: str
     mu_lo: float
     mu_hi: float
     cap: float
@@ -210,7 +209,6 @@ def lambda_star_bracket(
         lo=lo,
         hi=hi,
         detection_delta=float(detection_delta),
-        grid_tag=f"M={M},gamma={gamma}",
         mu_lo=mu_lo,
         mu_hi=mu_hi,
         cap=cap,

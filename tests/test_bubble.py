@@ -139,6 +139,13 @@ def test_quotient_refuses_sigma_too_close_to_two():
         bubble_quotient(3, 1.999)
 
 
+def test_moments_refuse_sigma_too_close_to_two():
+    # the same underflow: every moment would come out as 0 with a tiny error estimate
+    for sigma in (1.995, 1.999):
+        with pytest.raises(DomainError, match="too close to 2"):
+            bubble_moments(5, sigma)
+
+
 @pytest.mark.parametrize("N,sigma", [(5, 0.5), (5, 1.0), (6, 1.0), (6, 0.5)])
 def test_pohozaev_identity(N, sigma):
     assert pohozaev_residual(N, sigma) <= 1e-8

@@ -257,6 +257,7 @@ def test_config_bad_value_exits_1(tmp_path, capsys, text, args):
         ["lambda-star", "--dim", "3", "--tol", "nan", "--nodes", "64"],
         ["lambda-star", "--dim", "3", "--delta", "nan", "--nodes", "64"],
         ["lambda-star", "--dim", "3", "--delta", "-0.01", "--nodes", "64"],
+        ["expansion-fit", "--lambda", "-1", "--sigma", "1", "--dim", "5", "--rcut", "0"],
     ],
 )
 def test_bad_numeric_input_is_an_error(tmp_path, capsys, argv):
@@ -268,6 +269,91 @@ def test_bad_numeric_input_is_an_error(tmp_path, capsys, argv):
     assert code == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "runs" / "records.jsonl").exists()
+
+
+_CLOSED, _QUAD, _EIG, _MIN, _FIT, _ART = (
+    "closed-form", "quadrature", "eigensolve", "minimize", "fit", "artifact-derived"
+)
+
+
+# every subcommand's {result key: provenance tag} map, on small grids
+_TAGGED_RUNS = [
+    (
+        ["constants", "--dim", "3", "--sigma", "1"],
+        dict.fromkeys(
+            ["hardy_constant", "sobolev_constant", "critical_exponent", "sphere_area_nm1", "hardy_sobolev_constant"],
+            _CLOSED,
+        ),
+    ),
+    (
+        ["bubble-moments", "--dim", "4", "--sigma", "1"],  # mass2 and r2_dirichlet diverge at N = 4
+        dict.fromkeys(
+            [f"{name}{suffix}" for name in ("dirichlet", "hs_mass", "r2_hs") for suffix in ("", "_error")]
+            + [
+                f"{name}{suffix}"
+                for name in ("mass2", "r2_dirichlet")
+                for suffix in ("", "_error", "_truncated", "_log_slope", "_truncation_radius")
+            ],
+            _QUAD,
+        ),
+    ),
+    (
+        ["solve", "--sigma", "1", "--lambda", "-1", "--dim", "4", "--nodes", "64"],
+        {
+            **dict.fromkeys(
+                ["mu_upper", "concentration", "grad_norm", "iterations", "iterations_total", "init", "converged"],
+                _MIN,
+            ),
+            "radial_upper_bound_only": _ART,
+        },
+    ),
+    (
+        ["mu-curve", "--lambda-min", "-1", "--lambda-max", "0", "--steps", "2", "--dim", "3", "--nodes", "64"],
+        dict.fromkeys(["mu_first", "mu_last", "rows"], _EIG),
+    ),
+    (
+        ["lambda-star", "--dim", "3", "--nodes", "64"],
+        {
+            **dict.fromkeys(["lo", "hi", "detection_delta", "mu_lo", "mu_hi", "hi_overestimates_threshold"], _ART),
+            "cap": _CLOSED,
+            "constant_profile_bound": _QUAD,
+        },
+    ),
+    (
+        ["theorem2-check", "--dim", "4", "--lambda", "-1", "--sigma", "1", "--nodes", "64"],
+        {
+            "mu_upper": _MIN,
+            "sharp_constant": _CLOSED,
+            "margin": _ART,
+            "error_estimate": _ART,
+            "criterion_holds": _CLOSED,
+            "scalar_curvature_at_pole": _CLOSED,
+            "lambda_negative": _ART,
+            "within_theorem_dims": _ART,
+            "verdict": _ART,
+            **{f"{grid}_{key}": _MIN for grid in ("coarse", "fine") for key in ("converged", "iterations", "iterations_total")},
+        },
+    ),
+    (
+        ["expansion-fit", "--lambda", "-1", "--sigma", "1", "--dim", "5", "--n", "4,8,16,32"],
+        {
+            **dict.fromkeys(["model", "c0", "c1", "c2", "rms_residual"], _FIT),
+            "sharp_constant": _CLOSED,
+            "theory_coefficient": _QUAD,
+        },
+    ),
+    (["verify", "--suite", "fast"], {"pass": _ART}),
+]
+
+
+@pytest.mark.parametrize("argv,provenance", _TAGGED_RUNS, ids=[argv[0] for argv, _ in _TAGGED_RUNS])
+def test_every_subcommand_tags_each_result(tmp_path, argv, provenance):
+    assert run(argv, tmp_path) == 0
+    recs = read_records(tmp_path)
+    assert recs and all(r["command"] == argv[0] for r in recs)
+    for rec in recs:
+        assert rec["provenance"] == provenance
+        assert set(rec["results"]) == set(provenance)
 
 
 def test_config_keys_are_option_names(tmp_path):

@@ -61,6 +61,9 @@ def test_series_validation():
         quotient_series(s5, -1.0, 1.0, [1, 2, 4])  # min n too small
     with pytest.raises(DomainError):
         quotient_series(s5, -1.0, 1.0, [4, 8, 16], r_cut=2.0)  # 2*rcut > pi
+    for r_cut in (0.0, -1.0):  # empty cutoff support
+        with pytest.raises(DomainError):
+            quotient_series(s5, -1.0, 1.0, [4, 8, 16], r_cut=r_cut)
     with pytest.raises(DomainError):
         quotient_series(s5, -1.0, 0.0, [4, 8, 16])
 

@@ -35,6 +35,8 @@ def test_bubble_init_cutoff_validation(ball3_forms):
     with pytest.raises(DomainError):
         bubble_init(ball3_forms, 4.0, r_cut=0.8)  # 2*0.8 > 1
     with pytest.raises(DomainError):
+        bubble_init(ball3_forms, 4.0, r_cut=0.0)  # empty cutoff support
+    with pytest.raises(DomainError):
         bubble_init(ball3_forms, 0.5)
 
 
