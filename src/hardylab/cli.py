@@ -374,6 +374,7 @@ def _cmd_theorem2(args, out):
         for key in ("converged", "iterations", "iterations_total"):
             tagged[f"{grid}_{key}"] = (getattr(res, key), "minimize")
         diagnostics.update({f"{grid}_evaluations": res.evaluations, f"{grid}_solves": res.solves})
+    diagnostics["fine_starts"] = len(rep.fine.finals)
     params = {"manifold": m.kind, "dim": m.N, "lambda": args.lam, "sigma": args.sigma}
     _print(_write(out, "theorem2-check", params, tagged, grid=_grid_meta(args), diagnostics=diagnostics))
     _warn_unconverged(rep.coarse)

@@ -16,7 +16,9 @@ eigenvector follows by inverse iteration from the constant vector, shifted
 to the definite side of the final bracket (so the shifted matrix is positive
 definite, its unpivoted LDL^T factor is stable, and it is factored once).
 There is no other path: if inverse iteration stops above its 1e-9 target,
-the returned ``residual`` says so.
+the returned ``residual`` says so.  An eigensolve refuses a pencil with a
+non-finite entry before it counts, and a mu or residual that leaves the
+double range after it (a finite but huge lambda).
 """
 
 from __future__ import annotations
@@ -63,6 +65,13 @@ def inertia_count(
 def _check_weight(w: np.ndarray) -> None:
     if not np.all(w > 0.0):  # NaN fails too
         raise DomainError("weight diagonal must be positive")
+
+
+def _check_pencil(d: np.ndarray, e: np.ndarray, lam: float) -> None:
+    """Refuse K - lam*Mass (diagonal d, off-diagonal e) with a non-finite
+    entry: a finite but huge lam overflows it."""
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise DomainError(f"K - lambda*Mass overflows at lambda = {float(lam)!r}")
 
 
 def _count(d, e, w, shift, w_off) -> int:
@@ -115,6 +124,7 @@ def smallest_generalized_eigen(forms: QuadraticForms, lam: float, denominator: s
     """
     d, e, wd, we = _pencil_arrays(forms, lam, denominator)
     _check_weight(wd)
+    _check_pencil(d, e, lam)
     scale = float(np.max(np.abs(d)) + np.max(np.abs(e), initial=0.0))
 
     # upper start: Rayleigh quotient of every basis vector
@@ -171,6 +181,10 @@ def smallest_generalized_eigen(forms: QuadraticForms, lam: float, denominator: s
         if res <= 1e-9:
             break
 
+    if not (np.isfinite(rho) and np.isfinite(res)):
+        # the inverse iterates' norms leave the double range (near |lam| = 1e170
+        # on S^3 at 64 nodes)
+        raise DomainError(f"the eigensolve leaves the double range at lambda = {float(lam)!r}")
     if x[np.argmax(np.abs(x))] < 0.0:
         x = -x
     full = forms.zero_profile()

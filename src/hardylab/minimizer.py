@@ -51,13 +51,13 @@ bound is 1e-12 relative at M = 32 and 3e-8 at M = 1024.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
 from .bubble import bubble_value
-from .eigensolver import _CORE, _pencil_arrays, inertia_count
+from .eigensolver import _CORE, _check_pencil, _pencil_arrays, inertia_count
 from .errors import DomainError
 from .forms import (
     QuadraticForms,
@@ -86,6 +86,7 @@ class MinimizationResult:
     iterations_total: int = 0  # steps summed over all starts
     evaluations: int = 0  # F and grad F evaluations, summed over all starts
     solves: int = 0  # preconditioner solves, summed over all starts
+    finals: list = field(default_factory=list)  # (mu_upper, profile) of every start, in start order
 
 
 def smooth_cutoff(x):
@@ -164,7 +165,8 @@ def minimize_quotient(
 ) -> MinimizationResult:
     """Best constrained stationary value over all starting profiles; a run
     that stops above tolerance is flagged non-converged but its value
-    remains a valid upper bound."""
+    remains a valid upper bound.  ``finals`` holds every start's value and
+    profile.  A non-finite entry of K - lam*Mass is refused."""
     if forms.hs_weights is None:
         raise DomainError("minimize_quotient requires forms with sigma in (0, 2)")
     if inits is None:
@@ -176,6 +178,7 @@ def minimize_quotient(
         raise DomainError("at least one starting profile is required")
 
     a = (forms.kd - lam * forms.md, forms.ke - lam * forms.me)
+    _check_pencil(*a, lam)
     abs_a = (np.abs(a[0]), np.abs(a[1]))
     factor = _shifted_factor(forms, lam)
     runs = [_descend(forms, lam, a, abs_a, factor, u0, tag, max_iters) for tag, u0 in zip(tags, inits)]
@@ -184,6 +187,7 @@ def minimize_quotient(
     best.iterations_total = sum(res.iterations for res in runs)
     best.evaluations = sum(res.evaluations for res in runs) + 2  # the concentration's two
     best.solves = sum(res.solves for res in runs)
+    best.finals = [(res.mu_upper, res.profile) for res in runs]
     return best
 
 

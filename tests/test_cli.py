@@ -12,6 +12,7 @@ from hardylab.cli import main
 from hardylab.forms import assemble_forms, build_grid
 from hardylab.manifold import unit_sphere
 from hardylab.minimizer import minimize_quotient
+from hardylab.thresholds import strict_inequality_report
 
 
 def run(args, tmp_path, extra=()):
@@ -100,8 +101,9 @@ def test_records_count_iterations_over_all_starts(tmp_path):
     args = ["theorem2-check", "--dim", "4", "--lambda", "-1", "--sigma", "1", "--nodes", "32"]
     run(args, tmp_path)
     rec = read_records(tmp_path)[-1]
-    for grid, nodes in (("coarse", 32), ("fine", 64)):
-        assert rec["results"][f"{grid}_iterations_total"] == minimize_quotient(_forms(4, nodes), -1.0).iterations_total
+    rep = strict_inequality_report(unit_sphere(4), -1.0, 1.0, M=32)
+    for grid in ("coarse", "fine"):
+        assert rec["results"][f"{grid}_iterations_total"] == getattr(rep, grid).iterations_total
         assert rec["provenance"][f"{grid}_iterations_total"] == "minimize"
 
 
@@ -115,11 +117,15 @@ def test_records_count_evaluations_and_solves_as_diagnostics(tmp_path):
     args = ["theorem2-check", "--dim", "4", "--lambda", "-1", "--sigma", "1", "--nodes", "32"]
     run(args, tmp_path)
     rec = read_records(tmp_path)[-1]
-    for grid, nodes in (("coarse", 32), ("fine", 64)):
-        m = minimize_quotient(_forms(4, nodes), -1.0)
+    rep = strict_inequality_report(unit_sphere(4), -1.0, 1.0, M=32)
+    for grid in ("coarse", "fine"):
+        m = getattr(rep, grid)
         assert rec["diagnostics"][f"{grid}_evaluations"] == m.evaluations
         assert rec["diagnostics"][f"{grid}_solves"] == m.solves
         assert f"{grid}_solves" not in rec["results"]
+    # the fine grid starts warm, from the one coarse basin
+    assert rec["diagnostics"]["fine_starts"] == len(rep.fine.finals) == 1
+    assert "fine_starts" not in rec["results"]
     assert set(rec["provenance"]) == set(rec["results"])
 
 
@@ -258,6 +264,9 @@ def test_config_bad_value_exits_1(tmp_path, capsys, text, args):
         ["lambda-star", "--dim", "3", "--delta", "nan", "--nodes", "64"],
         ["lambda-star", "--dim", "3", "--delta", "-0.01", "--nodes", "64"],
         ["expansion-fit", "--lambda", "-1", "--sigma", "1", "--dim", "5", "--rcut", "0"],
+        ["theorem2-check", "--dim", "4", "--lambda", "1e308", "--sigma", "1", "--nodes", "16"],
+        ["solve", "--sigma", "2", "--lambda", "1e200", "--nodes", "64"],
+        ["mu-curve", "--lambda-min", "-1", "--lambda-max", "1e300", "--nodes", "64"],
     ],
 )
 def test_bad_numeric_input_is_an_error(tmp_path, capsys, argv):

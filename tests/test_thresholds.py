@@ -10,7 +10,9 @@ from hardylab.eigensolver import count_below, smallest_generalized_eigen
 from hardylab.errors import DomainError
 from hardylab.forms import assemble_forms, build_grid, tri_quadform
 from hardylab.manifold import euclidean_ball, hyperbolic_cap, unit_sphere
+from hardylab.minimizer import minimize_quotient
 from hardylab.thresholds import (
+    _distinct_basins,
     constant_profile_bound,
     lambda_star_bracket,
     mu_curve,
@@ -210,3 +212,27 @@ def test_theorem_report_criterion_fails_when_lambda_too_negative():
     rep = strict_inequality_report(unit_sphere(4), -3.0, 1.0, M=256)
     assert not rep.criterion_holds  # 12 > 18 fails
     assert rep.verdict == "INCONCLUSIVE"
+
+
+def test_theorem_report_fine_grid_starts_from_the_coarse_answer():
+    m = unit_sphere(4)
+    rep = strict_inequality_report(m, -1.0, 1.0, M=64)
+    assert rep.fine.iterations_total < rep.coarse.iterations_total
+    # the cold four-start run on the 2M grid finds the same minimizer
+    cold = minimize_quotient(assemble_forms(build_grid(m.r_max, 128, 2.0, "reflected"), m, 1.0), -1.0)
+    assert rep.fine.mu_upper == pytest.approx(cold.mu_upper, rel=1e-10)
+    cold_margin = rep.sharp_constant - min(rep.coarse.mu_upper, cold.mu_upper)
+    assert cold_margin > 5.0 * abs(rep.coarse.mu_upper - cold.mu_upper)
+    assert rep.verdict == "CONFIRMS_THEOREM"
+
+
+@pytest.mark.parametrize(
+    "values,kept",
+    [
+        ([1.0, 1.0 + 1e-12, 1.2], [0, 2]),  # a tie within the stationarity scale is one basin
+        ([1.2, 1.0 + 1e-12, 1.0], [2, 0]),  # lowest first, whatever the start order
+        ([1.0, 1.0, 1.0], [0]),
+    ],
+)
+def test_distinct_basins(values, kept):
+    assert _distinct_basins(values) == kept
