@@ -7,9 +7,14 @@ Prints ns per row (recurrences) or per cell (power functional) of the LAPACK
 backend, of the Python-float backend (the LAPACK handles set to None) and of
 the reference loop, and the measured ratios reference / backend.  The power
 functional is the same NumPy code on both backends, so it is timed once.
-The ``inertia_count`` row counts the same shifted matrix as the ``negcount``
-row through ``eigensolver.inertia_count`` (weight check, shift, count), so
-the difference of the two rows is the per-call cost around the count.
+The ``definite`` row is the eigensolver's bisection test, one ``dpttrf``
+call on the LAPACK backend, on the definite matrix of the ``ldl_factor``
+row, so it walks every row; its reference loop stops at the first pivot that
+is not positive.  ``negcount`` is the Python-float recurrence on both
+backends.  The ``inertia_count`` row counts the same shifted matrix as the
+``negcount`` row through ``eigensolver.inertia_count`` (weight check, shift,
+count), so the difference of the two rows is the per-call cost around the
+count.
 The power functional is timed at p = 2.6667 (the exponent of
 ``perfbench/kernel_bench.py``), 3 (the S^4 and S^5 cases of the minimizer
 workload) and 4 (its flat ball), on M = 4096 cells and on a 256-cell table,
@@ -34,6 +39,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from hardylab import _kernels  # noqa: E402
 from hardylab.eigensolver import inertia_count  # noqa: E402
 from test_kernels import (  # noqa: E402
+    _definite_py,
     _ldl_factor_py,
     _ldl_solve_py,
     _negcount_py,
@@ -89,6 +95,7 @@ def main():
         return _negcount_py(d - shift * w, e)
 
     rows = [
+        ("definite", "row", _kernels.definite, _definite_py, (d, e)),
         ("negcount", "row", _kernels.negcount, _negcount_py, (d - 0.5 * w, e)),
         ("inertia_count", "row", inertia_count, shifted_loop, (d, e, w, 0.5)),
         ("ldl_factor", "row", _kernels.ldl_factor, _ldl_factor_py, (d, e)),

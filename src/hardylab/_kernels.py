@@ -1,28 +1,30 @@
 """Hot numeric kernels.
 
-The three inner loops that dominate runtime are Sturm-sequence inertia
-counts, tridiagonal LDL^T factors and solves (inverse iteration and the
-minimizer), and the singular-weight power functional of the constrained
-minimizer.  The power functional is NumPy on every backend: u at the Gauss
-points of all cells is one (cells, 2) by (2, q) product, and F with its
-gradient costs one ``pow`` per point.
+The three inner loops that dominate runtime are tridiagonal definiteness
+tests (the eigensolver's bisection), tridiagonal LDL^T factors and solves
+(inverse iteration and the minimizer), and the singular-weight power
+functional of the constrained minimizer.  The power functional is NumPy on
+every backend: u at the Gauss points of all cells is one (cells, 2) by
+(2, q) product, and F with its gradient costs one ``pow`` per point.
+``negcount``, the full Sturm count, is the Python-float recurrence on every
+backend; only ``eigensolver.inertia_count`` calls it.
 
 The recurrences run on the backend resolved once at import, ``BACKEND``:
 
 - ``"lapack"``: ``dpttrf``/``dpttrs`` of the ILP64 OpenBLAS that the numpy
   wheel bundles (``numpy.libs/libscipy_openblas64_*``), through ``ctypes``.
-  ``ldl_factor`` is ``dpttrf`` (the Python recurrence's operations in its
-  order); a pivot that is not positive sends it to the Python path, which
-  carries an exact zero pivot on as inf/nan.  ``ldl_solve`` is ``dpttrs``
-  for n >= 2; at n = 1 ``dpttrs`` multiplies by 1/D(1), an ulp off the
-  division, so n = 1 stays on the Python path.  ``negcount`` restarts
-  ``dpttrf`` after each negative pivot it stops at.
+  ``definite`` is one ``dpttrf`` call, which stops at the first pivot that
+  is not positive.  ``ldl_factor`` is ``dpttrf`` (the Python recurrence's
+  operations in its order); a pivot that is not positive sends it to the
+  Python path, which carries an exact zero pivot on as inf/nan.
+  ``ldl_solve`` is ``dpttrs`` for n >= 2; at n = 1 ``dpttrs`` multiplies by
+  1/D(1), an ulp off the division, so n = 1 stays on the Python path.
 - ``"python"``, when the library or a symbol is missing: each call converts
   its arrays with ``tolist`` once and walks them with ``zip``, the same IEEE
   operations in the same order as indexing the arrays element by element.
-  An exact zero pivot makes Python float division raise; the factor and
-  solve then repeat the recurrence on NumPy scalars, which return the same
-  inf/nan bits an indexed loop gives.
+  ``definite`` is ``negcount == 0``.  An exact zero pivot makes Python float
+  division raise; the factor and solve then repeat the recurrence on NumPy
+  scalars, which return the same inf/nan bits an indexed loop gives.
 
 ``benchmarks/bench_kernels.py`` times both backends.
 """
@@ -58,19 +60,15 @@ def _lapack():
 _PTTRF, _PTTRS = _lapack()
 BACKEND = "python" if _PTTRF is None else "lapack"
 _ONE = ctypes.c_int64(1)
-# negcount restarts dpttrf after each negative pivot, a few microseconds a
-# call.  Counts near the least eigenvalue stay below _RESTARTS; a deeper one
-# (a bracket search far above it) costs at most _RESTARTS calls more than
-# the Python path.
-_RESTARTS = 5
 
 
-def _pttrf(addr, n, start):
-    """``dpttrf`` in place on rows ``start:`` of the buffer [d, e] of length
-    2n - 1 at address ``addr``; returns LAPACK's ``info``."""
+def _pttrf(buf, n):
+    """``dpttrf`` in place on the stacked buffer [d, e] of order n; returns
+    LAPACK's ``info``.  It takes the array, not its address, so the buffer
+    stays alive for the whole call."""
     info = ctypes.c_int64()
-    addr += 8 * start
-    _PTTRF(ctypes.byref(ctypes.c_int64(n - start)), addr, addr + 8 * n, ctypes.byref(info))
+    addr = buf.ctypes.data
+    _PTTRF(ctypes.byref(ctypes.c_int64(n)), addr, addr + 8 * n, ctypes.byref(info))
     return info.value
 
 
@@ -83,43 +81,26 @@ def _stacked(d, e):
 
 
 # ---------------------------------------------------------------------------
-# Sturm-sequence inertia count
+# Definiteness test and Sturm-sequence inertia count
 # ---------------------------------------------------------------------------
+
+def definite(d, e):
+    """Whether the symmetric tridiagonal matrix with diagonal ``d`` and
+    off-diagonal ``e`` is positive definite: every LDL^T pivot is positive.
+    An exactly zero pivot reads as not definite, which is exact."""
+    if _PTTRF is None:
+        return negcount(d, e) == 0
+    return _pttrf(_stacked(d, e), d.shape[0]) == 0
+
 
 def negcount(d, e):
     """Number of negative pivots in the LDL^T factorization of a symmetric
-    tridiagonal matrix with diagonal ``d`` and off-diagonal ``e``.
+    tridiagonal matrix with diagonal ``d`` and off-diagonal ``e``, formed as
+    d - e*e/p in Python floats on every backend.
 
     Returns -1 on an exactly zero pivot (caller perturbs the shift and
-    retries).  The LAPACK path forms each pivot as d - (e/p)*e, as
-    ``dpttrf`` does; after its ``_RESTARTS``-th negative pivot it hands the
-    remaining rows to the Python path, which forms d - e*e/p.
+    retries).
     """
-    if _PTTRF is None:
-        return _negcount_python(d, e)
-    n = d.shape[0]
-    buf = _stacked(d, e)
-    addr = buf.ctypes.data
-    count = start = 0
-    while True:
-        info = _pttrf(addr, n, start)
-        if info == 0:
-            return count
-        k = start + info - 1
-        if buf[k] == 0.0:
-            return -1
-        count += 1
-        if k == n - 1:
-            return count
-        piv, ek = float(buf[k]), float(buf[n + k])
-        buf[k + 1] = float(buf[k + 1]) - ek / piv * ek
-        start = k + 1
-        if count == _RESTARTS:
-            rest = _negcount_python(buf[start:n], buf[n + start :])
-            return -1 if rest < 0 else count + rest
-
-
-def _negcount_python(d, e):
     piv = float(d[0])
     if piv == 0.0:
         return -1
@@ -171,7 +152,7 @@ def ldl_factor(d, e):
     symmetric tridiagonal T = (d, e)."""
     if _PTTRF is not None:
         buf = _stacked(d, e)
-        if _pttrf(buf.ctypes.data, d.shape[0], 0) == 0:
+        if _pttrf(buf, d.shape[0]) == 0:
             return buf[: d.shape[0]], buf[d.shape[0] :]
     try:
         diag, low = _factor(d.tolist(), e.tolist())

@@ -1,23 +1,25 @@
 """Smallest generalized eigenvalue of the pencil (K - lambda*Mass, W).
 
 Every pencil in the package goes one way: ``_pencil_arrays`` slices it to
-the free nodes, ``inertia_count`` counts it, ``_kernels.ldl_factor`` factors
-it once and ``_kernels.ldl_solve`` solves against the factors.  The weight
-is checked once per pencil: ``inertia_count`` is that check plus the count
-body ``_count``, and an eigensolve checks its weight once and then calls
-``_count`` for each of its ~36 bisection counts.  Counts,
-factors and solves run in LAPACK ``dpttrf``/``dpttrs`` when numpy bundles
-them (``_kernels.BACKEND``), else in Python-float recurrences; the factors
-and solves of both are the same bits.
+the free nodes, ``_definite`` asks whether it is positive definite past a
+shift, ``_kernels.ldl_factor`` factors it once and ``_kernels.ldl_solve``
+solves against the factors.  No caller needs a count: each bisection step
+only asks whether (T, W) has an eigenvalue at or below the shift s, that
+is whether T - s*W fails to be positive definite, and ``_kernels.definite``
+answers that with one ``dpttrf`` call (a Python-float recurrence when
+numpy bundles no LAPACK, ``_kernels.BACKEND``).  The weight is checked
+once per pencil: an eigensolve checks it and then makes its ~36 bracket
+and bisection tests.  ``inertia_count``, the full Sturm count with its
+zero-pivot retry, stays public for the tests and for library users.
 
-Bisection on the inertia count localizes the eigenvalue to absolute
+Bisection on the definiteness test localizes the eigenvalue to absolute
 _TOL_ABS = 1e-10 regardless of the indefiniteness of K - lambda*Mass; the
 eigenvector follows by inverse iteration from the constant vector, shifted
 to the definite side of the final bracket (so the shifted matrix is positive
 definite, its unpivoted LDL^T factor is stable, and it is factored once).
 There is no other path: if inverse iteration stops above its 1e-9 target,
 the returned ``residual`` says so.  An eigensolve refuses a pencil with a
-non-finite entry before it counts, and a mu or residual that leaves the
+non-finite entry before it tests, and a mu or residual that leaves the
 double range after it (a finite but huge lambda).
 """
 
@@ -31,7 +33,7 @@ from . import _kernels
 from .errors import DomainError
 from .forms import QuadraticForms, tri_matvec, tri_quadform
 
-__all__ = ["EigenResult", "count_below", "inertia_count", "smallest_generalized_eigen", "concentration_fraction"]
+__all__ = ["EigenResult", "definite_above", "inertia_count", "smallest_generalized_eigen", "concentration_fraction"]
 
 _TOL_ABS = 1e-10  # absolute width at which bisection stops
 _CORE = 0.01  # concentration diagnostics: the core is radius _CORE * r_max
@@ -59,7 +61,27 @@ def inertia_count(
     shift is perturbed by one ulp-scale step and the count retried.
     """
     _check_weight(w)
-    return _count(d, e, w, shift, w_off)
+    shift = float(shift)
+    scale = None
+    for attempt in range(4):
+        count = _kernels.negcount(*_shifted(d, e, w, shift, w_off))
+        if count >= 0:
+            return count
+        if scale is None:
+            scale = float(np.max(np.abs(d)) + np.max(np.abs(e), initial=0.0) + abs(shift))
+        shift += (attempt + 1) * 1e-15 * max(scale, 1.0)
+    raise RuntimeError("inertia count kept hitting exact singularities")
+
+
+def _shifted(d, e, w, shift, w_off):
+    """Diagonal and off-diagonal of T - shift*W."""
+    return d - shift * w, (e if w_off is None else e - shift * w_off)
+
+
+def _definite(d, e, w, shift, w_off) -> bool:
+    """Whether T - shift*W is positive definite, i.e. (T, W) has no
+    eigenvalue at or below ``shift``, on a weight already checked."""
+    return _kernels.definite(*_shifted(d, e, w, float(shift), w_off))
 
 
 def _check_weight(w: np.ndarray) -> None:
@@ -72,23 +94,6 @@ def _check_pencil(d: np.ndarray, e: np.ndarray, lam: float) -> None:
     entry: a finite but huge lam overflows it."""
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise DomainError(f"K - lambda*Mass overflows at lambda = {float(lam)!r}")
-
-
-def _count(d, e, w, shift, w_off) -> int:
-    """``inertia_count`` on a weight already checked."""
-    shift = float(shift)
-    scale = None
-    for attempt in range(4):
-        if w_off is None:
-            count = _kernels.negcount(d - shift * w, e)
-        else:
-            count = _kernels.negcount(d - shift * w, e - shift * w_off)
-        if count >= 0:
-            return count
-        if scale is None:
-            scale = float(np.max(np.abs(d)) + np.max(np.abs(e), initial=0.0) + abs(shift))
-        shift += (attempt + 1) * 1e-15 * max(scale, 1.0)
-    raise RuntimeError("inertia count kept hitting exact singularities")
 
 
 def _pencil_arrays(forms: QuadraticForms, lam: float, denominator: str):
@@ -107,11 +112,12 @@ def _pencil_arrays(forms: QuadraticForms, lam: float, denominator: str):
     return d, e, wd, we
 
 
-def count_below(forms: QuadraticForms, lam: float, shift: float) -> int:
-    """Number of eigenvalues of the pencil (K - lambda*Mass, W) strictly
-    below ``shift``: one inertia count, no eigensolve."""
+def definite_above(forms: QuadraticForms, lam: float, shift: float) -> bool:
+    """Whether every eigenvalue of the pencil (K - lambda*Mass, W) lies
+    strictly above ``shift``: one definiteness test, no eigensolve."""
     d, e, wd, we = _pencil_arrays(forms, lam, "w2")
-    return inertia_count(d, e, wd, shift, we)
+    _check_weight(wd)
+    return _definite(d, e, wd, shift, we)
 
 
 def smallest_generalized_eigen(forms: QuadraticForms, lam: float, denominator: str = "w2") -> EigenResult:
@@ -131,12 +137,12 @@ def smallest_generalized_eigen(forms: QuadraticForms, lam: float, denominator: s
     hi = float(np.min(d / wd)) + 1e-12 * max(scale, 1.0)
     lo = hi - max(1.0, 0.1 * abs(hi))
     it = 0
-    while _count(d, e, wd, lo, we) > 0:
+    while not _definite(d, e, wd, lo, we):
         lo -= 2.0 * (hi - lo)
         it += 1
         if it > 200:
             raise RuntimeError("failed to bracket the smallest eigenvalue from below")
-    while _count(d, e, wd, hi, we) < 1:
+    while _definite(d, e, wd, hi, we):
         hi += max(1.0, hi - lo)
         it += 1
         if it > 400:
@@ -146,7 +152,7 @@ def smallest_generalized_eigen(forms: QuadraticForms, lam: float, denominator: s
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # double-precision resolution reached
             break
-        if _count(d, e, wd, mid, we) >= 1:
+        if not _definite(d, e, wd, mid, we):
             hi = mid
         else:
             lo = mid
@@ -165,7 +171,7 @@ def smallest_generalized_eigen(forms: QuadraticForms, lam: float, denominator: s
 
     # inverse iteration from the definite side of the bracket
     shift = lo - max(10.0 * _TOL_ABS, 1e-14 * max(scale, 1.0))
-    factor = _kernels.ldl_factor(d - shift * wd, e if we is None else e - shift * we)
+    factor = _kernels.ldl_factor(*_shifted(d, e, wd, shift, we))
     x = np.ones(d.shape[0])
     x /= w_norm(x)
     rho = tri_quadform(d, e, x)

@@ -10,15 +10,15 @@ curved phenomenology) is returned.
 A step solves Ã s = r for the Lagrange residual r = Au - (Q/p) g, g = grad
 F(u) (u'g = pF), on the free nodes and moves to u - s, rescaled.  Ã = A + c
 Mass goes the eigensolver's pencil path (``_pencil_arrays``,
-``inertia_count``) and is factored once per call.  c = 0 when
-A - 1e-8 (1 + |lambda|) Mass has only positive pivots, so A is definite
+``_definite``) and is factored once per call.  c = 0 when
+A - 1e-8 (1 + |lambda|) Mass is positive definite, so A is definite
 with a margin far above the pivots' rounding; then u - s = (Q/p) w with
 w = A^{-1} g, and Q cannot rise: Hoelder gives w'Aw = g'w <= p F(w)^{1/p},
 so Q(w) <= p^2 / (w'Aw), and Cauchy-Schwarz in the A inner product gives
-p^2 = (u'Aw)^2 <= Q(u) w'Aw.  Otherwise (A indefinite or singular, as for
-lambda >= 0 on the full sphere) Ã = K + (1 + |lambda|) Mass, definite for
-every lambda; no descent is proved there, and measured rises stay below
-1e-11 relative.
+p^2 = (u'Aw)^2 <= Q(u) w'Aw.  Otherwise (that test fails, an exact zero
+pivot included: A indefinite or singular, as for lambda >= 0 on the full
+sphere) Ã = K + (1 + |lambda|) Mass, definite for every lambda; no descent
+is proved there, and measured rises stay below 1e-11 relative.
 
 The step is a fixed-point map G(u) = project(u - s), which converges only
 linearly where the minimizer concentrates (the flat ball at lambda = 0: 729
@@ -57,7 +57,7 @@ import numpy as np
 
 from . import _kernels
 from .bubble import bubble_value
-from .eigensolver import _CORE, _check_pencil, _pencil_arrays, inertia_count
+from .eigensolver import _CORE, _check_pencil, _definite, _pencil_arrays
 from .errors import DomainError
 from .forms import (
     QuadraticForms,
@@ -193,10 +193,10 @@ def minimize_quotient(
 
 def _shifted_factor(forms: QuadraticForms, lam: float):
     """LDL^T factors on the free nodes of A = K - lam*Mass when
-    A - 1e-8 (1 + |lam|) Mass has only positive pivots, else of
+    A - 1e-8 (1 + |lam|) Mass is positive definite, else of
     K + (1 + |lam|) Mass."""
     d, e, md, me = _pencil_arrays(forms, lam, "mass")
-    if inertia_count(d, e, md, 1e-8 * (1.0 + abs(lam)), me) != 0:
+    if not _definite(d, e, md, 1e-8 * (1.0 + abs(lam)), me):
         d, e, _, _ = _pencil_arrays(forms, -1.0 - abs(lam), "mass")
     return _kernels.ldl_factor(d, e)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import hardy_constant, hardy_sobolev_constant
-from .eigensolver import EigenResult, count_below, smallest_generalized_eigen
+from .eigensolver import EigenResult, definite_above, smallest_generalized_eigen
 from .errors import DomainError, SweepRangeError
 from .forms import assemble_forms, build_grid, gauss_panels
 from .manifold import ModelManifold, curvature_criterion
@@ -142,15 +142,18 @@ def lambda_star_bracket(
     bc: str | None = None,
     sweep: tuple[float, float] = (-20.0, 0.0),
 ) -> LambdaStarBracket:
-    """Bisect the predicate mu_h(lambda) < cap - delta, tested by one
-    inertia count per lambda (no eigensolve).
+    """Bisect the predicate mu_h(lambda) < cap - delta, tested as "K -
+    lambda*Mass - (cap - delta)*W is not positive definite", one
+    definiteness test per lambda (no eigensolve).
 
     The returned hi over-estimates the threshold (discrete detection only
     certifies genuinely-below-cap values); delta defaults to the measured
     refinement gap |mu_M - mu_2M| at the midpoint of the sweep.  A sweep
     that misses the threshold widens: downward at most three times, upward
     at most six times by doubling steps (0, 1, 3, 7, 15, 31, 63 from the
-    default top).
+    default top).  Bisection stops at ``tol_lambda`` or when the midpoint
+    equals an endpoint, so a ``tol_lambda`` below the spacing of doubles
+    near the threshold returns a bracket of adjacent doubles.
     """
     if not (math.isfinite(tol_lambda) and tol_lambda > 0.0):
         raise DomainError(f"tol_lambda must be finite and positive, got {tol_lambda!r}")
@@ -163,7 +166,7 @@ def lambda_star_bracket(
         lo, hi = float(sweep[0]), float(sweep[1])
 
         def below(lam):
-            return count_below(forms, lam, cap - delta) >= 1
+            return not definite_above(forms, lam, cap - delta)
 
         widen = 0
         while below(lo):
@@ -188,6 +191,8 @@ def lambda_star_bracket(
                 )
         while hi - lo > tol_lambda:
             mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):  # double-precision resolution reached
+                break
             if below(mid):
                 hi = mid
             else:

@@ -99,7 +99,7 @@ def test_inertia_rejects_nan_weight():
 
 @pytest.fixture(params=["lapack", "python"])
 def backend(request, monkeypatch):
-    """Run the counts on each kernel backend."""
+    """Run the definiteness tests on each kernel backend."""
     if request.param == "python":
         monkeypatch.setattr(_kernels, "_PTTRF", None)
     elif _kernels.BACKEND != "lapack":
@@ -108,20 +108,23 @@ def backend(request, monkeypatch):
 
 
 @pytest.fixture
-def negcount_results(monkeypatch):
-    """What every ``_kernels.negcount`` call returned, in call order."""
+def definite_results(monkeypatch):
+    """What every ``_kernels.definite`` call returned, in call order."""
     results = []
-    negcount = _kernels.negcount
+    definite = _kernels.definite
 
     def recorded(d, e):
-        results.append(negcount(d, e))
+        results.append(definite(d, e))
         return results[-1]
 
-    monkeypatch.setattr(_kernels, "negcount", recorded)
+    monkeypatch.setattr(_kernels, "definite", recorded)
     return results
 
 
-def test_inertia_count_is_weight_check_plus_count_body(backend, negcount_results):
+def test_inertia_count_is_weight_check_plus_count_body(backend, definite_results):
+    # inertia_count is the weight check plus the Python-float count of
+    # T - s*W on both backends; the bisection's test reads "not definite"
+    # exactly when that count is at least 1
     rng = np.random.default_rng(13)
     counts = set()
     for n in (1, 2, 7, 40, 120):
@@ -132,37 +135,40 @@ def test_inertia_count_is_weight_check_plus_count_body(backend, negcount_results
         for we in (None, 0.9 * rng.uniform(-1.0, 1.0, n - 1)):
             for shift in (-5.0, -0.5, 0.0, 0.7, 4.0):
                 got = inertia_count(d, e, wd, shift, we)
-                assert got == eigensolver._count(d, e, wd, shift, we)
+                assert got == _kernels.negcount(*eigensolver._shifted(d, e, wd, shift, we))
+                assert eigensolver._definite(d, e, wd, shift, we) == (got == 0)
                 counts.add(got)
-    assert max(counts) > _kernels._RESTARTS  # deep counts leave dpttrf for the Python rows
-    # every pivot of I - 1*I is exactly zero: both retry with a nudged shift
+    assert max(counts) > 5  # deep counts too
+    # every pivot of I - 1*I is exactly zero: the count retries with a
+    # nudged shift, the definiteness test reads False at once
     n = 9
     one, zero = np.ones(n), np.zeros(n - 1)
-    negcount_results.clear()
-    assert inertia_count(one, zero, one, 1.0) == eigensolver._count(one, zero, one, 1.0, None) == n
-    assert negcount_results.count(-1) == 2
+    definite_results.clear()
+    assert inertia_count(one, zero, one, 1.0) == n
+    assert not eigensolver._definite(one, zero, one, 1.0, None)
+    assert definite_results == [False]
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
 @pytest.mark.parametrize("denominator,field", [("w2", "w2"), ("mass", "md")])
-def test_eigensolve_rejects_bad_weight_before_counting(denominator, field, bad, negcount_results):
+def test_eigensolve_rejects_bad_weight_before_counting(denominator, field, bad, definite_results):
     forms = assemble_forms(build_grid(1.0, 64, 2.0, "dirichlet"), euclidean_ball(3, 1.0), 2.0)
     weight = getattr(forms, field).copy()
     weight[5] = bad
     with pytest.raises(DomainError, match="weight diagonal must be positive"):
         smallest_generalized_eigen(dataclasses.replace(forms, **{field: weight}), 0.0, denominator)
-    assert negcount_results == []
+    assert definite_results == []
 
 
 @pytest.mark.parametrize("denominator", ["w2", "mass"])
-def test_eigensolve_checks_its_weight_once(denominator, monkeypatch, negcount_results):
+def test_eigensolve_checks_its_weight_once(denominator, monkeypatch, definite_results):
     checks = []
     check = eigensolver._check_weight
     monkeypatch.setattr(eigensolver, "_check_weight", lambda w: checks.append(w.shape) or check(w))
     forms = assemble_forms(build_grid(1.0, 64, 2.0, "dirichlet"), euclidean_ball(3, 1.0), 2.0)
     smallest_generalized_eigen(forms, 0.0, denominator)
     assert len(checks) == 1
-    assert len(negcount_results) > 30  # the bracket search and the bisection
+    assert len(definite_results) > 30  # the bracket search and the bisection
 
 
 def test_smallest_eigen_against_scipy():

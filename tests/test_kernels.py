@@ -1,7 +1,9 @@
 """The kernels must return the same bits as plain reference loops that index
 the arrays element by element, on both backends: the one resolved at import
 (LAPACK ``dpttrf``/``dpttrs`` where numpy bundles them) and the Python-float
-recurrences that run when the LAPACK handles are missing."""
+recurrences that run when the LAPACK handles are missing.  The definiteness
+test is checked against dense generalized eigenvalues and against the
+inertia count."""
 
 import glob
 import math
@@ -11,8 +13,10 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hardylab import _kernels as K
+from hardylab.eigensolver import inertia_count
 from hardylab.forms import assemble_forms, build_grid
 from hardylab.manifold import unit_sphere
 
@@ -36,6 +40,18 @@ def _negcount_py(d, e):
         if piv < 0.0:
             count += 1
     return count
+
+
+def _definite_py(d, e):
+    """Whether every pivot is positive; stops at the first that is not."""
+    piv = d[0]
+    if piv <= 0.0:
+        return False
+    for i in range(1, d.shape[0]):
+        piv = d[i] - e[i - 1] * e[i - 1] / piv
+        if piv <= 0.0:
+            return False
+    return True
 
 
 def _ldl_factor_py(d, e):
@@ -169,18 +185,58 @@ def test_negcount_matches_reference(rng):
     assert len(counts) > 5  # the cases cover definite and indefinite pencils
 
 
+_ZERO_PIVOT_CASES = [
+    (np.array([0.0, 1.0, 1.0]), np.zeros(2)),
+    (np.array([1.0, 1.0, 1.0]), np.array([1.0, 0.0])),  # second pivot 1 - 1/1 = 0
+    (np.array([0.0]), np.zeros(0)),
+    (np.array([2.0, -0.0]), np.zeros(1)),
+    (np.array([-1.0, 1.0, 2.0]), np.array([1.0, 2.0])),  # zero pivot after a negative one
+    # zero pivot after five negative ones
+    (np.array([-1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 2.0]), np.array([0.0, 0.0, 0.0, 0.0, 1.0, 2.0])),
+]
+
+
 def test_negcount_zero_pivot_sentinel():
-    for d, e in [
-        (np.array([0.0, 1.0, 1.0]), np.zeros(2)),
-        (np.array([1.0, 1.0, 1.0]), np.array([1.0, 0.0])),  # second pivot 1 - 1/1 = 0
-        (np.array([0.0]), np.zeros(0)),
-        (np.array([2.0, -0.0]), np.zeros(1)),
-        (np.array([-1.0, 1.0, 2.0]), np.array([1.0, 2.0])),  # zero pivot after a negative one
-        # zero pivot after the fifth negative one, where the count leaves dpttrf
-        (np.array([-1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 2.0]), np.array([0.0, 0.0, 0.0, 0.0, 1.0, 2.0])),
-    ]:
+    for d, e in _ZERO_PIVOT_CASES:
         assert _negcount_py(d, e) == -1
         assert K.negcount(d, e) == -1
+
+
+def test_definite_matches_dense_generalized_eigenvalues(rng):
+    # (T, W) with W positive definite tridiagonal: T - s*W is definite
+    # exactly when every eigenvalue of eigh(T, W) lies above s
+    outcomes = set()
+    for d, e in _random_pencils(rng):
+        n = d.shape[0]
+        wd = np.abs(rng.standard_normal(n)) + 1.0
+        we = 0.45 * rng.uniform(-1.0, 1.0, n - 1)  # |we| < min(wd)/2: W definite
+        t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        w = np.diag(wd) + np.diag(we, 1) + np.diag(we, -1)
+        least = float(scipy.linalg.eigh(t, w, eigvals_only=True)[0])
+        for s in (least - 1.0, least - 1e-6, least + 1e-6, least + 1.0):
+            got = K.definite(d - s * wd, e - s * we)
+            assert type(got) is bool
+            assert got == (s < least), (n, s, least)
+            outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_definite_reads_zero_pivot_as_not_definite():
+    for d, e in _ZERO_PIVOT_CASES:
+        assert K.definite(d, e) is _definite_py(d, e) is False
+    assert K.definite(np.array([1e-300]), np.zeros(0)) is True
+    assert K.definite(np.array([-1e-300]), np.zeros(0)) is False
+
+
+def test_definite_agrees_with_inertia_count(rng):
+    cases = list(_random_pencils(rng)) + list(_graded_pencils())
+    outcomes = set()
+    for d, e in cases:
+        got = K.definite(d, e)
+        assert got == _definite_py(d, e)
+        assert (not got) == (inertia_count(d, e, np.ones(d.shape[0]), 0.0) >= 1)
+        outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def test_factor_and_solve_match_reference(rng):
@@ -232,9 +288,11 @@ def test_one_and_two_row_pencils():
     assert K.ldl_solve(diag, low, b1).tolist() == [5.0 / 3.0] != [5.0 * (1.0 / 3.0)]
     assert K.tridiag_solve(d1, e1, b1).tolist() == _tridiag_solve_py(d1, e1, b1).tolist()
     assert [K.negcount(np.array([v]), e1) for v in (3.0, -3.0, 0.0)] == [0, 1, -1]
+    assert [K.definite(np.array([v]), e1) for v in (3.0, -3.0, 0.0)] == [True, False, False]
     for d in ([3.0, 2.0], [3.0, -2.0], [-3.0, 2.0], [-3.0, -2.0], [0.5, 1.0 / 3.0]):
         d2, e2, b2 = np.array(d), np.array([0.7]), np.array([5.0, -1.0])
         assert K.negcount(d2, e2) == _negcount_py(d2, e2)
+        assert K.definite(d2, e2) == (_negcount_py(d2, e2) == 0)
         ref_diag, ref_low = _ldl_factor_py(d2, e2)
         diag, low = K.ldl_factor(d2, e2)
         assert np.array_equal(diag, ref_diag) and np.array_equal(low, ref_low)
@@ -243,13 +301,16 @@ def test_one_and_two_row_pencils():
 
 
 def test_python_path_matches_reference(rng, monkeypatch):
-    """The exact-equality tests above, run on the Python-float recurrences
-    (the LAPACK handles set to None); the tests themselves run on the
-    backend resolved at import."""
+    """The tests above, run on the Python-float recurrences (the LAPACK
+    handles set to None); the tests themselves run on the backend resolved
+    at import."""
     monkeypatch.setattr(K, "_PTTRF", None)
     monkeypatch.setattr(K, "_PTTRS", None)
     test_negcount_matches_reference(rng)
     test_negcount_zero_pivot_sentinel()
+    test_definite_matches_dense_generalized_eigenvalues(rng)
+    test_definite_reads_zero_pivot_as_not_definite()
+    test_definite_agrees_with_inertia_count(rng)
     test_factor_and_solve_match_reference(rng)
     test_factor_and_solve_agree_with_dense_solve(rng)
     test_exact_zero_pivot_gives_reference_inf_and_nan()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -132,21 +133,20 @@ def test_shift_branch(sphere4_forms, lam, kappa):
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
-def test_shift_test_retries_zero_pivot(sphere4_forms, monkeypatch):
-    # a zero pivot (-1 from negcount) must not read as "indefinite"
-    f = sphere4_forms
-    real = _kernels.negcount
-    calls = []
-
-    def zero_pivot_first(d, e):
-        calls.append(1)
-        return -1 if len(calls) == 1 else real(d, e)
-
-    monkeypatch.setattr(_kernels, "negcount", zero_pivot_first)
-    got = _shifted_factor(f, -1.0)
-    assert len(calls) == 2
-    want = ldl_factor(f.kd + f.md, f.ke + f.me)  # A = K + Mass itself
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+def test_singular_leading_block_takes_shifted_branch(ball3_forms):
+    # A = K is definite on the Dirichlet ball at lam = 0; with K[0, 0] set to
+    # 1e-8 * Mass[0, 0] the leading 1x1 block of A - 1e-8 Mass is exactly
+    # zero, which reads as not definite, so K + Mass is factored (the branch
+    # that is safe for every lam)
+    kd = ball3_forms.kd.copy()
+    kd[0] = 1e-8 * ball3_forms.md[0]
+    f = dataclasses.replace(ball3_forms, kd=kd)
+    assert f.kd[0] - 1e-8 * f.md[0] == 0.0
+    n = f.dof.stop
+    for forms, kappa in [(ball3_forms, 0.0), (f, 1.0)]:  # kappa: the Mass multiple
+        got = _shifted_factor(forms, 0.0)
+        want = ldl_factor((forms.kd + kappa * forms.md)[:n], (forms.ke + kappa * forms.me)[: n - 1])
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardylab.constants import hardy_constant
-from hardylab.eigensolver import count_below, smallest_generalized_eigen
+from hardylab.eigensolver import definite_above, smallest_generalized_eigen
 from hardylab.errors import DomainError
 from hardylab.forms import assemble_forms, build_grid, tri_quadform
 from hardylab.manifold import euclidean_ball, hyperbolic_cap, unit_sphere
@@ -127,8 +127,9 @@ def test_bracket_rejects_bad_tolerances(tol, delta):
     ],
 )
 def test_count_predicate_matches_eigensolve(m, bc, lams):
-    # the bracket's predicate mu_h(lam) < cap - delta, asked as one inertia
-    # count, gives the eigensolver's answer wherever the two are resolved
+    # the bracket's predicate mu_h(lam) < cap - delta, asked as one
+    # definiteness test, gives the eigensolver's answer wherever the two are
+    # resolved
     forms = assemble_forms(build_grid(m.r_max, 256, 2.0, bc), m, 2.0)
     cap = hardy_constant(m.N)
     outcomes = set()
@@ -137,10 +138,18 @@ def test_count_predicate_matches_eigensolve(m, bc, lams):
         for delta in (1e-3, 1e-2):
             if abs(mu - (cap - delta)) <= 1e-9:
                 continue
-            below = count_below(forms, lam, cap - delta) >= 1
+            below = not definite_above(forms, lam, cap - delta)
             assert below == (mu < cap - delta), (lam, delta, mu)
             outcomes.add(below)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("tol", [1e-17, 1e-300])
+def test_bracket_stops_at_double_resolution(tol):
+    # a tolerance below the spacing of doubles near lambda-star ends the
+    # bisection at adjacent doubles instead of bisecting forever
+    br = lambda_star_bracket(unit_sphere(3), tol_lambda=tol, detection_delta=1e-3, M=64)
+    assert br.lo < br.hi == math.nextafter(br.lo, math.inf)
 
 
 @pytest.mark.parametrize("M,tol,lo,hi", [(256, 0.1, -0.390625, -0.3125), (512, 0.05, -0.390625, -0.3515625)])
