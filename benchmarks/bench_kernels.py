@@ -7,10 +7,15 @@ Prints ns per row (recurrences) or per cell (power functional) of the LAPACK
 backend, of the Python-float backend (the LAPACK handles set to None) and of
 the reference loop, and the measured ratios reference / backend.  The power
 functional is the same NumPy code on both backends, so it is timed once.
-The ``definite`` row is the eigensolver's bisection test, one ``dpttrf``
-call on the LAPACK backend, on the definite matrix of the ``ldl_factor``
-row, so it walks every row; its reference loop stops at the first pivot that
-is not positive.  ``negcount`` is the Python-float recurrence on both
+The ``definite`` row is the one-shot definiteness test (``definite_test``
+at s = 0 with a zero weight, one ``dpttrf`` call on the LAPACK backend), on
+the definite matrix of the ``ldl_factor`` row, so it walks every row; its reference loop stops at the first pivot that
+is not positive.  The ``bisection test`` rows time one test as the
+eigensolver makes it: one ``definite_test`` object per pencil, built once per
+backend and reused, called at the shift s = 0.25 (T - s*W is definite, so it
+too walks every row), at M = 512 (the benchmark's pencil size, where the
+per-call cost shows) and M = 4096; its reference loop forms d - s*w and runs
+the stopping loop.  ``negcount`` is the Python-float recurrence on both
 backends.  The ``inertia_count`` row counts the same shifted matrix as the
 ``negcount`` row through ``eigensolver.inertia_count`` (weight check, shift,
 count), so the difference of the two rows is the per-call cost around the
@@ -50,6 +55,18 @@ from test_kernels import (  # noqa: E402
 
 M = 4096
 SMALL = 256  # cells of the small power-functional table
+PENCIL = 512  # rows of the small bisection-test pencil
+SHIFT = 0.25  # bisection-test shift; T - SHIFT*W stays definite
+_TESTS = {}  # one definiteness test per pencil size and backend
+
+
+def bisection_test(d, e, w, shift):
+    """One bisection step's test as the eigensolver makes it: the pencil's
+    ``definite_test``, built on the first call on each backend, at a shift."""
+    key = (d.shape[0], _kernels._PTTRF is None)
+    if key not in _TESTS:
+        _TESTS[key] = _kernels.definite_test(d, e, w)
+    return _TESTS[key](shift)
 
 
 def median_ns(fn, args, per, repeat):
@@ -94,8 +111,15 @@ def main():
     def shifted_loop(d, e, w, shift):
         return _negcount_py(d - shift * w, e)
 
+    def shifted_definite_loop(d, e, w, shift):
+        return _definite_py(d - shift * w, e)
+
     rows = [
         ("definite", "row", _kernels.definite, _definite_py, (d, e)),
+        *(
+            (f"bisection test {n}", "row", bisection_test, shifted_definite_loop, (d[:n], e[: n - 1], w[:n], SHIFT))
+            for n in (PENCIL, M)
+        ),
         ("negcount", "row", _kernels.negcount, _negcount_py, (d - 0.5 * w, e)),
         ("inertia_count", "row", inertia_count, shifted_loop, (d, e, w, 0.5)),
         ("ldl_factor", "row", _kernels.ldl_factor, _ldl_factor_py, (d, e)),
@@ -120,7 +144,7 @@ def main():
     for name, unit, fast, ref, args in rows:
         # the reference power loops are ~100x slower; time them less often
         ref_repeat = repeat if unit == "row" else max(1, repeat // 5)
-        per = M if unit == "row" else args[1].shape[0]  # rows, or cells of the table
+        per = args[0].shape[0] if unit == "row" else args[1].shape[0]  # rows, or cells of the table
         t_lapack = median_ns(fast, args, per, repeat) if lapack and unit == "row" else None
         with python_backend():
             t_python = median_ns(fast, args, per, repeat)

@@ -7,24 +7,27 @@ functional of the constrained minimizer.  The power functional is NumPy on
 every backend: u at the Gauss points of all cells is one (cells, 2) by
 (2, q) product, and F with its gradient costs one ``pow`` per point.
 ``negcount``, the full Sturm count, is the Python-float recurrence on every
-backend; only ``eigensolver.inertia_count`` calls it.
+backend; only ``eigensolver.inertia_count`` calls it.  ``definite`` is the
+one-shot definiteness test: ``definite_test`` applied once.
 
 The recurrences run on the backend resolved once at import, ``BACKEND``:
 
 - ``"lapack"``: ``dpttrf``/``dpttrs`` of the ILP64 OpenBLAS that the numpy
   wheel bundles (``numpy.libs/libscipy_openblas64_*``), through ``ctypes``.
-  ``definite`` is one ``dpttrf`` call, which stops at the first pivot that
-  is not positive.  ``ldl_factor`` is ``dpttrf`` (the Python recurrence's
-  operations in its order); a pivot that is not positive sends it to the
-  Python path, which carries an exact zero pivot on as inf/nan.
+  A ``definite_test`` call is one ``dpttrf`` call on a reused buffer,
+  which stops at the first pivot that is not positive.  ``ldl_factor`` is
+  ``dpttrf`` (the Python recurrence's operations in its order); a pivot
+  that is not positive sends it to the Python path, which carries an exact
+  zero pivot on as inf/nan.
   ``ldl_solve`` is ``dpttrs`` for n >= 2; at n = 1 ``dpttrs`` multiplies by
   1/D(1), an ulp off the division, so n = 1 stays on the Python path.
 - ``"python"``, when the library or a symbol is missing: each call converts
   its arrays with ``tolist`` once and walks them with ``zip``, the same IEEE
   operations in the same order as indexing the arrays element by element.
-  ``definite`` is ``negcount == 0``.  An exact zero pivot makes Python float
-  division raise; the factor and solve then repeat the recurrence on NumPy
-  scalars, which return the same inf/nan bits an indexed loop gives.
+  The test is ``negcount(d - s*w, e - s*w_off) == 0``.  An exact zero
+  pivot makes Python float division raise; the factor and solve then repeat
+  the recurrence on NumPy scalars, which return the same inf/nan bits an
+  indexed loop gives.
 
 ``benchmarks/bench_kernels.py`` times both backends.
 """
@@ -62,35 +65,51 @@ BACKEND = "python" if _PTTRF is None else "lapack"
 _ONE = ctypes.c_int64(1)
 
 
-def _pttrf(buf, n):
-    """``dpttrf`` in place on the stacked buffer [d, e] of order n; returns
-    LAPACK's ``info``.  It takes the array, not its address, so the buffer
-    stays alive for the whole call."""
+def _pttrf_args(buf, n):
+    """``dpttrf``'s arguments for the contiguous float64 buffer [d, e] of
+    order n, and the ``info`` it sets; the caller keeps ``buf`` alive."""
     info = ctypes.c_int64()
-    addr = buf.ctypes.data
-    _PTTRF(ctypes.byref(ctypes.c_int64(n)), addr, addr + 8 * n, ctypes.byref(info))
-    return info.value
-
-
-def _stacked(d, e):
-    """One contiguous float64 copy [d, e] for ``dpttrf`` to overwrite."""
-    buf = np.empty(2 * d.shape[0] - 1)
-    buf[: d.shape[0]] = d
-    buf[d.shape[0] :] = e
-    return buf
+    return (ctypes.byref(ctypes.c_int64(n)), buf.ctypes.data, buf.ctypes.data + 8 * n, ctypes.byref(info)), info
 
 
 # ---------------------------------------------------------------------------
 # Definiteness test and Sturm-sequence inertia count
 # ---------------------------------------------------------------------------
 
-def definite(d, e):
-    """Whether the symmetric tridiagonal matrix with diagonal ``d`` and
-    off-diagonal ``e`` is positive definite: every LDL^T pivot is positive.
-    An exactly zero pivot reads as not definite, which is exact."""
+def definite_test(d, e, w, w_off=None):
+    """The definiteness test of the pencil (T, W) = ((d, e), (w, w_off)),
+    ``w_off=None`` for a diagonal W: a function of the shift s that says
+    whether every LDL^T pivot of T - s*W is positive (an exact zero pivot
+    reads as not definite, which is exact).  The buffer ``dpttrf``
+    overwrites, a scratch vector and the ctypes arguments are made once; a
+    call forms T - s*W in place (the IEEE operations of d - s*w)."""
     if _PTTRF is None:
-        return negcount(d, e) == 0
-    return _pttrf(_stacked(d, e), d.shape[0]) == 0
+        return lambda s: negcount(d - s * w, e if w_off is None else e - s * w_off) == 0
+    n = d.shape[0]
+    buf = np.empty(2 * n - 1)
+    diag, off = buf[:n], buf[n:]
+    scratch = np.empty(n)
+    scratch_off = scratch[: n - 1]
+    args, info = _pttrf_args(buf, n)
+
+    def test(s):
+        np.multiply(w, s, scratch)
+        np.subtract(d, scratch, diag)
+        if w_off is None:
+            off[:] = e
+        else:
+            np.multiply(w_off, s, scratch_off)
+            np.subtract(e, scratch_off, off)
+        _PTTRF(*args)  # diag keeps buf alive
+        return info.value == 0
+
+    return test
+
+
+def definite(d, e):
+    """Whether the symmetric tridiagonal matrix (d, e) is positive definite:
+    ``definite_test`` at shift 0 with a zero weight."""
+    return definite_test(d, e, np.zeros(d.shape[0]))(0.0)
 
 
 def negcount(d, e):
@@ -151,9 +170,12 @@ def ldl_factor(d, e):
     """Pivots ``diag`` and unit-lower multipliers ``low`` of T = L D L^T for
     symmetric tridiagonal T = (d, e)."""
     if _PTTRF is not None:
-        buf = _stacked(d, e)
-        if _pttrf(buf, d.shape[0]) == 0:
-            return buf[: d.shape[0]], buf[d.shape[0] :]
+        n = d.shape[0]
+        buf = np.concatenate((d, e), dtype=float)
+        args, info = _pttrf_args(buf, n)
+        _PTTRF(*args)
+        if info.value == 0:
+            return buf[:n], buf[n:]
     try:
         diag, low = _factor(d.tolist(), e.tolist())
     except ZeroDivisionError:

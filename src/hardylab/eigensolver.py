@@ -1,16 +1,15 @@
 """Smallest generalized eigenvalue of the pencil (K - lambda*Mass, W).
 
 Every pencil in the package goes one way: ``_pencil_arrays`` slices it to
-the free nodes, ``_definite`` asks whether it is positive definite past a
-shift, ``_kernels.ldl_factor`` factors it once and ``_kernels.ldl_solve``
-solves against the factors.  No caller needs a count: each bisection step
-only asks whether (T, W) has an eigenvalue at or below the shift s, that
-is whether T - s*W fails to be positive definite, and ``_kernels.definite``
-answers that with one ``dpttrf`` call (a Python-float recurrence when
-numpy bundles no LAPACK, ``_kernels.BACKEND``).  The weight is checked
-once per pencil: an eigensolve checks it and then makes its ~36 bracket
-and bisection tests.  ``inertia_count``, the full Sturm count with its
-zero-pivot retry, stays public for the tests and for library users.
+the free nodes, ``_kernels.definite_test`` asks whether it is positive
+definite past a shift, ``_kernels.ldl_factor`` factors it once and
+``_kernels.ldl_solve`` solves against the factors.  No caller needs a
+count: each bisection step only asks whether T - s*W is positive definite,
+one in-place shift and one ``dpttrf`` call (``_kernels.BACKEND``).  An
+eigensolve checks the weight and builds the pencil's test once, then makes
+its ~36 bracket and bisection tests; ``_definite`` is the test applied once.
+``inertia_count``, the full Sturm count with its zero-pivot retry, stays
+public for the tests and for library users.
 
 Bisection on the definiteness test localizes the eigenvalue to absolute
 _TOL_ABS = 1e-10 regardless of the indefiniteness of K - lambda*Mass; the
@@ -18,13 +17,15 @@ eigenvector follows by inverse iteration from the constant vector, shifted
 to the definite side of the final bracket (so the shifted matrix is positive
 definite, its unpivoted LDL^T factor is stable, and it is factored once).
 There is no other path: if inverse iteration stops above its 1e-9 target,
-the returned ``residual`` says so.  An eigensolve refuses a pencil with a
-non-finite entry before it tests, and a mu or residual that leaves the
-double range after it (a finite but huge lambda).
+the returned ``residual`` says so.  Its 2-norms and the iterates' W-norms
+scale the vector by an exact power of two first, so no square overflows or
+underflows.  An eigensolve refuses a pencil with a non-finite entry before
+it tests, and a mu or residual that still leaves the double range after it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,15 @@ def _shifted(d, e, w, shift, w_off):
 def _definite(d, e, w, shift, w_off) -> bool:
     """Whether T - shift*W is positive definite, i.e. (T, W) has no
     eigenvalue at or below ``shift``, on a weight already checked."""
-    return _kernels.definite(*_shifted(d, e, w, float(shift), w_off))
+    return _kernels.definite_test(d, e, w, w_off)(float(shift))
+
+
+def _norm(x, apply=None) -> float:
+    """sqrt(x . apply(x)), the 2-norm without ``apply``, taken of x * 2**-k
+    with max|x| in [2**(k-1), 2**k): exact, and no square over- or underflows."""
+    k = int(np.frexp(np.max(np.abs(x)))[1])
+    x = np.ldexp(x, -k)
+    return math.ldexp(math.sqrt(float(np.dot(x, x if apply is None else apply(x)))), k)
 
 
 def _check_weight(w: np.ndarray) -> None:
@@ -135,14 +144,17 @@ def smallest_generalized_eigen(forms: QuadraticForms, lam: float, denominator: s
 
     # upper start: Rayleigh quotient of every basis vector
     hi = float(np.min(d / wd)) + 1e-12 * max(scale, 1.0)
+    if not math.isfinite(hi):  # d / wd overflows
+        raise DomainError(f"the eigensolve leaves the double range at lambda = {float(lam)!r}")
     lo = hi - max(1.0, 0.1 * abs(hi))
+    definite = _kernels.definite_test(d, e, wd, we)
     it = 0
-    while not _definite(d, e, wd, lo, we):
+    while not definite(lo):
         lo -= 2.0 * (hi - lo)
         it += 1
         if it > 200:
             raise RuntimeError("failed to bracket the smallest eigenvalue from below")
-    while _definite(d, e, wd, hi, we):
+    while definite(hi):
         hi += max(1.0, hi - lo)
         it += 1
         if it > 400:
@@ -152,7 +164,7 @@ def smallest_generalized_eigen(forms: QuadraticForms, lam: float, denominator: s
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # double-precision resolution reached
             break
-        if not _definite(d, e, wd, mid, we):
+        if not definite(mid):
             hi = mid
         else:
             lo = mid
@@ -161,19 +173,17 @@ def smallest_generalized_eigen(forms: QuadraticForms, lam: float, denominator: s
     def w_apply(x):
         return wd * x if we is None else tri_matvec(wd, we, x)
 
-    def w_norm(x):
-        return float(np.dot(x, w_apply(x))) ** 0.5
-
     def residual_of(x, rho):
         r = tri_matvec(d, e, x) - rho * w_apply(x)
-        denom = (scale + abs(rho) * float(np.max(np.abs(wd)))) * float(np.linalg.norm(x))
-        return float(np.linalg.norm(r)) / max(denom, 1e-300)
+        denom = (scale + abs(rho) * float(np.max(np.abs(wd)))) * _norm(x)
+        # an infinite denominator: the pencil's scale leaves the double range
+        return _norm(r) / max(denom, 1e-300) if denom < math.inf else math.inf
 
     # inverse iteration from the definite side of the bracket
     shift = lo - max(10.0 * _TOL_ABS, 1e-14 * max(scale, 1.0))
     factor = _kernels.ldl_factor(*_shifted(d, e, wd, shift, we))
     x = np.ones(d.shape[0])
-    x /= w_norm(x)
+    x /= _norm(x, w_apply)
     rho = tri_quadform(d, e, x)
     res = residual_of(x, rho)
     inv_it = 0
@@ -181,15 +191,13 @@ def smallest_generalized_eigen(forms: QuadraticForms, lam: float, denominator: s
         y = _kernels.ldl_solve(*factor, w_apply(x))
         if not np.all(np.isfinite(y)):
             break
-        x = y / w_norm(y)
+        x = y / _norm(y, w_apply)
         rho = tri_quadform(d, e, x)
         res = residual_of(x, rho)
         if res <= 1e-9:
             break
 
     if not (np.isfinite(rho) and np.isfinite(res)):
-        # the inverse iterates' norms leave the double range (near |lam| = 1e170
-        # on S^3 at 64 nodes)
         raise DomainError(f"the eigensolve leaves the double range at lambda = {float(lam)!r}")
     if x[np.argmax(np.abs(x))] < 0.0:
         x = -x

@@ -165,8 +165,8 @@ def assemble_forms(grid: RadialGrid, m: ModelManifold, sigma: float) -> Quadrati
     n = m.N
     om = sphere_area(n - 1)
     rq, wq, t = _cell_quadrature(grid)
-    psi_pow = m.warp(rq) ** (n - 1)
-    base = om * wq * psi_pow
+    psi = m.warp(rq)
+    base = om * wq * psi ** (n - 1)
 
     # Dirichlet form: per-cell integral of the weight / h^2
     k_cell = base.sum(axis=1) / np.diff(grid.nodes) ** 2
@@ -179,7 +179,7 @@ def assemble_forms(grid: RadialGrid, m: ModelManifold, sigma: float) -> Quadrati
 
     # lumped inverse-square weight: r^{-2} psi^{N-1} = (psi/r)^2 psi^{N-3},
     # written in the right-hand form so it stays finite at r = 0
-    w2 = _lump(om * wq * m.warp_over_r(rq) ** 2 * m.warp(rq) ** (n - 3), t)
+    w2 = _lump(om * wq * m.warp_over_r(rq) ** 2 * psi ** (n - 3), t)
 
     forms = QuadraticForms(
         grid=grid, manifold=m, sigma=s, kd=kd, ke=ke, md=md, me=me, w2=w2

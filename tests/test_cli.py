@@ -265,8 +265,8 @@ def test_config_bad_value_exits_1(tmp_path, capsys, text, args):
         ["lambda-star", "--dim", "3", "--delta", "-0.01", "--nodes", "64"],
         ["expansion-fit", "--lambda", "-1", "--sigma", "1", "--dim", "5", "--rcut", "0"],
         ["theorem2-check", "--dim", "4", "--lambda", "1e308", "--sigma", "1", "--nodes", "16"],
-        ["solve", "--sigma", "2", "--lambda", "1e200", "--nodes", "64"],
-        ["mu-curve", "--lambda-min", "-1", "--lambda-max", "1e300", "--nodes", "64"],
+        ["solve", "--sigma", "2", "--lambda", "1e308", "--nodes", "64"],
+        ["mu-curve", "--lambda-min", "-1", "--lambda-max", "1e308", "--nodes", "64"],
     ],
 )
 def test_bad_numeric_input_is_an_error(tmp_path, capsys, argv):

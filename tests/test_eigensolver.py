@@ -109,15 +109,21 @@ def backend(request, monkeypatch):
 
 @pytest.fixture
 def definite_results(monkeypatch):
-    """What every ``_kernels.definite`` call returned, in call order."""
+    """What every call of every per-pencil definiteness test returned, in
+    call order."""
     results = []
-    definite = _kernels.definite
+    build = _kernels.definite_test
 
-    def recorded(d, e):
-        results.append(definite(d, e))
-        return results[-1]
+    def recording(*pencil):
+        test = build(*pencil)
 
-    monkeypatch.setattr(_kernels, "definite", recorded)
+        def recorded(shift):
+            results.append(test(shift))
+            return results[-1]
+
+        return recorded
+
+    monkeypatch.setattr(_kernels, "definite_test", recording)
     return results
 
 
@@ -169,6 +175,22 @@ def test_eigensolve_checks_its_weight_once(denominator, monkeypatch, definite_re
     smallest_generalized_eigen(forms, 0.0, denominator)
     assert len(checks) == 1
     assert len(definite_results) > 30  # the bracket search and the bisection
+
+
+def test_eigensolve_at_huge_lambda():
+    # mu/lambda settles as lambda grows; the inverse iterates scale like
+    # 1/lambda, so their W-norm and the residual's 2-norms are taken after an
+    # exact power-of-two scaling
+    forms = assemble_forms(build_grid(math.pi, 64, 2.0, "reflected"), unit_sphere(3), 2.0)
+    ratio = smallest_generalized_eigen(forms, 1e100).mu / 1e100
+    for lam in (1e170, 1e200):
+        res = smallest_generalized_eigen(forms, lam)
+        assert res.mu / lam == pytest.approx(ratio, rel=1e-12)
+        assert res.residual <= 1e-9
+    # the pencil's scale, (d, e) plus |mu| max(w), still leaves the double range
+    for lam in (1e307, 1e308, 1.7e308):
+        with pytest.raises(DomainError, match="leaves the double range"):
+            smallest_generalized_eigen(forms, lam)
 
 
 def test_smallest_eigen_against_scipy():

@@ -239,6 +239,51 @@ def test_definite_agrees_with_inertia_count(rng):
     assert outcomes == {True, False}
 
 
+def _check_definite_test(d, e, w, w_off, shifts):
+    """One per-pencil test, called at ``shifts`` in turn, against the count
+    and the one-shot test of T - s*W formed by the NumPy expressions."""
+    test = K.definite_test(d, e, w, w_off)
+    outcomes = []
+    for s in shifts:
+        sd, se = d - s * w, (e if w_off is None else e - s * w_off)
+        got = test(s)
+        assert type(got) is bool
+        assert got == (K.negcount(sd, se) == 0) == K.definite(sd, se), (d.shape[0], s)
+        outcomes.append(got)
+    return outcomes
+
+
+def test_definite_test_matches_shifted_count(rng):
+    outcomes = set()
+    for d, e in _random_pencils(rng):  # n = 1 and n = 2 among them
+        n = d.shape[0]
+        w = np.abs(rng.standard_normal(n)) + 1.0
+        for w_off in (None, 0.45 * rng.uniform(-1.0, 1.0, n - 1)):  # diagonal and tridiagonal W
+            # one test object at alternating shifts: every call rebuilds both
+            # halves of the buffer that dpttrf overwrote
+            outcomes.update(_check_definite_test(d, e, w, w_off, (-3.0, 0.5, -3.0, 0.5, 4.0, -3.0)))
+    assert outcomes == {True, False}
+
+
+def test_definite_test_rebuilds_the_off_diagonal():
+    # at s = 0 dpttrf overwrites e = 1.9 with the multiplier 0.95; at s = 1
+    # the second pivot is 1 - 1.9^2 < 0, while a stale 0.95 would give
+    # 1 - 0.95^2 > 0
+    d, e, w = np.array([2.0, 2.0]), np.array([1.9]), np.ones(2)
+    assert _check_definite_test(d, e, w, None, (0.0, 1.0, 0.0, 1.0)) == [True, False, True, False]
+    assert _check_definite_test(d, e, w, np.array([0.1]), (0.0, 1.0, 0.0)) == [True, False, True]
+
+
+def test_definite_test_zero_pivots_and_tiny_pencils():
+    # an exact zero pivot reads as not definite, from the matrix or the shift
+    for d, e in _ZERO_PIVOT_CASES:
+        assert _check_definite_test(d, e, np.ones(d.shape[0]), None, (0.0,)) == [False]
+    d, e, w = np.array([2.0, 3.0]), np.array([1.0]), np.array([1.0, 2.0])
+    assert _check_definite_test(d, e, w, None, (1.0, 0.0, 1.0)) == [False, True, False]  # 1 - 1/1 = 0
+    one = np.array([3.0])
+    assert _check_definite_test(one, np.zeros(0), np.ones(1), None, (2.0, 3.0, 4.0, 2.0)) == [True, False, False, True]
+
+
 def test_factor_and_solve_match_reference(rng):
     cases = [(_definite(d, e), e) for d, e in _random_pencils(rng)]
     cases += list(_graded_pencils())  # indefinite: pivots of both signs
@@ -311,6 +356,9 @@ def test_python_path_matches_reference(rng, monkeypatch):
     test_definite_matches_dense_generalized_eigenvalues(rng)
     test_definite_reads_zero_pivot_as_not_definite()
     test_definite_agrees_with_inertia_count(rng)
+    test_definite_test_matches_shifted_count(rng)
+    test_definite_test_rebuilds_the_off_diagonal()
+    test_definite_test_zero_pivots_and_tiny_pencils()
     test_factor_and_solve_match_reference(rng)
     test_factor_and_solve_agree_with_dense_solve(rng)
     test_exact_zero_pivot_gives_reference_inf_and_nan()
