@@ -7,15 +7,13 @@ Prints ns per row (recurrences) or per cell (power functional) of the LAPACK
 backend, of the Python-float backend (the LAPACK handles set to None) and of
 the reference loop, and the measured ratios reference / backend.  The power
 functional is the same NumPy code on both backends, so it is timed once.
-The ``definite`` row is the one-shot definiteness test (``definite_test``
-at s = 0 with a zero weight, one ``dpttrf`` call on the LAPACK backend), on
-the definite matrix of the ``ldl_factor`` row, so it walks every row; its reference loop stops at the first pivot that
-is not positive.  The ``bisection test`` rows time one test as the
-eigensolver makes it: one ``definite_test`` object per pencil, built once per
-backend and reused, called at the shift s = 0.25 (T - s*W is definite, so it
-too walks every row), at M = 512 (the benchmark's pencil size, where the
-per-call cost shows) and M = 4096; its reference loop forms d - s*w and runs
-the stopping loop.  ``negcount`` is the Python-float recurrence on both
+The ``bisection test`` rows time one definiteness test as the eigensolver
+and the lambda-star bracket make it: one ``definite_test`` object per pencil,
+built once per backend and reused, called at the shift s = 0.25 (one
+``dpttrf`` call on the LAPACK backend; T - s*W is definite, so it walks every
+row), at M = 512 (the benchmark's pencil size, where the per-call cost shows)
+and M = 4096; its reference loop forms d - s*w and runs the loop that stops
+at the first pivot that is not positive.  ``negcount`` is the Python-float recurrence on both
 backends.  The ``inertia_count`` row counts the same shifted matrix as the
 ``negcount`` row through ``eigensolver.inertia_count`` (weight check, shift,
 count), so the difference of the two rows is the per-call cost around the
@@ -115,7 +113,6 @@ def main():
         return _definite_py(d - shift * w, e)
 
     rows = [
-        ("definite", "row", _kernels.definite, _definite_py, (d, e)),
         *(
             (f"bisection test {n}", "row", bisection_test, shifted_definite_loop, (d[:n], e[: n - 1], w[:n], SHIFT))
             for n in (PENCIL, M)

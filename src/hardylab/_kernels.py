@@ -1,14 +1,14 @@
 """Hot numeric kernels.
 
 The three inner loops that dominate runtime are tridiagonal definiteness
-tests (the eigensolver's bisection), tridiagonal LDL^T factors and solves
-(inverse iteration and the minimizer), and the singular-weight power
-functional of the constrained minimizer.  The power functional is NumPy on
-every backend: u at the Gauss points of all cells is one (cells, 2) by
-(2, q) product, and F with its gradient costs one ``pow`` per point.
+tests (the bisections of the eigensolve and of the lambda-star bracket, one
+test per pencil), tridiagonal LDL^T factors and solves (inverse iteration
+and the minimizer), and the singular-weight power functional of the
+constrained minimizer.  The power functional is NumPy on every backend: u
+at the Gauss points of all cells is one (cells, 2) by (2, q) product, and F
+with its gradient costs one ``pow`` per point.
 ``negcount``, the full Sturm count, is the Python-float recurrence on every
-backend; only ``eigensolver.inertia_count`` calls it.  ``definite`` is the
-one-shot definiteness test: ``definite_test`` applied once.
+backend; only ``eigensolver.inertia_count`` calls it.
 
 The recurrences run on the backend resolved once at import, ``BACKEND``:
 
@@ -104,12 +104,6 @@ def definite_test(d, e, w, w_off=None):
         return info.value == 0
 
     return test
-
-
-def definite(d, e):
-    """Whether the symmetric tridiagonal matrix (d, e) is positive definite:
-    ``definite_test`` at shift 0 with a zero weight."""
-    return definite_test(d, e, np.zeros(d.shape[0]))(0.0)
 
 
 def negcount(d, e):

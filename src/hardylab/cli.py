@@ -298,16 +298,10 @@ def _cmd_solve(args, out):
         _print(_write(out, "solve", params, tagged, grid=_grid_meta(args)))
         return _EXIT_OK
     res = minimize_quotient(forms, args.lam)
-    tagged = {
-        "mu_upper": (res.mu_upper, "minimize"),
-        "concentration": (res.concentration, "minimize"),
-        "grad_norm": (res.grad_norm, "minimize"),
-        "iterations": (res.iterations, "minimize"),
-        "iterations_total": (res.iterations_total, "minimize"),
-        "init": (res.init_tag, "minimize"),
-        "converged": (res.converged, "minimize"),
-        "radial_upper_bound_only": (True, "artifact-derived"),
-    }
+    keys = ("mu_upper", "concentration", "grad_norm", "iterations", "iterations_total")
+    tagged = {k: (getattr(res, k), "minimize") for k in keys}
+    tagged.update(init=(res.init_tag, "minimize"), converged=(res.converged, "minimize"))
+    tagged["radial_upper_bound_only"] = (True, "artifact-derived")
     diagnostics = {"evaluations": res.evaluations, "solves": res.solves}
     _print(_write(out, "solve", params, tagged, grid=_grid_meta(args), diagnostics=diagnostics))
     _warn_unconverged(res)
@@ -331,7 +325,8 @@ def _cmd_mu_curve(args, out):
     }
     _write(out, "mu-curve", params, tagged, grid=_grid_meta(args))
     for lam, mu, c in rows:
-        print(f"lambda={lam:+.6f} mu={mu:.10f} concentration={c:.4f}")
+        f = "f" if abs(lam) <= 1e6 else "e"  # no 300-digit rows at huge lambda
+        print(f"lambda={lam:+.6{f}} mu={mu:.10{f}} concentration={c:.4f}")
     return _EXIT_OK
 
 
@@ -339,16 +334,10 @@ def _cmd_lambda_star(args, out):
     m = _manifold_from(args)
     bc = _bc_from(args, m)
     br = lambda_star_bracket(m, tol_lambda=args.tol, detection_delta=args.delta, M=args.nodes, gamma=args.grading, bc=bc)
-    tagged = {
-        "lo": (br.lo, "artifact-derived"),
-        "hi": (br.hi, "artifact-derived"),
-        "detection_delta": (br.detection_delta, "artifact-derived"),
-        "mu_lo": (br.mu_lo, "artifact-derived"),
-        "mu_hi": (br.mu_hi, "artifact-derived"),
-        "cap": (br.cap, "closed-form"),
-        "constant_profile_bound": (constant_profile_bound(m), "quadrature"),
-        "hi_overestimates_threshold": (True, "artifact-derived"),
-    }
+    tagged = {k: (getattr(br, k), "artifact-derived") for k in ("lo", "hi", "detection_delta", "mu_lo", "mu_hi")}
+    tagged["cap"] = (br.cap, "closed-form")
+    tagged["constant_profile_bound"] = (constant_profile_bound(m), "quadrature")
+    tagged["hi_overestimates_threshold"] = (True, "artifact-derived")
     params = {"manifold": m.kind, "dim": m.N, "tol": args.tol}
     _print(_write(out, "lambda-star", params, tagged, grid=_grid_meta(args)))
     return _EXIT_OK

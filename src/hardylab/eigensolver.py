@@ -1,15 +1,16 @@
 """Smallest generalized eigenvalue of the pencil (K - lambda*Mass, W).
 
-Every pencil in the package goes one way: ``_pencil_arrays`` slices it to
-the free nodes, ``_kernels.definite_test`` asks whether it is positive
-definite past a shift, ``_kernels.ldl_factor`` factors it once and
-``_kernels.ldl_solve`` solves against the factors.  No caller needs a
-count: each bisection step only asks whether T - s*W is positive definite,
-one in-place shift and one ``dpttrf`` call (``_kernels.BACKEND``).  An
-eigensolve checks the weight and builds the pencil's test once, then makes
-its ~36 bracket and bisection tests; ``_definite`` is the test applied once.
-``inertia_count``, the full Sturm count with its zero-pivot retry, stays
-public for the tests and for library users.
+Every pencil in the package goes one way: it is sliced to the free nodes
+(``_pencil_arrays``; the lambda-star pencil in ``thresholds``),
+``_kernels.definite_test`` asks whether it is positive definite past a
+shift, ``_kernels.ldl_factor`` factors it once and ``_kernels.ldl_solve``
+solves against the factors.  No caller needs a count: each bisection step
+only asks whether T - s*W is positive definite, one in-place shift and one
+``dpttrf`` call (``_kernels.BACKEND``).  An eigensolve checks the weight
+and builds the pencil's test once, then makes its ~36 bracket and
+bisection tests; ``_bisect`` is the one bisection loop, shared with the
+lambda-star bracket.  ``inertia_count``, the full Sturm count with its
+zero-pivot retry, stays public for the tests and for library users.
 
 Bisection on the definiteness test localizes the eigenvalue to absolute
 _TOL_ABS = 1e-10 regardless of the indefiniteness of K - lambda*Mass; the
@@ -34,7 +35,7 @@ from . import _kernels
 from .errors import DomainError
 from .forms import QuadraticForms, tri_matvec, tri_quadform
 
-__all__ = ["EigenResult", "definite_above", "inertia_count", "smallest_generalized_eigen", "concentration_fraction"]
+__all__ = ["EigenResult", "inertia_count", "smallest_generalized_eigen", "concentration_fraction"]
 
 _TOL_ABS = 1e-10  # absolute width at which bisection stops
 _CORE = 0.01  # concentration diagnostics: the core is radius _CORE * r_max
@@ -79,10 +80,19 @@ def _shifted(d, e, w, shift, w_off):
     return d - shift * w, (e if w_off is None else e - shift * w_off)
 
 
-def _definite(d, e, w, shift, w_off) -> bool:
-    """Whether T - shift*W is positive definite, i.e. (T, W) has no
-    eigenvalue at or below ``shift``, on a weight already checked."""
-    return _kernels.definite_test(d, e, w, w_off)(float(shift))
+def _bisect(definite, lo, hi, tol):
+    """Halve [lo, hi] (definite at lo, not at hi) to width tol or adjacent doubles: (lo, hi, tests)."""
+    steps = 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # double-precision resolution reached
+            break
+        if definite(mid):
+            lo = mid
+        else:
+            hi = mid
+        steps += 1
+    return lo, hi, steps
 
 
 def _norm(x, apply=None) -> float:
@@ -107,9 +117,10 @@ def _check_pencil(d: np.ndarray, e: np.ndarray, lam: float) -> None:
 
 def _pencil_arrays(forms: QuadraticForms, lam: float, denominator: str):
     sl = forms.dof
-    d = forms.kd[sl] - lam * forms.md[sl]
-    n = d.shape[0]
-    e = (forms.ke - lam * forms.me)[: n - 1]
+    with np.errstate(over="ignore"):  # _check_pencil refuses what overflows
+        d = forms.kd[sl] - lam * forms.md[sl]
+        n = d.shape[0]
+        e = (forms.ke - lam * forms.me)[: n - 1]
     if denominator == "w2":
         wd = forms.w2[sl]
         we = None
@@ -119,14 +130,6 @@ def _pencil_arrays(forms: QuadraticForms, lam: float, denominator: str):
     else:
         raise DomainError(f"unknown denominator {denominator!r}")
     return d, e, wd, we
-
-
-def definite_above(forms: QuadraticForms, lam: float, shift: float) -> bool:
-    """Whether every eigenvalue of the pencil (K - lambda*Mass, W) lies
-    strictly above ``shift``: one definiteness test, no eigensolve."""
-    d, e, wd, we = _pencil_arrays(forms, lam, "w2")
-    _check_weight(wd)
-    return _definite(d, e, wd, shift, we)
 
 
 def smallest_generalized_eigen(forms: QuadraticForms, lam: float, denominator: str = "w2") -> EigenResult:
@@ -140,11 +143,11 @@ def smallest_generalized_eigen(forms: QuadraticForms, lam: float, denominator: s
     d, e, wd, we = _pencil_arrays(forms, lam, denominator)
     _check_weight(wd)
     _check_pencil(d, e, lam)
-    scale = float(np.max(np.abs(d)) + np.max(np.abs(e), initial=0.0))
-
     # upper start: Rayleigh quotient of every basis vector
-    hi = float(np.min(d / wd)) + 1e-12 * max(scale, 1.0)
-    if not math.isfinite(hi):  # d / wd overflows
+    with np.errstate(over="ignore"):  # checked next
+        scale = float(np.max(np.abs(d)) + np.max(np.abs(e), initial=0.0))
+        hi = float(np.min(d / wd)) + 1e-12 * max(scale, 1.0)
+    if not math.isfinite(hi):  # d / wd or the scale overflows
         raise DomainError(f"the eigensolve leaves the double range at lambda = {float(lam)!r}")
     lo = hi - max(1.0, 0.1 * abs(hi))
     definite = _kernels.definite_test(d, e, wd, we)
@@ -160,15 +163,8 @@ def smallest_generalized_eigen(forms: QuadraticForms, lam: float, denominator: s
         if it > 400:
             raise RuntimeError("failed to bracket the smallest eigenvalue from above")
 
-    while hi - lo > _TOL_ABS:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # double-precision resolution reached
-            break
-        if not definite(mid):
-            hi = mid
-        else:
-            lo = mid
-        it += 1
+    lo, hi, steps = _bisect(definite, lo, hi, _TOL_ABS)
+    it += steps
 
     def w_apply(x):
         return wd * x if we is None else tri_matvec(wd, we, x)
@@ -182,20 +178,21 @@ def smallest_generalized_eigen(forms: QuadraticForms, lam: float, denominator: s
     # inverse iteration from the definite side of the bracket
     shift = lo - max(10.0 * _TOL_ABS, 1e-14 * max(scale, 1.0))
     factor = _kernels.ldl_factor(*_shifted(d, e, wd, shift, we))
-    x = np.ones(d.shape[0])
-    x /= _norm(x, w_apply)
-    rho = tri_quadform(d, e, x)
-    res = residual_of(x, rho)
-    inv_it = 0
-    for inv_it in range(1, 61):
-        y = _kernels.ldl_solve(*factor, w_apply(x))
-        if not np.all(np.isfinite(y)):
-            break
-        x = y / _norm(y, w_apply)
+    with np.errstate(over="ignore", invalid="ignore"):  # rho and res are checked next
+        x = np.ones(d.shape[0])
+        x /= _norm(x, w_apply)
         rho = tri_quadform(d, e, x)
         res = residual_of(x, rho)
-        if res <= 1e-9:
-            break
+        inv_it = 0
+        for inv_it in range(1, 61):
+            y = _kernels.ldl_solve(*factor, w_apply(x))
+            if not np.all(np.isfinite(y)):
+                break
+            x = y / _norm(y, w_apply)
+            rho = tri_quadform(d, e, x)
+            res = residual_of(x, rho)
+            if res <= 1e-9:
+                break
 
     if not (np.isfinite(rho) and np.isfinite(res)):
         raise DomainError(f"the eigensolve leaves the double range at lambda = {float(lam)!r}")

@@ -10,7 +10,7 @@ curved phenomenology) is returned.
 A step solves Ã s = r for the Lagrange residual r = Au - (Q/p) g, g = grad
 F(u) (u'g = pF), on the free nodes and moves to u - s, rescaled.  Ã = A + c
 Mass goes the eigensolver's pencil path (``_pencil_arrays``,
-``_definite``) and is factored once per call.  c = 0 when
+``_kernels.definite_test``) and is factored once per call.  c = 0 when
 A - 1e-8 (1 + |lambda|) Mass is positive definite, so A is definite
 with a margin far above the pivots' rounding; then u - s = (Q/p) w with
 w = A^{-1} g, and Q cannot rise: Hoelder gives w'Aw = g'w <= p F(w)^{1/p},
@@ -57,7 +57,7 @@ import numpy as np
 
 from . import _kernels
 from .bubble import bubble_value
-from .eigensolver import _CORE, _check_pencil, _definite, _pencil_arrays
+from .eigensolver import _CORE, _check_pencil, _pencil_arrays
 from .errors import DomainError
 from .forms import (
     QuadraticForms,
@@ -166,7 +166,8 @@ def minimize_quotient(
     """Best constrained stationary value over all starting profiles; a run
     that stops above tolerance is flagged non-converged but its value
     remains a valid upper bound.  ``finals`` holds every start's value and
-    profile.  A non-finite entry of K - lam*Mass is refused."""
+    profile.  A non-finite entry of K - lam*Mass, or a start whose energy
+    is not finite, is refused."""
     if forms.hs_weights is None:
         raise DomainError("minimize_quotient requires forms with sigma in (0, 2)")
     if inits is None:
@@ -177,7 +178,8 @@ def minimize_quotient(
     if not inits:
         raise DomainError("at least one starting profile is required")
 
-    a = (forms.kd - lam * forms.md, forms.ke - lam * forms.me)
+    with np.errstate(over="ignore"):  # _check_pencil refuses what overflows
+        a = (forms.kd - lam * forms.md, forms.ke - lam * forms.me)
     _check_pencil(*a, lam)
     abs_a = (np.abs(a[0]), np.abs(a[1]))
     factor = _shifted_factor(forms, lam)
@@ -196,7 +198,7 @@ def _shifted_factor(forms: QuadraticForms, lam: float):
     A - 1e-8 (1 + |lam|) Mass is positive definite, else of
     K + (1 + |lam|) Mass."""
     d, e, md, me = _pencil_arrays(forms, lam, "mass")
-    if not _definite(d, e, md, 1e-8 * (1.0 + abs(lam)), me):
+    if not _kernels.definite_test(d, e, md, me)(1e-8 * (1.0 + abs(lam))):
         d, e, _, _ = _pencil_arrays(forms, -1.0 - abs(lam), "mass")
     return _kernels.ldl_factor(d, e)
 
@@ -230,7 +232,10 @@ def _descend(forms, lam, a, abs_a, factor, u0, tag, max_iters):
     sl = forms.dof
     u, grad = _project_grad(forms, forms.check_profile(np.asarray(u0, dtype=float).copy()))
     evals, solves = 1, 0
-    au, q = _energy(a, u)
+    with np.errstate(over="ignore"):  # checked next
+        au, q = _energy(a, u)
+    if not math.isfinite(q):
+        raise DomainError(f"the energy of start {tag} leaves the double range at lambda = {float(lam)!r}")
     best_q, best_err, best_u = math.inf, 0.0, u
     gnorm = math.inf
     prev = None  # (u, G(u) - u) on the free nodes, of the last step

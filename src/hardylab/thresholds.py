@@ -5,7 +5,7 @@ The attainment threshold is reported as a bracket, never a point estimate:
 the discrete eigenvalue over-estimates the continuous infimum, so a grid
 can only certify "strictly below the inverse-square cap", and it does so
 through the predicate mu_h(lambda) < cap - delta with delta tied to the
-measured refinement gap.
+measured refinement gap, one pencil test per delta (``_margin_test``).
 
 A mu curve assembles the forms once and solves every lambda from cold (no
 warm start: each eigensolve takes one inverse step either way), so each
@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .constants import hardy_constant, hardy_sobolev_constant
-from .eigensolver import EigenResult, definite_above, smallest_generalized_eigen
+from .eigensolver import EigenResult, _bisect, _check_weight, smallest_generalized_eigen
 from .errors import DomainError, SweepRangeError
 from .forms import assemble_forms, build_grid, gauss_panels
 from .manifold import ModelManifold, curvature_criterion
@@ -133,6 +134,15 @@ def constant_profile_bound(m: ModelManifold) -> float:
     return -hardy_constant(m.N) * inv2 / vol
 
 
+def _margin_test(forms, shift):
+    """The definiteness test, in lambda, of (K - shift*W) - lambda*Mass on
+    the free nodes: it fails exactly where mu_h(lambda) <= shift."""
+    sl = forms.dof
+    md = forms.md[sl]
+    n = md.shape[0]
+    return _kernels.definite_test(forms.kd[sl] - shift * forms.w2[sl], forms.ke[: n - 1], md, forms.me[: n - 1])
+
+
 def lambda_star_bracket(
     m: ModelManifold,
     tol_lambda: float = 0.05,
@@ -142,18 +152,19 @@ def lambda_star_bracket(
     bc: str | None = None,
     sweep: tuple[float, float] = (-20.0, 0.0),
 ) -> LambdaStarBracket:
-    """Bisect the predicate mu_h(lambda) < cap - delta, tested as "K -
-    lambda*Mass - (cap - delta)*W is not positive definite", one
-    definiteness test per lambda (no eigensolve).
+    """Bisect the predicate mu_h(lambda) < cap - delta, tested as "(K -
+    (cap - delta)*W) - lambda*Mass is not positive definite": one
+    definiteness test per margin delta, shifted by lambda (no eigensolve).
 
     The returned hi over-estimates the threshold (discrete detection only
     certifies genuinely-below-cap values); delta defaults to the measured
     refinement gap |mu_M - mu_2M| at the midpoint of the sweep.  A sweep
     that misses the threshold widens: downward at most three times, upward
     at most six times by doubling steps (0, 1, 3, 7, 15, 31, 63 from the
-    default top).  Bisection stops at ``tol_lambda`` or when the midpoint
-    equals an endpoint, so a ``tol_lambda`` below the spacing of doubles
-    near the threshold returns a bracket of adjacent doubles.
+    default top).  Bisection (``eigensolver._bisect``) stops at
+    ``tol_lambda`` or when the midpoint equals an endpoint, so a
+    ``tol_lambda`` below the spacing of doubles near the threshold returns
+    a bracket of adjacent doubles.
     """
     if not (math.isfinite(tol_lambda) and tol_lambda > 0.0):
         raise DomainError(f"tol_lambda must be finite and positive, got {tol_lambda!r}")
@@ -161,43 +172,29 @@ def lambda_star_bracket(
         raise DomainError(f"detection_delta must be finite and positive, got {detection_delta!r}")
     cap = hardy_constant(m.N)
     forms = _forms_for(m, M, gamma, 2.0, bc)
+    _check_weight(forms.md[forms.dof])
 
     def bisect(delta):
+        definite = _margin_test(forms, cap - delta)
         lo, hi = float(sweep[0]), float(sweep[1])
-
-        def below(lam):
-            return not definite_above(forms, lam, cap - delta)
-
         widen = 0
-        while below(lo):
+        while not definite(lo):
             step = max(abs(lo), hi - lo)
             hi = lo
             lo -= step
             widen += 1
             if widen > 3:
-                raise SweepRangeError(
-                    "predicate already below-cap at the sweep bottom; widen the sweep downward"
-                )
+                raise SweepRangeError("predicate already below-cap at the sweep bottom; widen the sweep downward")
         step = max(1.0, 0.05 * (hi - lo))
         widen = 0
-        while not below(hi):
+        while definite(hi):
             lo = hi
             hi += step
             step *= 2.0
             widen += 1
             if widen > 6:
-                raise SweepRangeError(
-                    "predicate never detected below-cap over the sweep; widen the sweep upward"
-                )
-        while hi - lo > tol_lambda:
-            mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):  # double-precision resolution reached
-                break
-            if below(mid):
-                hi = mid
-            else:
-                lo = mid
-        return lo, hi
+                raise SweepRangeError("predicate never detected below-cap over the sweep; widen the sweep upward")
+        return _bisect(definite, lo, hi, tol_lambda)[:2]
 
     if detection_delta is None:
         # provisional pass with the gap at the sweep midpoint, then re-bisect
@@ -205,10 +202,7 @@ def lambda_star_bracket(
         forms2 = _forms_for(m, 2 * M, gamma, 2.0, bc)
 
         def gap_at(lam):
-            return abs(
-                smallest_generalized_eigen(forms, lam).mu
-                - smallest_generalized_eigen(forms2, lam).mu
-            )
+            return abs(smallest_generalized_eigen(forms, lam).mu - smallest_generalized_eigen(forms2, lam).mu)
 
         provisional = max(gap_at(0.5 * (sweep[0] + sweep[1])), 1e-9)
         lo, hi = bisect(provisional)
@@ -216,14 +210,7 @@ def lambda_star_bracket(
     lo, hi = bisect(detection_delta)
     mu_lo = smallest_generalized_eigen(forms, lo).mu
     mu_hi = smallest_generalized_eigen(forms, hi).mu
-    return LambdaStarBracket(
-        lo=lo,
-        hi=hi,
-        detection_delta=float(detection_delta),
-        mu_lo=mu_lo,
-        mu_hi=mu_hi,
-        cap=cap,
-    )
+    return LambdaStarBracket(lo=lo, hi=hi, detection_delta=float(detection_delta), mu_lo=mu_lo, mu_hi=mu_hi, cap=cap)
 
 
 def _distinct_basins(values) -> list[int]:

@@ -167,6 +167,25 @@ def test_mu_curve_csv(tmp_path):
     assert len(csv_path.read_text().splitlines()) == 7
 
 
+def test_mu_curve_rows_print_huge_lambda_in_exponent_form(tmp_path, capsys):
+    # rows with |lambda| <= 1e6 keep the fixed-point form; beyond it a row
+    # is exponent form, not a ~300-digit decimal
+    for lo, hi in (("-1e6", "2e6"), ("1e300", "2e300")):
+        args = ["mu-curve", f"--lambda-min={lo}", "--lambda-max", hi, "--steps", "4", "--dim", "3", "--nodes", "64"]
+        assert run(args, tmp_path) == 0
+    rows = (tmp_path / "runs" / "mu_curve.csv").read_text().splitlines()[1:]
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(rows) == 8
+    for line, row in zip(printed, rows):
+        lam, mu, conc = (float(v) for v in row.split(","))
+        fixed = f"lambda={lam:+.6f} mu={mu:.10f} concentration={conc:.4f}"
+        expo = f"lambda={lam:+.6e} mu={mu:.10e} concentration={conc:.4f}"
+        assert line == (fixed if abs(lam) <= 1e6 else expo)
+        assert len(line) < 80
+    assert printed[0] == "lambda=-1000000.000000 mu=0.6527371998 concentration=1.0000"
+    assert printed[3].startswith("lambda=+2.000000e+06 mu=-1.6094775506e+07 ")
+
+
 def test_records_append(tmp_path):
     run(["constants", "--dim", "4", "--sigma", "0.5"], tmp_path)
     run(["constants", "--dim", "5", "--sigma", "1.5"], tmp_path)
@@ -267,6 +286,9 @@ def test_config_bad_value_exits_1(tmp_path, capsys, text, args):
         ["theorem2-check", "--dim", "4", "--lambda", "1e308", "--sigma", "1", "--nodes", "16"],
         ["solve", "--sigma", "2", "--lambda", "1e308", "--nodes", "64"],
         ["mu-curve", "--lambda-min", "-1", "--lambda-max", "1e308", "--nodes", "64"],
+        # K - lambda*Mass is finite, the energy of the constant start is not
+        ["solve", "--sigma", "1", "--dim", "4", "--lambda", "1e308", "--nodes", "64"],
+        ["theorem2-check", "--dim", "4", "--lambda", "1e308", "--sigma", "1", "--nodes", "64"],
     ],
 )
 def test_bad_numeric_input_is_an_error(tmp_path, capsys, argv):

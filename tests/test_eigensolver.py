@@ -142,7 +142,7 @@ def test_inertia_count_is_weight_check_plus_count_body(backend, definite_results
             for shift in (-5.0, -0.5, 0.0, 0.7, 4.0):
                 got = inertia_count(d, e, wd, shift, we)
                 assert got == _kernels.negcount(*eigensolver._shifted(d, e, wd, shift, we))
-                assert eigensolver._definite(d, e, wd, shift, we) == (got == 0)
+                assert _kernels.definite_test(d, e, wd, we)(shift) == (got == 0)
                 counts.add(got)
     assert max(counts) > 5  # deep counts too
     # every pivot of I - 1*I is exactly zero: the count retries with a
@@ -151,7 +151,7 @@ def test_inertia_count_is_weight_check_plus_count_body(backend, definite_results
     one, zero = np.ones(n), np.zeros(n - 1)
     definite_results.clear()
     assert inertia_count(one, zero, one, 1.0) == n
-    assert not eigensolver._definite(one, zero, one, 1.0, None)
+    assert not _kernels.definite_test(one, zero, one)(1.0)
     assert definite_results == [False]
 
 
@@ -191,6 +191,26 @@ def test_eigensolve_at_huge_lambda():
     for lam in (1e307, 1e308, 1.7e308):
         with pytest.raises(DomainError, match="leaves the double range"):
             smallest_generalized_eigen(forms, lam)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_lambda_is_refused_without_overflow_warnings():
+    # K - lambda*Mass, min(d / w) and the inverse iterates' energies may
+    # overflow; each is checked, so the refusal is a DomainError with no
+    # numpy warning before it
+    forms = assemble_forms(build_grid(math.pi, 64, 2.0, "reflected"), unit_sphere(3), 2.0)
+    for lam in (1e307, 1e308, 1.7e308, -1.7e308):
+        with pytest.raises(DomainError, match="overflows|leaves the double range"):
+            smallest_generalized_eigen(forms, lam)
+
+
+def test_bisect_halves_to_tolerance_or_adjacent_doubles():
+    # definite below 0.3: [0, 1] halves to a 1/16-wide bracket of 0.3 in 4
+    # tests; a zero tolerance ends at adjacent doubles
+    assert eigensolver._bisect(lambda s: s < 0.3, 0.0, 1.0, 0.1) == (0.25, 0.3125, 4)
+    lo, hi, steps = eigensolver._bisect(lambda s: s < 0.3, 0.0, 1.0, 0.0)
+    assert lo < 0.3 <= hi == math.nextafter(lo, math.inf) and steps > 50
+    assert eigensolver._bisect(lambda s: s < 0.3, 0.0, 1.0, 2.0) == (0.0, 1.0, 0)
 
 
 def test_smallest_eigen_against_scipy():

@@ -6,6 +6,7 @@ test is checked against dense generalized eigenvalues and against the
 inertia count."""
 
 import glob
+import importlib.util
 import math
 import os
 import subprocess
@@ -164,6 +165,11 @@ def _graded_pencils():
                 yield d, e
 
 
+def _definite_at_zero(d, e):
+    """The matrix (d, e) tested alone: the pencil (T, 0) at s = 0."""
+    return K.definite_test(d, e, np.zeros(d.shape[0]))(0.0)
+
+
 def _definite(d, e):
     """Diagonally dominant (so definite) variant with the same off-diagonal."""
     return np.abs(d) + np.concatenate([[0.0], np.abs(e)]) + np.concatenate([np.abs(e), [0.0]]) + 1.0
@@ -214,7 +220,7 @@ def test_definite_matches_dense_generalized_eigenvalues(rng):
         w = np.diag(wd) + np.diag(we, 1) + np.diag(we, -1)
         least = float(scipy.linalg.eigh(t, w, eigvals_only=True)[0])
         for s in (least - 1.0, least - 1e-6, least + 1e-6, least + 1.0):
-            got = K.definite(d - s * wd, e - s * we)
+            got = _definite_at_zero(d - s * wd, e - s * we)
             assert type(got) is bool
             assert got == (s < least), (n, s, least)
             outcomes.add(got)
@@ -223,16 +229,16 @@ def test_definite_matches_dense_generalized_eigenvalues(rng):
 
 def test_definite_reads_zero_pivot_as_not_definite():
     for d, e in _ZERO_PIVOT_CASES:
-        assert K.definite(d, e) is _definite_py(d, e) is False
-    assert K.definite(np.array([1e-300]), np.zeros(0)) is True
-    assert K.definite(np.array([-1e-300]), np.zeros(0)) is False
+        assert _definite_at_zero(d, e) is _definite_py(d, e) is False
+    assert _definite_at_zero(np.array([1e-300]), np.zeros(0)) is True
+    assert _definite_at_zero(np.array([-1e-300]), np.zeros(0)) is False
 
 
 def test_definite_agrees_with_inertia_count(rng):
     cases = list(_random_pencils(rng)) + list(_graded_pencils())
     outcomes = set()
     for d, e in cases:
-        got = K.definite(d, e)
+        got = _definite_at_zero(d, e)
         assert got == _definite_py(d, e)
         assert (not got) == (inertia_count(d, e, np.ones(d.shape[0]), 0.0) >= 1)
         outcomes.add(got)
@@ -241,14 +247,14 @@ def test_definite_agrees_with_inertia_count(rng):
 
 def _check_definite_test(d, e, w, w_off, shifts):
     """One per-pencil test, called at ``shifts`` in turn, against the count
-    and the one-shot test of T - s*W formed by the NumPy expressions."""
+    and a fresh test of T - s*W, formed by the NumPy expressions, at s = 0."""
     test = K.definite_test(d, e, w, w_off)
     outcomes = []
     for s in shifts:
         sd, se = d - s * w, (e if w_off is None else e - s * w_off)
         got = test(s)
         assert type(got) is bool
-        assert got == (K.negcount(sd, se) == 0) == K.definite(sd, se), (d.shape[0], s)
+        assert got == (K.negcount(sd, se) == 0) == _definite_at_zero(sd, se), (d.shape[0], s)
         outcomes.append(got)
     return outcomes
 
@@ -333,16 +339,27 @@ def test_one_and_two_row_pencils():
     assert K.ldl_solve(diag, low, b1).tolist() == [5.0 / 3.0] != [5.0 * (1.0 / 3.0)]
     assert K.tridiag_solve(d1, e1, b1).tolist() == _tridiag_solve_py(d1, e1, b1).tolist()
     assert [K.negcount(np.array([v]), e1) for v in (3.0, -3.0, 0.0)] == [0, 1, -1]
-    assert [K.definite(np.array([v]), e1) for v in (3.0, -3.0, 0.0)] == [True, False, False]
+    assert [_definite_at_zero(np.array([v]), e1) for v in (3.0, -3.0, 0.0)] == [True, False, False]
     for d in ([3.0, 2.0], [3.0, -2.0], [-3.0, 2.0], [-3.0, -2.0], [0.5, 1.0 / 3.0]):
         d2, e2, b2 = np.array(d), np.array([0.7]), np.array([5.0, -1.0])
         assert K.negcount(d2, e2) == _negcount_py(d2, e2)
-        assert K.definite(d2, e2) == (_negcount_py(d2, e2) == 0)
+        assert _definite_at_zero(d2, e2) == (_negcount_py(d2, e2) == 0)
         ref_diag, ref_low = _ldl_factor_py(d2, e2)
         diag, low = K.ldl_factor(d2, e2)
         assert np.array_equal(diag, ref_diag) and np.array_equal(low, ref_low)
         assert np.array_equal(K.ldl_solve(diag, low, b2), _ldl_solve_py(ref_diag, ref_low, b2))
         assert np.array_equal(K.tridiag_solve(d2, e2, b2), _tridiag_solve_py(d2, e2, b2))
+
+
+def test_kernel_benchmark_script_imports(monkeypatch):
+    # the benchmark script imports the kernels and this file's oracles by
+    # name; loading it (without running its timing loop) catches a stale one
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "bench_kernels.py")
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/ and tests/
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench._kernels is K and callable(bench.main)
 
 
 def test_python_path_matches_reference(rng, monkeypatch):

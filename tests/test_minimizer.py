@@ -68,6 +68,25 @@ def test_minimize_needs_an_init(sphere4_forms):
         minimize_quotient(sphere4_forms, 0.0, inits=[])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("M,reason", [(16, r"K - lambda\*Mass overflows"), (64, "energy of start constant")])
+@pytest.mark.parametrize("lam", [1e308, 1.7e308, -1e308])
+def test_huge_lambda_is_refused_without_overflow_warnings(M, reason, lam):
+    # at M = 16 K - lam*Mass itself overflows; at M = 64 it is finite but
+    # the constant start's energy u'Au is not.  Either is a DomainError, and
+    # no numpy overflow warning comes first
+    forms = assemble_forms(build_grid(math.pi, M, 2.0, "reflected"), unit_sphere(4), 1.0)
+    with pytest.raises(DomainError, match=reason):
+        minimize_quotient(forms, lam)
+
+
+def test_huge_finite_lambda_still_solves():
+    # at lambda = 1e300 every energy stays finite: a valid, finite bound
+    forms = assemble_forms(build_grid(math.pi, 64, 2.0, "reflected"), unit_sphere(4), 1.0)
+    res = minimize_quotient(forms, 1e300)
+    assert math.isfinite(res.mu_upper) and math.isfinite(res.grad_norm)
+
+
 def test_constraint_maintained(sphere4_forms):
     res = minimize_quotient(sphere4_forms, -1.0, max_iters=120)
     assert hs_functional(sphere4_forms, res.profile) == pytest.approx(1.0, abs=1e-10)

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardylab import _kernels
 from hardylab.constants import hardy_constant
-from hardylab.eigensolver import definite_above, smallest_generalized_eigen
+from hardylab.eigensolver import smallest_generalized_eigen
 from hardylab.errors import DomainError
 from hardylab.forms import assemble_forms, build_grid, tri_quadform
 from hardylab.manifold import euclidean_ball, hyperbolic_cap, unit_sphere
 from hardylab.minimizer import minimize_quotient
 from hardylab.thresholds import (
     _distinct_basins,
+    _margin_test,
     constant_profile_bound,
     lambda_star_bracket,
     mu_curve,
@@ -127,21 +129,44 @@ def test_bracket_rejects_bad_tolerances(tol, delta):
     ],
 )
 def test_count_predicate_matches_eigensolve(m, bc, lams):
-    # the bracket's predicate mu_h(lam) < cap - delta, asked as one
-    # definiteness test, gives the eigensolver's answer wherever the two are
-    # resolved
+    # the bracket's predicate mu_h(lam) < cap - delta, asked of the margin's
+    # one definiteness test at the shift lam, gives the eigensolver's answer
+    # wherever the two are resolved
     forms = assemble_forms(build_grid(m.r_max, 256, 2.0, bc), m, 2.0)
     cap = hardy_constant(m.N)
+    tests = {delta: _margin_test(forms, cap - delta) for delta in (1e-3, 1e-2)}
     outcomes = set()
     for lam in lams:
         mu = smallest_generalized_eigen(forms, lam).mu
-        for delta in (1e-3, 1e-2):
+        for delta, definite in tests.items():
             if abs(mu - (cap - delta)) <= 1e-9:
                 continue
-            below = not definite_above(forms, lam, cap - delta)
+            below = not definite(lam)
             assert below == (mu < cap - delta), (lam, delta, mu)
             outcomes.add(below)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("delta,margins", [(None, 2), (1e-3, 1)])
+def test_bracket_builds_one_mass_weighted_test_per_margin(monkeypatch, delta, margins):
+    # lambda is the shift of one test of (K - (cap - delta) W) - lambda Mass
+    # per margin: the provisional and the final one with a measured delta,
+    # one with a fixed delta; every other test is an eigensolve's, weighted by W
+    m = unit_sphere(3)
+    forms = assemble_forms(build_grid(m.r_max, 128, 2.0, "reflected"), m, 2.0)
+    built, calls = [], []
+    build = _kernels.definite_test
+
+    def recording(d, e, w, w_off=None):
+        test = build(d, e, w, w_off)
+        mass = np.array_equal(w, forms.md[forms.dof])
+        built.append(mass)
+        return lambda s: calls.append(mass) or test(s)
+
+    monkeypatch.setattr(_kernels, "definite_test", recording)
+    lambda_star_bracket(m, tol_lambda=0.01, detection_delta=delta, M=128)
+    assert built.count(True) == margins
+    assert calls.count(True) > 10 * margins  # the sweep, its widening and the bisection
 
 
 @pytest.mark.parametrize("tol", [1e-17, 1e-300])
