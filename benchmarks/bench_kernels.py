@@ -24,6 +24,14 @@ workload) and 4 (its flat ball), on M = 4096 cells and on a 256-cell table,
 where the per-call overhead shows.
 Inputs: M = 4096, numpy rng seed 7 (the same as ``perfbench/kernel_bench.py``).
 
+The quadrature rows time one call, in microseconds, of ``bubble_moments``
+(its moment tables) and of ``expansion.quotient_series`` (its stacked
+family pass) against the per-moment and per-n quadratures that
+``tests/test_quadrature.py`` holds as their oracles, on the cases of the
+``cli-quadrature`` workload at seed 0: N = 5 at tol 1e-10 and N = 4 (its
+truncated log-divergent pair) at sigma = 1, and S^5 at lambda = -1,
+sigma = 1, n = 4, 8, 16, 32, 64.
+
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
 
@@ -40,7 +48,10 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from hardylab import _kernels  # noqa: E402
+from hardylab.bubble import bubble_moments  # noqa: E402
 from hardylab.eigensolver import inertia_count  # noqa: E402
+from hardylab.expansion import quotient_series  # noqa: E402
+from hardylab.manifold import unit_sphere  # noqa: E402
 from test_kernels import (  # noqa: E402
     _definite_py,
     _ldl_factor_py,
@@ -50,6 +61,7 @@ from test_kernels import (  # noqa: E402
     _power_moment_loop_py,
     _tridiag_solve_py,
 )
+from test_quadrature import bubble_moments_ref, quotient_series_ref  # noqa: E402
 
 M = 4096
 SMALL = 256  # cells of the small power-functional table
@@ -151,6 +163,21 @@ def main():
             f"{name:30s} {'ns/' + unit:>8s} {lapack_ns:>8s} {t_python:8.0f} {t_ref:10.0f}"
             f" {lapack_ratio:>11s} {t_ref / t_python:10.1f}x"
         )
+
+    s5 = unit_sphere(5)
+    quadrature = [
+        ("bubble_moments N=5 tol=1e-10", bubble_moments, bubble_moments_ref, (5, 1.0, 1e-10)),
+        ("bubble_moments N=4", bubble_moments, bubble_moments_ref, (4, 1.0)),
+        ("quotient_series S5", quotient_series, quotient_series_ref, (s5, -1.0, 1.0, (4, 8, 16, 32, 64))),
+    ]
+    header = f"{'quadrature':30s} {'unit':>8s} {'new':>8s} {'reference':>10s} {'ref/new':>11s}"
+    print()
+    print(header)
+    print("-" * len(header))
+    for name, fast, ref, args in quadrature:
+        t_new = median_ns(fast, args, 1000, repeat)
+        t_ref = median_ns(ref, args, 1000, repeat)
+        print(f"{name:30s} {'us/call':>8s} {t_new:8.0f} {t_ref:10.0f} {t_ref / t_new:10.2f}x")
 
 
 if __name__ == "__main__":

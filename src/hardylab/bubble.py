@@ -13,12 +13,21 @@ a geometric subdivision clustered at r = 0 (absorbing the r^{-sigma}
 singularity), with the far range mapped through r -> 1/t and truncated at a
 radius chosen from the analytic power-law decay of each integrand.  Error
 estimates come from comparing embedded 8- and 16-point rules.
+
+The panel rules are fixed, so each is built once per process (``_near_rule``
+by refinement level, ``_far_rule`` by kmax and level).  The profile is
+evaluated once per node set: a ``_Profile`` table holds w, (w')^2, w^p,
+r^{2-sigma} and r^{N-1} on a rule's nodes, and every moment of a call that
+integrates on that rule forms its integrand from the table, with the
+operations of the integrand's formula in its order.  Each moment keeps its
+own tail cutoff and far panels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -74,40 +83,132 @@ def bubble_grad(r, N: int, sigma: float):
 # quadrature machinery
 # ---------------------------------------------------------------------------
 
-def _panels_value(f, edges: np.ndarray, order: int) -> float:
-    nodes, weights = gauss_panels(edges, order)
-    return float(np.sum(f(nodes.ravel()).reshape(nodes.shape) * weights))
+@dataclass(frozen=True, eq=False)
+class _Rule:
+    """Gauss rules that share their panels: every rule's nodes in one flat
+    array, and each rule's (panels, order) weights.  ``r`` holds the radii
+    where the profile is evaluated; a far rule integrates over t = 1/r, so
+    its ``r`` is 1/t and the integrand is divided by ``jac`` = t^2."""
+
+    r: np.ndarray
+    weights: tuple
+    jac: np.ndarray | None = None
+
+    def values(self, vals: np.ndarray) -> list[float]:
+        """Each rule's integral from the integrand's values on ``r``."""
+        out, start = [], 0
+        for w in self.weights:
+            out.append(float(np.add.reduce(vals[start : start + w.size].reshape(w.shape) * w, axis=None)))
+            start += w.size
+        return out
 
 
-def _embedded(f, edges: np.ndarray) -> tuple[float, float]:
+def _rule(edges: np.ndarray, orders=(16, 8), far: bool = False) -> _Rule:
+    panels = [gauss_panels(edges, order) for order in orders]
+    t = np.concatenate([nodes.ravel() for nodes, _ in panels])
+    weights = tuple(w for _, w in panels)
+    rule = _Rule(1.0 / t, weights, t**2) if far else _Rule(t, weights)
+    for a in (rule.r, rule.jac, *weights):
+        if a is not None:  # a cached rule is shared by every call
+            a.flags.writeable = False
+    return rule
+
+
+def _halve(edges: np.ndarray, times: int) -> np.ndarray:
+    """Split every panel at its midpoint, ``times`` times over."""
+    for _ in range(times):
+        edges = np.sort(np.concatenate((edges, 0.5 * (edges[:-1] + edges[1:]))))
+    return edges
+
+
+# The fixed rules are built once per process: the embedded 16- and 8-point
+# rules on [0, 1] (edges 0, 2^-54, ..., 1/2, 1 clustered at the origin) and
+# on the far range [1, 2^kmax] mapped to t = 1/r, each with its panels
+# halved ``refine`` = 0, 1 or 2 times.  kmax follows each moment's tail
+# cutoff, so only the 64 far rules used last are kept.
+@lru_cache(maxsize=None)
+def _near_rule(refine: int) -> _Rule:
+    return _rule(_halve(np.concatenate(([0.0], 2.0 ** np.arange(-54, 1, dtype=float))), refine))
+
+
+@lru_cache(maxsize=64)
+def _far_rule(kmax: int, refine: int) -> _Rule:
+    return _rule(_halve(2.0 ** np.arange(-kmax, 1, dtype=float), refine), far=True)
+
+
+_PROBE_RADIUS = 64.0
+_PROBE = _Rule(np.array([_PROBE_RADIUS]), ())  # where the tail constant is read; no weights
+
+
+class _Profile:
+    """The scaled bubble on one node array r > 0, with the operations of
+    ``bubble_value`` and ``bubble_grad``: r^{2-sigma} and r^{N-1} at once,
+    w, (w')^2 and w^p on first use, each shared by every moment evaluated
+    on these nodes.  It keeps no reference to its ``_Bubble``, so a call's
+    tables are freed when the call returns, not by the cycle collector."""
+
+    def __init__(self, r: np.ndarray, n: int, s: float, scale: float, p: float):
+        self.r, self.n, self.s, self.scale, self.p = r, n, s, scale, p
+        self.r_kappa = r ** (2.0 - s)
+        self.rn1 = r ** (n - 1)
+        self._base = 1.0 + self.r_kappa
+
+    @cached_property
+    def w(self):
+        return self.scale * self._base ** ((2.0 - self.n) / (2.0 - self.s))
+
+    @cached_property
+    def dw2(self):
+        n, s = self.n, self.s
+        dw = self.scale * ((2.0 - n) * self.r ** (1.0 - s) * self._base ** ((2.0 - n) / (2.0 - s) - 1.0))
+        return dw**2
+
+    @cached_property
+    def wp(self):
+        return self.w**self.p
+
+
+# moment integrands on a profile table q, with om = |S^{N-1}|, and the
+# analytic exponent p of their decay f(r) ~ C r^{-p}
+_MOMENTS = {
+    "dirichlet": (lambda q, om: om * q.dw2 * q.rn1, lambda n, s: n - 1.0),
+    "mass2": (lambda q, om: om * q.w**2 * q.rn1, lambda n, s: n - 3.0),
+    "hs_mass": (lambda q, om: om * q.r ** (-q.s) * q.wp * q.rn1, lambda n, s: n + 1.0 - s),
+    "r2_dirichlet": (lambda q, om: om * q.r**2 * q.dw2 * q.rn1, lambda n, s: n - 3.0),
+    "r2_hs": (lambda q, om: om * q.r_kappa * q.wp * q.rn1, lambda n, s: n - 1.0 - s),
+}
+
+
+class _Bubble:
+    """The profile scale * w of one (N, sigma) and its table on each rule's
+    nodes, built on the first moment that needs it."""
+
+    def __init__(self, n: int, s: float, scale: float = 1.0):
+        self.n, self.s, self.scale = n, s, scale
+        self.om = sphere_area(n - 1)
+        self.p = critical_exponent(s, n)
+        self._tables: dict[_Rule, _Profile] = {}
+
+    def integrand(self, name: str, rule: _Rule) -> np.ndarray:
+        table = self._tables.get(rule)
+        if table is None:
+            table = self._tables[rule] = _Profile(rule.r, self.n, self.s, self.scale, self.p)
+        vals = _MOMENTS[name][0](table, self.om)
+        return vals if rule.jac is None else vals / rule.jac
+
+
+def _embedded(bubble: _Bubble, name: str, rule: _Rule) -> tuple[float, float]:
     """16-point panel value and its distance to the embedded 8-point rule."""
-    i16 = _panels_value(f, edges, 16)
-    return i16, abs(i16 - _panels_value(f, edges, 8))
+    i16, i8 = rule.values(bubble.integrand(name, rule))
+    return i16, abs(i16 - i8)
 
 
-def _halve(edges: np.ndarray) -> np.ndarray:
-    """Split every panel at its midpoint."""
-    return np.sort(np.concatenate((edges, 0.5 * (edges[:-1] + edges[1:]))))
-
-
-def _geometric_edges(lo_exp: int) -> np.ndarray:
-    """Edges 0, 2^{-lo_exp}, ..., 1/2, 1 clustered at the origin."""
-    return np.concatenate(([0.0], 2.0 ** np.arange(-lo_exp, 1, dtype=float)))
-
-
-def _integral_01(f, refine: int = 0) -> tuple[float, float]:
-    edges = _geometric_edges(54)
-    for _ in range(refine):
-        edges = _halve(edges)
-    return _embedded(f, edges)
-
-
-def _tail_cutoff(f, tail_power: float, abs_target: float) -> float:
+def _tail_cutoff(bubble: _Bubble, name: str, tail_power: float, abs_target: float) -> float:
     """Radius R with int_R^inf |f| <= abs_target, from f ~ C r^{-p} decay."""
     if tail_power <= 1.0:
         raise DomainError("integrand does not decay fast enough to integrate")
-    probe = 64.0
-    c = abs(float(np.asarray(f(np.array([probe])))[0])) * probe**tail_power
+    probe = _PROBE_RADIUS
+    c = abs(float(bubble.integrand(name, _PROBE)[0])) * probe**tail_power
     if c == 0.0:
         return probe
     # int_R^inf C r^-p dr = C R^{1-p}/(p-1)
@@ -115,26 +216,23 @@ def _tail_cutoff(f, tail_power: float, abs_target: float) -> float:
     return max(probe, r)
 
 
-def _improper_integral(f, tail_power: float, tol: float) -> tuple[float, float]:
-    """Integral of f over [0, inf) with relative tolerance tol.
+def _improper_integral(bubble: _Bubble, name: str, tol: float) -> tuple[float, float]:
+    """Integral of moment ``name`` over [0, inf) with relative tolerance tol.
 
-    ``tail_power`` is the analytic decay exponent p of f(r) ~ C r^{-p}; it
-    fixes the truncation radius so the discarded tail stays below the
-    requested tolerance.  The near-field part sets the absolute scale, so
-    the whole scheme commutes with rescaling the integrand.
+    The analytic decay exponent p of the integrand f(r) ~ C r^{-p} fixes
+    the truncation radius so the discarded tail stays below the requested
+    tolerance.  The near-field part sets the absolute scale, so the whole
+    scheme commutes with rescaling the integrand.
     """
-    near, err_near = _integral_01(f)
+    tail_power = _MOMENTS[name][1](bubble.n, bubble.s)
+    near, err_near = _embedded(bubble, name, _near_rule(0))
     abs_target = 0.25 * tol * max(abs(near), 1e-300)
-    r_cut = _tail_cutoff(f, tail_power, abs_target)
+    r_cut = _tail_cutoff(bubble, name, tail_power, abs_target)
     kmax = max(2, int(math.ceil(math.log2(r_cut))))
-    # map [1, R] through r = 1/t onto [1/R, 1]
-    g = lambda t: f(1.0 / t) / t**2
-    edges = 2.0 ** np.arange(-kmax, 1, dtype=float)
     for refine in (0, 1, 2):
         if refine:
-            near, err_near = _integral_01(f, refine=refine)
-            edges = _halve(edges)
-        far, err_far = _embedded(g, edges)
+            near, err_near = _embedded(bubble, name, _near_rule(refine))
+        far, err_far = _embedded(bubble, name, _far_rule(kmax, refine))
         value = near + far
         err = err_near + err_far + abs_target
         if err <= tol * max(abs(value), 1e-300):
@@ -142,49 +240,29 @@ def _improper_integral(f, tail_power: float, tol: float) -> tuple[float, float]:
     return value, err
 
 
-def _moment(table: dict, name: str, sigma: float, tol: float) -> tuple[float, float]:
-    """One finite moment of ``table`` with its error estimate.  Every
-    integrand is positive; near sigma = 2 the profile's weight sits below
-    the innermost panel edge and the value underflows to 0, which is
-    refused."""
-    f, tail_power = table[name]
-    value, err = _improper_integral(f, tail_power, tol)
+def _moment(bubble: _Bubble, name: str, tol: float) -> tuple[float, float]:
+    """One finite moment with its error estimate.  Every integrand is
+    positive; near sigma = 2 the profile's weight sits below the innermost
+    panel edge and the value underflows to 0, which is refused."""
+    value, err = _improper_integral(bubble, name, tol)
     if not value > 0.0:
-        raise DomainError(f"sigma = {sigma!r} is too close to 2 for the panel quadrature ({name} underflows to 0)")
+        raise DomainError(
+            f"sigma = {bubble.s!r} is too close to 2 for the panel quadrature ({name} underflows to 0)"
+        )
     return value, err
 
 
-def _truncated_integral(f, r_max: float) -> float:
-    """Integral of f over [0, r_max] (geometric panels, 16-point Gauss)."""
-    near, _ = _integral_01(f)
+def _ball_rule(r_max: float) -> _Rule:
+    """16-point Gauss on the panels 1, 2, 4, ..., r_max of [1, r_max]."""
     kmax = int(math.ceil(math.log2(r_max)))
-    edges = np.concatenate((2.0 ** np.arange(0, kmax, dtype=float), [r_max]))
-    return near + _panels_value(f, edges, 16)
+    return _rule(np.concatenate((2.0 ** np.arange(0, kmax, dtype=float), [r_max])), orders=(16,))
 
 
-# ---------------------------------------------------------------------------
-# moment integrands: value and analytic tail exponent
-# ---------------------------------------------------------------------------
-
-def _integrands(N: int, sigma: float, scale: float = 1.0):
-    n, s = N, sigma
-    om = sphere_area(n - 1)
-    p_crit = critical_exponent(s, n)
-    w = lambda r: scale * bubble_value(r, n, s)
-    dw = lambda r: scale * bubble_grad(r, n, s)
-    return {
-        "dirichlet": (lambda r: om * dw(r) ** 2 * r ** (n - 1), n - 1.0),
-        "mass2": (lambda r: om * w(r) ** 2 * r ** (n - 1), n - 3.0),
-        "hs_mass": (
-            lambda r: om * r ** (-s) * w(r) ** p_crit * r ** (n - 1),
-            n + 1.0 - s,
-        ),
-        "r2_dirichlet": (lambda r: om * r**2 * dw(r) ** 2 * r ** (n - 1), n - 3.0),
-        "r2_hs": (
-            lambda r: om * r ** (2.0 - s) * w(r) ** p_crit * r ** (n - 1),
-            n - 1.0 - s,
-        ),
-    }
+def _truncated_integral(bubble: _Bubble, name: str, ball: _Rule) -> float:
+    """Integral of moment ``name`` over [0, r_max], ``ball`` covering [1, r_max]."""
+    near, _ = _embedded(bubble, name, _near_rule(0))
+    (far,) = ball.values(bubble.integrand(name, ball))
+    return near + far
 
 
 @dataclass(frozen=True)
@@ -233,12 +311,13 @@ def bubble_moments(
         raise DomainError("bubble_moments requires sigma > 0")
     if not (tol > 0.0):
         raise DomainError(f"tol must be positive, got {tol!r}")
-    table = _integrands(n, s)
+    bubble = _Bubble(n, s)
+    balls = None
     out: dict[str, MomentValue] = {}
-    for name, (f, tail_power) in table.items():
+    for name in _MOMENTS:
         if n == 4 and name in _LOG_DIVERGENT:
-            big = _truncated_integral(f, truncation_radius)
-            small = _truncated_integral(f, truncation_radius / 8.0)
+            balls = balls or (_ball_rule(truncation_radius), _ball_rule(truncation_radius / 8.0))
+            big, small = (_truncated_integral(bubble, name, ball) for ball in balls)
             slope = (big - small) / math.log(8.0)
             out[name] = MomentValue(
                 value=math.inf,
@@ -249,7 +328,7 @@ def bubble_moments(
                 log_slope=slope,
             )
         else:
-            value, err = _moment(table, name, s, tol)
+            value, err = _moment(bubble, name, tol)
             out[name] = MomentValue(value=value, abs_error=err, finite=True)
     return BubbleMoments(N=n, sigma=s, **out)
 
@@ -268,11 +347,10 @@ def bubble_quotient(
     """
     n = check_dimension(N)
     s = check_sigma(sigma, closed=False)
-    table = _integrands(n, s, scale=scale)
-    hs_mass, _ = _moment(table, "hs_mass", s, tol)
-    dirichlet, _ = _moment(table, "dirichlet", s, tol)
-    p_crit = critical_exponent(s, n)
-    return dirichlet / hs_mass ** (2.0 / p_crit)
+    bubble = _Bubble(n, s, scale)
+    hs_mass, _ = _moment(bubble, "hs_mass", tol)
+    dirichlet, _ = _moment(bubble, "dirichlet", tol)
+    return dirichlet / hs_mass ** (2.0 / bubble.p)
 
 
 def pohozaev_residual(N: int, sigma: float, tol: float = 1e-10) -> float:

@@ -21,7 +21,9 @@ There is no other path: if inverse iteration stops above its 1e-9 target,
 the returned ``residual`` says so.  Its 2-norms and the iterates' W-norms
 scale the vector by an exact power of two first, so no square overflows or
 underflows.  An eigensolve refuses a pencil with a non-finite entry before
-it tests, and a mu or residual that still leaves the double range after it.
+it tests, a bracket end s whose s*W leaves the double range before that
+test, and, after the tests, an inverse iteration with no finite iterate or
+a mu or residual that still leaves the double range.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ def _bisect(definite, lo, hi, tol):
     """Halve [lo, hi] (definite at lo, not at hi) to width tol or adjacent doubles: (lo, hi, tests)."""
     steps = 0
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # 0.5 * (lo + hi), but lo + hi may overflow
         if mid in (lo, hi):  # double-precision resolution reached
             break
         if definite(mid):
@@ -106,6 +108,10 @@ def _norm(x, apply=None) -> float:
 def _check_weight(w: np.ndarray) -> None:
     if not np.all(w > 0.0):  # NaN fails too
         raise DomainError("weight diagonal must be positive")
+
+
+def _out_of_range(lam: float) -> DomainError:
+    return DomainError(f"the eigensolve leaves the double range at lambda = {float(lam)!r}")
 
 
 def _check_pencil(d: np.ndarray, e: np.ndarray, lam: float) -> None:
@@ -148,16 +154,24 @@ def smallest_generalized_eigen(forms: QuadraticForms, lam: float, denominator: s
         scale = float(np.max(np.abs(d)) + np.max(np.abs(e), initial=0.0))
         hi = float(np.min(d / wd)) + 1e-12 * max(scale, 1.0)
     if not math.isfinite(hi):  # d / wd or the scale overflows
-        raise DomainError(f"the eigensolve leaves the double range at lambda = {float(lam)!r}")
+        raise _out_of_range(lam)
     lo = hi - max(1.0, 0.1 * abs(hi))
     definite = _kernels.definite_test(d, e, wd, we)
+    # a bracket end s whose s*W leaves the double range is refused, not tested
+    w_max = float(np.max(wd)) if we is None else max(float(np.max(wd)), float(np.max(np.abs(we))))
+
+    def test(s):
+        if not abs(s) * w_max < math.inf:
+            raise _out_of_range(lam)
+        return definite(s)
+
     it = 0
-    while not definite(lo):
+    while not test(lo):
         lo -= 2.0 * (hi - lo)
         it += 1
         if it > 200:
             raise RuntimeError("failed to bracket the smallest eigenvalue from below")
-    while definite(hi):
+    while test(hi):
         hi += max(1.0, hi - lo)
         it += 1
         if it > 400:
@@ -175,15 +189,14 @@ def smallest_generalized_eigen(forms: QuadraticForms, lam: float, denominator: s
         # an infinite denominator: the pencil's scale leaves the double range
         return _norm(r) / max(denom, 1e-300) if denom < math.inf else math.inf
 
-    # inverse iteration from the definite side of the bracket
+    # inverse iteration from the definite side of the bracket; without a
+    # finite iterate rho and res stay NaN and the eigensolve is refused
     shift = lo - max(10.0 * _TOL_ABS, 1e-14 * max(scale, 1.0))
     factor = _kernels.ldl_factor(*_shifted(d, e, wd, shift, we))
+    rho = res = math.nan
     with np.errstate(over="ignore", invalid="ignore"):  # rho and res are checked next
         x = np.ones(d.shape[0])
         x /= _norm(x, w_apply)
-        rho = tri_quadform(d, e, x)
-        res = residual_of(x, rho)
-        inv_it = 0
         for inv_it in range(1, 61):
             y = _kernels.ldl_solve(*factor, w_apply(x))
             if not np.all(np.isfinite(y)):
@@ -195,7 +208,7 @@ def smallest_generalized_eigen(forms: QuadraticForms, lam: float, denominator: s
                 break
 
     if not (np.isfinite(rho) and np.isfinite(res)):
-        raise DomainError(f"the eigensolve leaves the double range at lambda = {float(lam)!r}")
+        raise _out_of_range(lam)
     if x[np.argmax(np.abs(x))] < 0.0:
         x = -x
     full = forms.zero_profile()

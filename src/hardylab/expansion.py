@@ -8,7 +8,10 @@ tends to the sharp constant with a second-order correction: c1/n^2 for
 N >= 5 and (c1 log n + c2)/n^2 for N = 4, where the divergent moments turn
 the coefficient into a log slope.  Each Q(n) is evaluated by dedicated
 radial quadrature on panels refined proportionally to 1/n near the pole
-(reusing the coarser solver grids would alias the collapsing scale).
+(reusing the coarser solver grids would alias the collapsing scale).  The
+panels of every n are evaluated in one stacked elementwise pass per rule,
+and each n takes its three dot products on its own slice, so each Q(n) is
+the same as if its panels had been evaluated alone.
 
 Second-order coefficient.  The volume density at the pole is
 sqrt|g|(r) = 1 - a r^2 + O(r^4) with a = S_g(p0)/(6N).  Substituting
@@ -105,26 +108,42 @@ def _panel_edges(r_cut: float, n: float, levels_extra: int = 0) -> np.ndarray:
     return np.concatenate(([0.0], inner))
 
 
-def _family_integrals(m: ModelManifold, lam, sigma, n, r_cut, order=24, levels_extra=0):
+def _family_integrals(m: ModelManifold, lam, sigma, ns, r_cut, order, levels_extra=0):
+    """Energy E and denominator D of u_n for every n in ns: the panel nodes
+    of all n are evaluated in one stacked elementwise pass, then each n
+    takes its three dot products on its own slice."""
     nn = m.N
     om = sphere_area(nn - 1)
     p = critical_exponent(sigma, nn)
-    amp = n ** ((nn - 2) / 2.0)
-    r, w = (q.ravel() for q in gauss_panels(_panel_edges(r_cut, n, levels_extra), order))
+    rules = [gauss_panels(_panel_edges(r_cut, n, levels_extra), order) for n in ns]
+    sizes = [w.size for _, w in rules]
+    r = np.concatenate([nodes.ravel() for nodes, _ in rules])
+    w = np.concatenate([weights.ravel() for _, weights in rules])
+    amp = [n ** ((nn - 2) / 2.0) for n in ns]
 
     eta = smooth_cutoff((r - r_cut) / r_cut)
     deta = smooth_cutoff_deriv((r - r_cut) / r_cut) / r_cut
-    wv = amp * bubble_value(n * r, nn, sigma)
-    wg = amp * n * bubble_grad(n * r, nn, sigma)
+    nr = np.repeat(ns, sizes) * r
+    wv = np.repeat(amp, sizes) * bubble_value(nr, nn, sigma)
+    wg = np.repeat([a * n for a, n in zip(amp, ns)], sizes) * bubble_grad(nr, nn, sigma)
     u = eta * wv
     du = deta * wv + eta * wg
     psi = m.warp(r) ** (nn - 1)
+    kin_f = du * du * psi
+    mass_f = u * u * psi
+    hs_f = r ** (-sigma) * np.abs(u) ** p * psi
 
-    kin = om * float(np.dot(w, du * du * psi))
-    mass = om * float(np.dot(w, u * u * psi))
-    hs = om * float(np.dot(w, r ** (-sigma) * np.abs(u) ** p * psi))
-    energy = kin - lam * mass
-    return energy, hs ** (2.0 / p)
+    energy, denom = np.empty_like(ns), np.empty_like(ns)
+    stop = 0
+    for i, size in enumerate(sizes):
+        sl = slice(stop, stop + size)
+        stop += size
+        kin = om * float(np.dot(w[sl], kin_f[sl]))
+        mass = om * float(np.dot(w[sl], mass_f[sl]))
+        hs = om * float(np.dot(w[sl], hs_f[sl]))
+        energy[i] = kin - lam * mass
+        denom[i] = hs ** (2.0 / p)
+    return energy, denom
 
 
 def quotient_series(
@@ -147,15 +166,11 @@ def quotient_series(
     if len(ns) == 0 or ns[0] < 2.0:
         raise DomainError("n_list must be increasing with min(n) >= 2")
     r_cut = cutoff_radius(r_cut, m.r_max)
-    energy = np.empty_like(ns)
-    denom = np.empty_like(ns)
-    for i, n in enumerate(ns):
-        e1, d1 = _family_integrals(m, lam, s, n, r_cut)
-        e2, d2 = _family_integrals(m, lam, s, n, r_cut, order=32, levels_extra=2)
-        if abs(e1 - e2) > 1e-8 * max(abs(e2), 1.0) or abs(d1 - d2) > 1e-8 * max(abs(d2), 1.0):
+    e1, d1 = _family_integrals(m, lam, s, ns, r_cut, 24)
+    energy, denom = _family_integrals(m, lam, s, ns, r_cut, 32, levels_extra=2)
+    for n, a1, b1, a2, b2 in zip(ns, e1, d1, energy, denom):
+        if abs(a1 - a2) > 1e-8 * max(abs(a2), 1.0) or abs(b1 - b2) > 1e-8 * max(abs(b2), 1.0):
             raise DomainError(f"quadrature self-check failed at n={n}; refine the panels")
-        energy[i] = e2
-        denom[i] = d2
     return ExpansionSeries(
         n=ns, energy=energy, denom=denom, quotient=energy / denom,
         lam=lam, sigma=s, N=m.N, r_cut=float(r_cut),

@@ -232,53 +232,57 @@ def _descend(forms, lam, a, abs_a, factor, u0, tag, max_iters):
     sl = forms.dof
     u, grad = _project_grad(forms, forms.check_profile(np.asarray(u0, dtype=float).copy()))
     evals, solves = 1, 0
-    with np.errstate(over="ignore"):  # checked next
+    # at a huge lambda an energy, its rounding bound or gnorm may overflow;
+    # each is read next: a start whose energy is not finite is refused, an
+    # infinite energy later fails the rise test, an infinite rounding bound
+    # declares no rise and an infinite gnorm is not converged
+    with np.errstate(over="ignore"):
         au, q = _energy(a, u)
-    if not math.isfinite(q):
-        raise DomainError(f"the energy of start {tag} leaves the double range at lambda = {float(lam)!r}")
-    best_q, best_err, best_u = math.inf, 0.0, u
-    gnorm = math.inf
-    prev = None  # (u, G(u) - u) on the free nodes, of the last step
-    d_u, d_f = [], []  # the mixing history: differences of both
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        err = _rounding(abs_a, u)
-        if q > best_q + best_err + err:
-            break
-        if q < best_q:
-            best_q, best_err, best_u = q, err, u
-        r = (au - (q / forms.p_crit) * grad)[sl]
-        s = _kernels.ldl_solve(*factor, r)
-        solves += 1
-        gnorm = math.sqrt(max(float(np.dot(r, s)), 0.0)) / (1.0 + abs(q))
-        if gnorm <= _GRAD_TOL:
-            break
-        v = u.copy()
-        v[sl] -= s
-        mix = prev is not None
-        v, v_grad = _project_grad(forms, v)
-        evals += 1
-        f = (v - u)[sl]
-        if mix:
-            d_u.append(u[sl] - prev[0])
-            d_f.append(f - prev[1])
-            del d_u[:-_DEPTH], d_f[:-_DEPTH]
-        prev = (u[sl], f) if _DEPTH else None
-        u, grad = v, v_grad
-        au, q = _energy(a, u)
-        if mix:
-            x = np.zeros_like(u)
-            x[sl] = _mixed(u[sl], f, d_u, d_f)
-            if np.any(x):  # zero: no candidate, or none that can be rescaled
-                x, x_grad = _project_grad(forms, x)
-                evals += 1
-                ax, qx = _energy(a, x)
-                if qx <= q:
-                    u, au, q, grad = x, ax, qx, x_grad
-                    continue
-            d_u.clear()
-            d_f.clear()
-            prev = None
+        if not math.isfinite(q):
+            raise DomainError(f"the energy of start {tag} leaves the double range at lambda = {float(lam)!r}")
+        best_q, best_err, best_u = math.inf, 0.0, u
+        gnorm = math.inf
+        prev = None  # (u, G(u) - u) on the free nodes, of the last step
+        d_u, d_f = [], []  # the mixing history: differences of both
+        iters = 0
+        for iters in range(1, max_iters + 1):
+            err = _rounding(abs_a, u)
+            if q > best_q + best_err + err:
+                break
+            if q < best_q:
+                best_q, best_err, best_u = q, err, u
+            r = (au - (q / forms.p_crit) * grad)[sl]
+            s = _kernels.ldl_solve(*factor, r)
+            solves += 1
+            gnorm = math.sqrt(max(float(np.dot(r, s)), 0.0)) / (1.0 + abs(q))
+            if gnorm <= _GRAD_TOL:
+                break
+            v = u.copy()
+            v[sl] -= s
+            mix = prev is not None
+            v, v_grad = _project_grad(forms, v)
+            evals += 1
+            f = (v - u)[sl]
+            if mix:
+                d_u.append(u[sl] - prev[0])
+                d_f.append(f - prev[1])
+                del d_u[:-_DEPTH], d_f[:-_DEPTH]
+            prev = (u[sl], f) if _DEPTH else None
+            u, grad = v, v_grad
+            au, q = _energy(a, u)
+            if mix:
+                x = np.zeros_like(u)
+                x[sl] = _mixed(u[sl], f, d_u, d_f)
+                if np.any(x):  # zero: no candidate, or none that can be rescaled
+                    x, x_grad = _project_grad(forms, x)
+                    evals += 1
+                    ax, qx = _energy(a, x)
+                    if qx <= q:
+                        u, au, q, grad = x, ax, qx, x_grad
+                        continue
+                d_u.clear()
+                d_f.clear()
+                prev = None
 
     u = best_u
     if np.any(u < 0.0):

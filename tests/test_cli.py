@@ -464,3 +464,19 @@ def test_import_builds_no_parser():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out.split() == ["0", "0"]
+
+
+def test_e2e_benchmark_script_imports(monkeypatch):
+    # the end-to-end benchmark reads the cli-quadrature job list from
+    # perfbench/ by name; loading it (without starting a worker) catches a
+    # stale import, and every command it times must parse
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "bench_e2e.py")
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends the checkout
+    spec = importlib.util.spec_from_file_location("bench_e2e", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert len(bench.QUADRATURE) == 6 and callable(bench.main)
+    for _, argv in bench.COMMANDS:
+        cli.build_parser()[0].parse_args(argv)

@@ -204,6 +204,25 @@ def test_huge_lambda_is_refused_without_overflow_warnings():
             smallest_generalized_eigen(forms, lam)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bracket_search_refuses_before_s_times_w_overflows():
+    # on S^3 at M = 16 the lower end walks down past 1e308 / max(w) at
+    # lambda = 3e307; it is refused before the test forms s*W
+    forms = assemble_forms(build_grid(math.pi, 16, 2.0, "reflected"), unit_sphere(3), 2.0)
+    with pytest.raises(DomainError, match="leaves the double range"):
+        smallest_generalized_eigen(forms, 3e307)
+
+
+def test_no_finite_inverse_iterate_is_refused(monkeypatch):
+    # the constant start vector's quotient is not an answer: without one
+    # finite inverse iterate the eigensolve is refused
+    forms = assemble_forms(build_grid(math.pi, 64, 2.0, "reflected"), unit_sphere(3), 2.0)
+    assert smallest_generalized_eigen(forms, -1.0).mu == pytest.approx(0.3113, abs=1e-4)
+    monkeypatch.setattr(_kernels, "ldl_solve", lambda diag, low, b: np.full_like(b, np.nan))
+    with pytest.raises(DomainError, match="leaves the double range"):
+        smallest_generalized_eigen(forms, -1.0)
+
+
 def test_bisect_halves_to_tolerance_or_adjacent_doubles():
     # definite below 0.3: [0, 1] halves to a 1/16-wide bracket of 0.3 in 4
     # tests; a zero tolerance ends at adjacent doubles
@@ -211,6 +230,9 @@ def test_bisect_halves_to_tolerance_or_adjacent_doubles():
     lo, hi, steps = eigensolver._bisect(lambda s: s < 0.3, 0.0, 1.0, 0.0)
     assert lo < 0.3 <= hi == math.nextafter(lo, math.inf) and steps > 50
     assert eigensolver._bisect(lambda s: s < 0.3, 0.0, 1.0, 2.0) == (0.0, 1.0, 0)
+    # ends near the top of the double range: lo + hi overflows, the midpoint does not
+    lo, hi, _ = eigensolver._bisect(lambda s: s < -1.05e308, -1.1e308, -1e308, 1e300)
+    assert -1.1e308 <= lo < -1.05e308 <= hi <= -1e308
 
 
 def test_smallest_eigen_against_scipy():

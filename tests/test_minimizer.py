@@ -80,6 +80,17 @@ def test_huge_lambda_is_refused_without_overflow_warnings(M, reason, lam):
         minimize_quotient(forms, lam)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_lambda_converges_without_overflow_warnings():
+    # at lambda = 1e307 the early steps' r's and |u|'|A||u| overflow; an
+    # infinite gnorm is not converged and an infinite rounding bound
+    # declares no rise, so the run still ends at a finite bound
+    forms = assemble_forms(build_grid(math.pi, 64, 2.0, "reflected"), unit_sphere(3), 1.0)
+    res = minimize_quotient(forms, 1e307)
+    assert res.converged
+    assert res.mu_upper == pytest.approx(-5.04e307, rel=1e-3)
+
+
 def test_huge_finite_lambda_still_solves():
     # at lambda = 1e300 every energy stays finite: a valid, finite bound
     forms = assemble_forms(build_grid(math.pi, 64, 2.0, "reflected"), unit_sphere(4), 1.0)
