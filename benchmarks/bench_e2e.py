@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Time the README CLI examples and the ``cli-quadrature`` commands end to
-end, in-process through ``hardylab.cli.main``, and write a BENCH json.
+"""Time the README CLI examples and the ``cli-quadrature`` and
+``minimizer-theorem2`` commands end to end, in-process through
+``hardylab.cli.main``, and write a BENCH json.
 
 Each source tree (``--src``, default this checkout's ``src``; optionally a
 second one with ``--baseline``) is timed in its own worker process, which
@@ -11,12 +12,13 @@ commands run forwards in even rounds and backwards in odd ones, so a drift
 of the machine's speed falls on both trees alike.  One untimed round per
 tree warms the imports and caches first.
 
-Reported per command and for two totals: the median and quartiles of the
+Reported per command and for three totals: the median and quartiles of the
 seconds per call over the rounds.  ``quadrature_pass`` is the sum of the six
-``cli-quadrature`` commands (one pass of that workload at seed 0) and
-``readme`` the sum of the nine README examples.  With a baseline, the
-ratio change / baseline of each median and the share of rounds whose pass
-the change won are added.  Every tree is stamped with its
+``cli-quadrature`` commands (one pass of that workload at seed 0),
+``minimizer_pass`` the sum of the four ``minimizer-theorem2`` commands (one
+pass at seed 0) and ``readme`` the sum of the nine README examples.  With a
+baseline, the ratio change / baseline of each median and, for each total,
+the share of rounds the change won are added.  Every tree is stamped with its
 ``_kernels.BACKEND`` and its python and numpy versions.
 
 Usage:
@@ -52,9 +54,12 @@ README = [
     ["expansion-fit", "--lambda", "-1", "--sigma", "1", "--dim", "5", "--n", "4,8,16,32,64"],
     ["verify", "--suite", "all"],
 ]
-# one pass of the cli-quadrature workload at seed 0
-QUADRATURE = [job.argv for job in jobs("cli-quadrature", 0, 0)]
-COMMANDS = [("readme", argv) for argv in README] + [("quadrature", argv) for argv in QUADRATURE]
+# one pass of the cli-quadrature and of the minimizer-theorem2 workload at seed 0
+PASSES = {"quadrature": "cli-quadrature", "minimizer": "minimizer-theorem2"}
+COMMANDS = [("readme", argv) for argv in README] + [
+    (kind, job.argv) for kind, workload in PASSES.items() for job in jobs(workload, 0, 0)
+]
+TOTALS = {f"{kind}_pass": kind for kind in PASSES} | {"readme": "readme"}  # total: kind of its commands
 
 
 def worker(src: str) -> None:
@@ -124,8 +129,8 @@ def summary(values: list[float]) -> dict:
 
 def totals(w: Worker) -> dict:
     series = {
-        "quadrature_pass": [sum(s for (kind, _), s in zip(COMMANDS, r) if kind == "quadrature") for r in w.rounds],
-        "readme": [sum(s for (kind, _), s in zip(COMMANDS, r) if kind == "readme") for r in w.rounds],
+        total: [sum(s for (k, _), s in zip(COMMANDS, r) if k == kind) for r in w.rounds]
+        for total, kind in TOTALS.items()
     }
     for i, (kind, argv) in enumerate(COMMANDS):
         series[f"{kind}: {' '.join(argv)}"] = [r[i] for r in w.rounds]
@@ -171,17 +176,19 @@ def main() -> None:
         result["change_over_baseline"] = {
             k: statistics.median(new[k]) / statistics.median(old[k]) for k in new
         }
-        wins = sum(a < b for a, b in zip(new["quadrature_pass"], old["quadrature_pass"]))
-        result["quadrature_pass_rounds_won"] = f"{wins}/{args.rounds}"
+        for key in TOTALS:
+            wins = sum(a < b for a, b in zip(new[key], old[key]))
+            result[f"{key}_rounds_won"] = f"{wins}/{args.rounds}"
 
     for name, tree in result["trees"].items():
-        for key in ("quadrature_pass", "readme"):
+        for key in TOTALS:
             s = tree["seconds"][key]
             print(f"{name:9s} {key:16s} median {s['median']:.4f} s  [{s['q1']:.4f}, {s['q3']:.4f}]")
     if "change_over_baseline" in result:
-        for key in ("quadrature_pass", "readme"):
+        for key in TOTALS:
             print(f"change / baseline {key}: {result['change_over_baseline'][key]:.3f}")
-        print(f"quadrature pass rounds won: {result['quadrature_pass_rounds_won']}")
+        for key in TOTALS:
+            print(f"{key} rounds won: {result[f'{key}_rounds_won']}")
     if args.out is not None:
         args.out.write_text(json.dumps(result, indent=1) + "\n")
 

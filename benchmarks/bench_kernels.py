@@ -18,10 +18,18 @@ backends.  The ``inertia_count`` row counts the same shifted matrix as the
 ``negcount`` row through ``eigensolver.inertia_count`` (weight check, shift,
 count), so the difference of the two rows is the per-call cost around the
 count.
+The ``bound solve`` rows time one solve against a factor made once per
+backend, as the minimizer and inverse iteration make it (one copy into the
+factor's buffer and one ``dpttrs`` call on the LAPACK backend), at 256 rows
+(where the per-call cost shows) and at M = 4096; the reference loop solves
+against the reference factor.
 The power functional is timed at p = 2.6667 (the exponent of
 ``perfbench/kernel_bench.py``), 3 (the S^4 and S^5 cases of the minimizer
 workload) and 4 (its flat ball), on M = 4096 cells and on a 256-cell table,
-where the per-call overhead shows.
+where the per-call overhead shows.  ``power_moment_grad`` is timed on a
+non-negative profile (rows ``power_moment_grad+``: its sign-free path, which
+the minimizer's starts and mixed candidates take) and on a signed one (rows
+``power_moment_grad+-``: the general path).
 Inputs: M = 4096, numpy rng seed 7 (the same as ``perfbench/kernel_bench.py``).
 
 The quadrature rows time one call, in microseconds, of ``bubble_moments``
@@ -68,6 +76,7 @@ SMALL = 256  # cells of the small power-functional table
 PENCIL = 512  # rows of the small bisection-test pencil
 SHIFT = 0.25  # bisection-test shift; T - SHIFT*W stays definite
 _TESTS = {}  # one definiteness test per pencil size and backend
+_FACTORS = {}  # one factor per pencil size and backend, and the reference's
 
 
 def bisection_test(d, e, w, shift):
@@ -87,6 +96,22 @@ def median_ns(fn, args, per, repeat):
         fn(*args)
         times.append(time.perf_counter() - t0)
     return 1e9 * statistics.median(times) / per
+
+
+def bound_solve(d, e, b):
+    """One solve against the pencil's factor, made on the first call on
+    each backend."""
+    key = (d.shape[0], _kernels._PTTRS is None)
+    if key not in _FACTORS:
+        _FACTORS[key] = _kernels.ldl_factor(d, e)
+    return _FACTORS[key].solve(b)
+
+
+def bound_solve_loop(d, e, b):
+    key = (d.shape[0], "reference")
+    if key not in _FACTORS:
+        _FACTORS[key] = _ldl_factor_py(d, e)
+    return _ldl_solve_py(*_FACTORS[key], b)
 
 
 @contextlib.contextmanager
@@ -113,7 +138,7 @@ def main():
     u = np.abs(rng.standard_normal(M + 1)) + 0.1
     wq = np.abs(rng.standard_normal((M, 16)))
     tq = np.linspace(0.02, 0.98, 16)
-    factors = _kernels.ldl_factor(d, e)
+    u_signed = rng.standard_normal(M + 1)
 
     def grad_loop(u, wq, tq, p):
         return _power_moment_grad_loop_py(u, wq, tq, p, np.zeros(u.shape[0]))
@@ -132,19 +157,24 @@ def main():
         ("negcount", "row", _kernels.negcount, _negcount_py, (d - 0.5 * w, e)),
         ("inertia_count", "row", inertia_count, shifted_loop, (d, e, w, 0.5)),
         ("ldl_factor", "row", _kernels.ldl_factor, _ldl_factor_py, (d, e)),
-        ("ldl_solve", "row", _kernels.ldl_solve, _ldl_solve_py, (*factors, b)),
+        *(
+            (f"bound solve {n}", "row", bound_solve, bound_solve_loop, (d[:n], e[: n - 1], b[:n]))
+            for n in (SMALL, M)
+        ),
         ("tridiag_solve", "row", _kernels.tridiag_solve, _tridiag_solve_py, (d, e, b)),
     ]
     for cells in (M, SMALL):
         for p in (2.6667, 3.0, 4.0):
             args = (u[: cells + 1], wq[:cells], tq, p)
+            signed = (u_signed[: cells + 1], wq[:cells], tq, p)
             rows += [
                 (f"power_moment {cells} p={p:g}", "cell", _kernels.power_moment, _power_moment_loop_py, args),
-                (f"power_moment_grad {cells} p={p:g}", "cell", _kernels.power_moment_grad, grad_loop, args),
+                (f"power_moment_grad+ {cells} p={p:g}", "cell", _kernels.power_moment_grad, grad_loop, args),
+                (f"power_moment_grad+- {cells} p={p:g}", "cell", _kernels.power_moment_grad, grad_loop, signed),
             ]
     lapack = _kernels.BACKEND == "lapack"
     header = (
-        f"{'kernel':30s} {'unit':>8s} {'lapack':>8s} {'python':>8s} {'reference':>10s}"
+        f"{'kernel':34s} {'unit':>8s} {'lapack':>8s} {'python':>8s} {'reference':>10s}"
         f" {'ref/lapack':>11s} {'ref/python':>11s}"
     )
     print(f"backend resolved at import: {_kernels.BACKEND}")
@@ -160,7 +190,7 @@ def main():
         t_ref = median_ns(ref, args, per, ref_repeat)
         lapack_ns, lapack_ratio = ("-", "-") if t_lapack is None else (f"{t_lapack:.0f}", f"{t_ref / t_lapack:.1f}x")
         print(
-            f"{name:30s} {'ns/' + unit:>8s} {lapack_ns:>8s} {t_python:8.0f} {t_ref:10.0f}"
+            f"{name:34s} {'ns/' + unit:>8s} {lapack_ns:>8s} {t_python:8.0f} {t_ref:10.0f}"
             f" {lapack_ratio:>11s} {t_ref / t_python:10.1f}x"
         )
 

@@ -6,7 +6,9 @@ test per pencil), tridiagonal LDL^T factors and solves (inverse iteration
 and the minimizer), and the singular-weight power functional of the
 constrained minimizer.  The power functional is NumPy on every backend: u
 at the Gauss points of all cells is one (cells, 2) by (2, q) product, and F
-with its gradient costs one ``pow`` per point.
+with its gradient costs one ``pow`` per point; on a profile with no sign bit
+set (the minimizer's starts and mixed candidates) it skips ``abs`` and
+``copysign``, which are the identity there.
 ``negcount``, the full Sturm count, is the Python-float recurrence on every
 backend; only ``eigensolver.inertia_count`` calls it.
 
@@ -19,8 +21,11 @@ The recurrences run on the backend resolved once at import, ``BACKEND``:
   ``dpttrf`` (the Python recurrence's operations in its order); a pivot
   that is not positive sends it to the Python path, which carries an exact
   zero pivot on as inf/nan.
-  ``ldl_solve`` is ``dpttrs`` for n >= 2; at n = 1 ``dpttrs`` multiplies by
-  1/D(1), an ulp off the division, so n = 1 stays on the Python path.
+  The ``LDLFactor`` it returns binds its solve: the ``dpttrs`` arguments
+  are made once per factor, and a solve is one copy of b into the factor's
+  buffer, one ``dpttrs`` call (n >= 2) and a copy out.  At n = 1 ``dpttrs``
+  multiplies by 1/D(1), an ulp off the division, so n = 1 stays on the
+  Python path.
 - ``"python"``, when the library or a symbol is missing: each call converts
   its arrays with ``tolist`` once and walks them with ``zip``, the same IEEE
   operations in the same order as indexing the arrays element by element.
@@ -160,49 +165,64 @@ def _solve(diag, low, b):
     return out
 
 
+class LDLFactor:
+    """T = L D L^T from the pivots ``diag`` and the unit-lower multipliers
+    ``low``, with its solve bound to them.  On the LAPACK backend (n >= 2)
+    the ``dpttrs`` arguments, a right-hand-side buffer among them, are made
+    once: a solve copies b into the buffer, makes one ``dpttrs`` call and
+    returns a copy.  The arguments hold raw addresses, which keep no array
+    alive; the attributes ``diag``, ``low`` and ``_x`` do."""
+
+    def __init__(self, diag, low):
+        n = diag.shape[0]
+        if low.shape != (n - 1,):
+            raise ValueError(f"factors of order {n} need {n - 1} multipliers, got shape {low.shape}")
+        self.diag = np.ascontiguousarray(diag, dtype=float)
+        self.low = np.ascontiguousarray(low, dtype=float)
+        self._x = None
+        if _PTTRS is not None and n >= 2:
+            self._x = np.empty(n)
+            rows = ctypes.byref(ctypes.c_int64(n))
+            self._args = (
+                rows, ctypes.byref(_ONE), self.diag.ctypes.data, self.low.ctypes.data,
+                self._x.ctypes.data, rows, ctypes.byref(ctypes.c_int64()),
+            )
+
+    def solve(self, b):
+        """x with L D L^T x = b."""
+        if b.shape != self.diag.shape:
+            raise ValueError(f"factors of order {self.diag.shape[0]} need as many right-hand sides, got {b.shape}")
+        x = self._x
+        if x is None:
+            try:
+                out = _solve(self.diag.tolist(), self.low.tolist(), b.tolist())
+            except ZeroDivisionError:
+                out = _solve(list(self.diag), list(self.low), list(b))
+            return np.array(out, dtype=float)
+        x[:] = b
+        _PTTRS(*self._args)
+        return x.copy()
+
+
 def ldl_factor(d, e):
-    """Pivots ``diag`` and unit-lower multipliers ``low`` of T = L D L^T for
-    symmetric tridiagonal T = (d, e)."""
+    """The ``LDLFactor`` of symmetric tridiagonal T = (d, e)."""
     if _PTTRF is not None:
         n = d.shape[0]
         buf = np.concatenate((d, e), dtype=float)
         args, info = _pttrf_args(buf, n)
         _PTTRF(*args)
         if info.value == 0:
-            return buf[:n], buf[n:]
+            return LDLFactor(buf[:n], buf[n:])
     try:
         diag, low = _factor(d.tolist(), e.tolist())
     except ZeroDivisionError:
         diag, low = _factor(list(d), list(e))
-    return np.array(diag, dtype=float), np.array(low, dtype=float)
-
-
-def ldl_solve(diag, low, b):
-    """Solve L D L^T x = b from the factors of ``ldl_factor``."""
-    n = diag.shape[0]
-    if _PTTRS is not None and n >= 2:
-        if low.shape != (n - 1,) or b.shape != (n,):
-            raise ValueError(f"factors of order {n} need {n - 1} multipliers and {n} right-hand sides")
-        diag = np.ascontiguousarray(diag, dtype=float)
-        low = np.ascontiguousarray(low, dtype=float)
-        x = np.array(b, dtype=float)
-        rows, info = ctypes.c_int64(n), ctypes.c_int64()
-        _PTTRS(
-            ctypes.byref(rows), ctypes.byref(_ONE), diag.ctypes.data, low.ctypes.data,
-            x.ctypes.data, ctypes.byref(rows), ctypes.byref(info),
-        )
-        return x
-    try:
-        x = _solve(diag.tolist(), low.tolist(), b.tolist())
-    except ZeroDivisionError:
-        x = _solve(list(diag), list(low), list(b))
-    return np.array(x, dtype=float)
+    return LDLFactor(np.array(diag, dtype=float), np.array(low, dtype=float))
 
 
 def tridiag_solve(d, e, b):
     """Solve T x = b for symmetric tridiagonal T = (d, e) via LDL^T."""
-    diag, low = ldl_factor(d, e)
-    return ldl_solve(diag, low, b)
+    return ldl_factor(d, e).solve(b)
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +251,16 @@ def power_moment(u, w, t, p):
 def power_moment_grad(u, w, t, p):
     """Value and nodal gradient of the weighted |u|^p moment, from one
     ``pow`` per point: with g = w sign(v) |v|^{p-1}, F = g.v and the
-    gradient is p g [1 - t; t]^T gathered onto the nodes."""
+    gradient is p g [1 - t; t]^T gathered onto the nodes.  A profile with
+    no sign bit set (no negative entry, no -0.0) has v >= +0 at points t in
+    [0, 1], where ``abs`` and ``copysign`` are the identity: g = w v^{p-1}
+    then skips both, with the same bits."""
     v, basis = _cell_values(u, t)
-    g = w * np.copysign(np.abs(v) ** (p - 1.0), v)
+    if np.signbit(u).any():
+        g = w * np.copysign(np.abs(v) ** (p - 1.0), v)
+    else:
+        g = v ** (p - 1.0)
+        g *= w
     ends = g @ basis.T
     ends *= p
     grad = np.empty(u.shape[0])

@@ -302,7 +302,7 @@ def _cmd_solve(args, out):
     tagged = {k: (getattr(res, k), "minimize") for k in keys}
     tagged.update(init=(res.init_tag, "minimize"), converged=(res.converged, "minimize"))
     tagged["radial_upper_bound_only"] = (True, "artifact-derived")
-    diagnostics = {"evaluations": res.evaluations, "solves": res.solves}
+    diagnostics = {"evaluations": res.evaluations, "solves": res.solves, "starts": res.starts}
     _print(_write(out, "solve", params, tagged, grid=_grid_meta(args), diagnostics=diagnostics))
     _warn_unconverged(res)
     return _EXIT_OK
@@ -364,6 +364,7 @@ def _cmd_theorem2(args, out):
             tagged[f"{grid}_{key}"] = (getattr(res, key), "minimize")
         diagnostics.update({f"{grid}_evaluations": res.evaluations, f"{grid}_solves": res.solves})
     diagnostics["fine_starts"] = len(rep.fine.finals)
+    diagnostics["starts"] = {"coarse": rep.coarse.starts, "fine": rep.fine.starts}
     params = {"manifold": m.kind, "dim": m.N, "lambda": args.lam, "sigma": args.sigma}
     _print(_write(out, "theorem2-check", params, tagged, grid=_grid_meta(args), diagnostics=diagnostics))
     _warn_unconverged(rep.coarse)

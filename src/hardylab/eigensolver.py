@@ -3,8 +3,8 @@
 Every pencil in the package goes one way: it is sliced to the free nodes
 (``_pencil_arrays``; the lambda-star pencil in ``thresholds``),
 ``_kernels.definite_test`` asks whether it is positive definite past a
-shift, ``_kernels.ldl_factor`` factors it once and ``_kernels.ldl_solve``
-solves against the factors.  No caller needs a count: each bisection step
+shift, ``_kernels.ldl_factor`` factors it once and the factor's bound
+``solve`` solves against it.  No caller needs a count: each bisection step
 only asks whether T - s*W is positive definite, one in-place shift and one
 ``dpttrf`` call (``_kernels.BACKEND``).  An eigensolve checks the weight
 and builds the pencil's test once, then makes its ~36 bracket and
@@ -198,7 +198,7 @@ def smallest_generalized_eigen(forms: QuadraticForms, lam: float, denominator: s
         x = np.ones(d.shape[0])
         x /= _norm(x, w_apply)
         for inv_it in range(1, 61):
-            y = _kernels.ldl_solve(*factor, w_apply(x))
+            y = factor.solve(w_apply(x))
             if not np.all(np.isfinite(y)):
                 break
             x = y / _norm(y, w_apply)

@@ -10,7 +10,8 @@ curved phenomenology) is returned.
 A step solves Ã s = r for the Lagrange residual r = Au - (Q/p) g, g = grad
 F(u) (u'g = pF), on the free nodes and moves to u - s, rescaled.  Ã = A + c
 Mass goes the eigensolver's pencil path (``_pencil_arrays``,
-``_kernels.definite_test``) and is factored once per call.  c = 0 when
+``_kernels.definite_test``) and is factored once per call; each step solves
+with the factor's bound ``solve``.  c = 0 when
 A - 1e-8 (1 + |lambda|) Mass is positive definite, so A is definite
 with a margin far above the pivots' rounding; then u - s = (Q/p) w with
 w = A^{-1} g, and Q cannot rise: Hoelder gives w'Aw = g'w <= p F(w)^{1/p},
@@ -44,8 +45,13 @@ above its lowest value by more than the two energies' rounding bounds
 gamma_{n+3} |u|'|A||u| (gamma_k = k eps / (1 - k eps), eps = 2^-53:
 gamma_3 per entry of Au, gamma_n for the dot; Higham, Accuracy and
 Stability of Numerical Algorithms, sec. 3.1); it returns its lowest-energy
-iterate.  The 1/h^2 stiffness entries cancel in u'Au, so the
-bound is 1e-12 relative at M = 32 and 3e-8 at M = 1024.
+iterate, and its ``stop`` says which ("converged", "max_iters", "rise").
+The 1/h^2 stiffness entries cancel in u'Au, so the bound is 1e-12 relative
+at M = 32 and 3e-8 at M = 1024.  The bounds are formed only on a step where
+Q exceeds its lowest value (0 to 2 of the ~290 steps of a
+``minimizer-theorem2`` pass), each from its stored vector.  Being
+non-negative, they cannot pass the test on any other step, so every stop
+is the one that bounds formed on every step would give.
 """
 
 from __future__ import annotations
@@ -87,6 +93,8 @@ class MinimizationResult:
     evaluations: int = 0  # F and grad F evaluations, summed over all starts
     solves: int = 0  # preconditioner solves, summed over all starts
     finals: list = field(default_factory=list)  # (mu_upper, profile) of every start, in start order
+    stop: str = ""  # why this start stopped: "converged", "rise" or "max_iters"
+    starts: list = field(default_factory=list)  # {init, iterations, stop} of every start, in start order
 
 
 def smooth_cutoff(x):
@@ -190,11 +198,12 @@ def minimize_quotient(
     best.evaluations = sum(res.evaluations for res in runs) + 2  # the concentration's two
     best.solves = sum(res.solves for res in runs)
     best.finals = [(res.mu_upper, res.profile) for res in runs]
+    best.starts = [{"init": res.init_tag, "iterations": res.iterations, "stop": res.stop} for res in runs]
     return best
 
 
 def _shifted_factor(forms: QuadraticForms, lam: float):
-    """LDL^T factors on the free nodes of A = K - lam*Mass when
+    """The LDL^T factor on the free nodes of A = K - lam*Mass when
     A - 1e-8 (1 + |lam|) Mass is positive definite, else of
     K + (1 + |lam|) Mass."""
     d, e, md, me = _pencil_arrays(forms, lam, "mass")
@@ -240,22 +249,24 @@ def _descend(forms, lam, a, abs_a, factor, u0, tag, max_iters):
         au, q = _energy(a, u)
         if not math.isfinite(q):
             raise DomainError(f"the energy of start {tag} leaves the double range at lambda = {float(lam)!r}")
-        best_q, best_err, best_u = math.inf, 0.0, u
+        best_q, best_u = math.inf, u
         gnorm = math.inf
+        stop = "max_iters"
         prev = None  # (u, G(u) - u) on the free nodes, of the last step
         d_u, d_f = [], []  # the mixing history: differences of both
         iters = 0
         for iters in range(1, max_iters + 1):
-            err = _rounding(abs_a, u)
-            if q > best_q + best_err + err:
+            if q > best_q and q > best_q + _rounding(abs_a, best_u) + _rounding(abs_a, u):
+                stop = "rise"
                 break
             if q < best_q:
-                best_q, best_err, best_u = q, err, u
+                best_q, best_u = q, u
             r = (au - (q / forms.p_crit) * grad)[sl]
-            s = _kernels.ldl_solve(*factor, r)
+            s = factor.solve(r)
             solves += 1
             gnorm = math.sqrt(max(float(np.dot(r, s)), 0.0)) / (1.0 + abs(q))
             if gnorm <= _GRAD_TOL:
+                stop = "converged"
                 break
             v = u.copy()
             v[sl] -= s
@@ -299,6 +310,7 @@ def _descend(forms, lam, a, abs_a, factor, u0, tag, max_iters):
         converged=gnorm <= _GRAD_TOL,
         evaluations=evals + 1,  # and the quotient's
         solves=solves,
+        stop=stop,
     )
 
 

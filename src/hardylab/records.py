@@ -7,8 +7,9 @@ obtained: "closed-form", "quadrature", "eigensolve", "minimize", "fit" or
 formula, e.g. threshold brackets).  A ``diagnostics`` block beside the
 results says how the numbers were computed (the kernel backend and the numpy
 version; on ``solve`` and ``theorem2-check`` records also the minimizer's
-F/grad F evaluations and preconditioner solves); it is not a result and
-carries no provenance tags.
+F/grad F evaluations, preconditioner solves and, under ``starts``, each
+start's steps and stop reason); it is not a result and carries no
+provenance tags.
 """
 
 from __future__ import annotations

@@ -129,6 +129,24 @@ def test_records_count_evaluations_and_solves_as_diagnostics(tmp_path):
     assert set(rec["provenance"]) == set(rec["results"])
 
 
+def test_records_carry_each_starts_stop_reason(tmp_path):
+    # {init, iterations, stop} per start, in the diagnostics only
+    assert run(["solve", "--sigma", "1", "--lambda", "-1", "--dim", "4", "--nodes", "64"], tmp_path) == 0
+    rec = read_records(tmp_path)[-1]
+    m = minimize_quotient(_forms(4, 64), -1.0)
+    assert rec["diagnostics"]["starts"] == m.starts
+    assert [s["init"] for s in m.starts] == ["constant", "bubble(2)", "bubble(8)", "bubble(32)"]
+    assert {s["stop"] for s in m.starts} == {"converged"}
+    assert sum(s["iterations"] for s in m.starts) == rec["results"]["iterations_total"]
+    args = ["theorem2-check", "--dim", "4", "--lambda", "-1", "--sigma", "1", "--nodes", "32"]
+    run(args, tmp_path)
+    rec = read_records(tmp_path)[-1]
+    rep = strict_inequality_report(unit_sphere(4), -1.0, 1.0, M=32)
+    assert rec["diagnostics"]["starts"] == {"coarse": rep.coarse.starts, "fine": rep.fine.starts}
+    assert [s["init"] for s in rep.fine.starts] == ["init0"]
+    assert "starts" not in rec["results"] and "starts" not in rec["provenance"]
+
+
 def test_unconverged_minimizer_is_reported(tmp_path, capsys, monkeypatch):
     import hardylab.cli
     import hardylab.thresholds
@@ -467,9 +485,10 @@ def test_import_builds_no_parser():
 
 
 def test_e2e_benchmark_script_imports(monkeypatch):
-    # the end-to-end benchmark reads the cli-quadrature job list from
-    # perfbench/ by name; loading it (without starting a worker) catches a
-    # stale import, and every command it times must parse
+    # the end-to-end benchmark reads the cli-quadrature and
+    # minimizer-theorem2 job lists from perfbench/ by name; loading it
+    # (without starting a worker) catches a stale import, and every command
+    # it times must parse
     import importlib.util
 
     path = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "bench_e2e.py")
@@ -477,6 +496,7 @@ def test_e2e_benchmark_script_imports(monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_e2e", path)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    assert len(bench.QUADRATURE) == 6 and callable(bench.main)
+    kinds = [kind for kind, _ in bench.COMMANDS]
+    assert [kinds.count(k) for k in ("readme", "quadrature", "minimizer")] == [9, 6, 4] and callable(bench.main)
     for _, argv in bench.COMMANDS:
         cli.build_parser()[0].parse_args(argv)

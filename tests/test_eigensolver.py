@@ -218,7 +218,7 @@ def test_no_finite_inverse_iterate_is_refused(monkeypatch):
     # finite inverse iterate the eigensolve is refused
     forms = assemble_forms(build_grid(math.pi, 64, 2.0, "reflected"), unit_sphere(3), 2.0)
     assert smallest_generalized_eigen(forms, -1.0).mu == pytest.approx(0.3113, abs=1e-4)
-    monkeypatch.setattr(_kernels, "ldl_solve", lambda diag, low, b: np.full_like(b, np.nan))
+    monkeypatch.setattr(_kernels.LDLFactor, "solve", lambda factor, b: np.full_like(b, np.nan))
     with pytest.raises(DomainError, match="leaves the double range"):
         smallest_generalized_eigen(forms, -1.0)
 

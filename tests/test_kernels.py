@@ -5,6 +5,7 @@ recurrences that run when the LAPACK handles are missing.  The definiteness
 test is checked against dense generalized eigenvalues and against the
 inertia count."""
 
+import gc
 import glob
 import importlib.util
 import math
@@ -129,6 +130,26 @@ def _power_moment_grad_loop_py(u, w, t, p, grad):
         grad[c] += gl
         grad[c + 1] += gr
     return total
+
+
+def _power_moment_grad_general(u, w, t, p):
+    """``power_moment_grad`` with ``abs`` and ``copysign`` at every point
+    (the kernel before its sign-free path): the same IEEE operations."""
+    basis = np.empty((2, t.shape[0]))
+    np.subtract(1.0, t, out=basis[0])
+    basis[1] = t
+    ends = np.empty((u.shape[0] - 1, 2))
+    ends[:, 0] = u[:-1]
+    ends[:, 1] = u[1:]
+    v = ends @ basis
+    g = w * np.copysign(np.abs(v) ** (p - 1.0), v)
+    ends = g @ basis.T
+    ends *= p
+    grad = np.empty(u.shape[0])
+    grad[:-1] = ends[:, 0]
+    grad[-1] = 0.0
+    grad[1:] += ends[:, 1]
+    return float(np.vdot(g, v)), grad
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +316,13 @@ def test_factor_and_solve_match_reference(rng):
     cases += list(_graded_pencils())  # indefinite: pivots of both signs
     for d, e in cases:
         b = rng.standard_normal(d.shape[0])
-        diag, low = K.ldl_factor(d, e)
+        factor = K.ldl_factor(d, e)
         ref_diag, ref_low = _ldl_factor_py(d, e)
-        assert np.array_equal(diag, ref_diag) and np.array_equal(low, ref_low)
+        assert np.array_equal(factor.diag, ref_diag) and np.array_equal(factor.low, ref_low)
         ref = _tridiag_solve_py(d, e, b)
         assert np.array_equal(_ldl_solve_py(ref_diag, ref_low, b), ref)
-        assert np.array_equal(K.ldl_solve(diag, low, b), ref)
+        assert np.array_equal(factor.solve(b), ref)
+        assert np.array_equal(factor.solve(b), ref)  # the bound buffer is reused
         assert np.array_equal(K.tridiag_solve(d, e, b), ref)
 
 
@@ -321,12 +343,12 @@ def test_exact_zero_pivot_gives_reference_inf_and_nan():
     with np.errstate(divide="ignore", invalid="ignore"):
         ref_diag, ref_low = _ldl_factor_py(d, e)
         ref = _tridiag_solve_py(d, e, b)
-        diag, low = K.ldl_factor(d, e)
+        factor = K.ldl_factor(d, e)
         x = K.tridiag_solve(d, e, b)
-        x_factored = K.ldl_solve(diag, low, b)
+        x_factored = factor.solve(b)
     assert ref_diag[1] == 0.0 and not np.all(np.isfinite(ref))
-    np.testing.assert_array_equal(diag, ref_diag)
-    np.testing.assert_array_equal(low, ref_low)
+    np.testing.assert_array_equal(factor.diag, ref_diag)
+    np.testing.assert_array_equal(factor.low, ref_low)
     np.testing.assert_array_equal(x, ref)
     np.testing.assert_array_equal(x_factored, ref)
 
@@ -334,9 +356,9 @@ def test_exact_zero_pivot_gives_reference_inf_and_nan():
 def test_one_and_two_row_pencils():
     # n = 1 divides (dpttrs would multiply by 1/D(1), an ulp off: 5 * (1/3) != 5/3)
     d1, e1, b1 = np.array([3.0]), np.zeros(0), np.array([5.0])
-    diag, low = K.ldl_factor(d1, e1)
-    assert diag.tolist() == [3.0] and low.shape == (0,)
-    assert K.ldl_solve(diag, low, b1).tolist() == [5.0 / 3.0] != [5.0 * (1.0 / 3.0)]
+    factor = K.ldl_factor(d1, e1)
+    assert factor.diag.tolist() == [3.0] and factor.low.shape == (0,)
+    assert factor.solve(b1).tolist() == [5.0 / 3.0] != [5.0 * (1.0 / 3.0)]
     assert K.tridiag_solve(d1, e1, b1).tolist() == _tridiag_solve_py(d1, e1, b1).tolist()
     assert [K.negcount(np.array([v]), e1) for v in (3.0, -3.0, 0.0)] == [0, 1, -1]
     assert [_definite_at_zero(np.array([v]), e1) for v in (3.0, -3.0, 0.0)] == [True, False, False]
@@ -345,9 +367,9 @@ def test_one_and_two_row_pencils():
         assert K.negcount(d2, e2) == _negcount_py(d2, e2)
         assert _definite_at_zero(d2, e2) == (_negcount_py(d2, e2) == 0)
         ref_diag, ref_low = _ldl_factor_py(d2, e2)
-        diag, low = K.ldl_factor(d2, e2)
-        assert np.array_equal(diag, ref_diag) and np.array_equal(low, ref_low)
-        assert np.array_equal(K.ldl_solve(diag, low, b2), _ldl_solve_py(ref_diag, ref_low, b2))
+        factor = K.ldl_factor(d2, e2)
+        assert np.array_equal(factor.diag, ref_diag) and np.array_equal(factor.low, ref_low)
+        assert np.array_equal(factor.solve(b2), _ldl_solve_py(ref_diag, ref_low, b2))
         assert np.array_equal(K.tridiag_solve(d2, e2, b2), _tridiag_solve_py(d2, e2, b2))
 
 
@@ -380,16 +402,34 @@ def test_python_path_matches_reference(rng, monkeypatch):
     test_factor_and_solve_agree_with_dense_solve(rng)
     test_exact_zero_pivot_gives_reference_inf_and_nan()
     test_one_and_two_row_pencils()
+    test_bound_solve_outlives_its_inputs(rng)
+    test_lapack_solve_rejects_mismatched_factors()
+
+
+def test_bound_solve_outlives_its_inputs(rng):
+    # the bound dpttrs arguments are raw addresses: the factor alone must
+    # keep its pivots, multipliers and buffer alive once every other
+    # reference to them and to the inputs is gone
+    n = 64
+    d = np.abs(rng.standard_normal(n)) + 3.0
+    e = 0.3 * rng.standard_normal(n - 1)
+    b = rng.standard_normal(n)
+    ref = _ldl_solve_py(*_ldl_factor_py(d, e), b)
+    solve = K.ldl_factor(d.copy(), e.copy()).solve
+    gc.collect()
+    junk = [np.full(k, np.nan) for k in (n - 1, n, 2 * n - 1) for _ in range(64)]
+    x = solve(b)
+    assert np.array_equal(x, ref) and np.array_equal(x, K.ldl_factor(d, e).solve(b))
+    assert all(np.isnan(j).all() for j in junk)
 
 
 def test_lapack_solve_rejects_mismatched_factors():
-    # dpttrs reads n - 1 multipliers and writes n values through raw pointers
-    if K.BACKEND != "lapack":
-        pytest.skip("numpy bundles no LAPACK with dpttrf/dpttrs")
-    diag, low = K.ldl_factor(np.full(4, 3.0), np.ones(3))
-    for lo, b in [(low[:2], np.ones(4)), (low, np.ones(3)), (low, np.ones((4, 1)))]:
+    # dpttrs reads n - 1 multipliers and writes n values through raw pointers;
+    # the Python recurrences would zip the arrays to the shortest
+    factor = K.ldl_factor(np.full(4, 3.0), np.ones(3))
+    for lo, b in [(factor.low[:2], np.ones(4)), (factor.low, np.ones(3)), (factor.low, np.ones((4, 1)))]:
         with pytest.raises(ValueError):
-            K.ldl_solve(diag, lo, b)
+            K.LDLFactor(factor.diag, lo).solve(b)
 
 
 def test_import_resolves_backend_without_scipy():
@@ -428,3 +468,38 @@ def test_power_moment_paths_agree(rng):
         z[10] = 1.0
         _, g_z = K.power_moment_grad(z, w, t, p)
         assert np.all(g_z[:9] == 0.0) and np.all(g_z[12:] == 0.0) and np.all(g_z[9:12] > 0.0)
+
+
+def _bits(f, g):
+    return np.float64(f).tobytes(), g.tobytes()
+
+
+def test_sign_free_power_moment_grad_matches_general_path(rng):
+    # a profile with no sign bit set takes the path without abs and
+    # copysign; -0.0, negative entries and -nan take the general one; +nan
+    # and +inf stay on the sign-free path.  Every case returns the general
+    # path's bits, on the minimizer's Gauss points and on a 1-D grid with
+    # the cell ends t = 0 and t = 1 (where an infinite end times 0 is nan)
+    forms = assemble_forms(build_grid(math.pi, 32, 2.0, "reflected"), unit_sphere(4), 1.0)
+    grids = [(forms.hs_weights, forms.hs_t), (np.abs(rng.standard_normal((32, 9))), np.linspace(0.0, 1.0, 9))]
+    base = np.abs(rng.standard_normal(33))
+    base[[5, 20]] = 0.0
+    profiles = {"non-negative": base}
+    for name, idx, value in [
+        ("-0.0", [0, 9, 32], -0.0),
+        ("negative", [3, 4], -0.25),
+        ("nan", [7], np.nan),
+        ("-nan", [7], -np.nan),
+        ("inf", [12], np.inf),
+    ]:
+        u = base.copy()
+        u[idx] = value
+        profiles[name] = u
+    assert not np.signbit(profiles["nan"]).any() and np.signbit(profiles["-nan"]).any()
+    for w, t in grids:
+        for p in (3.0, 4.0, 8.0 / 3.0):
+            for name, u in profiles.items():
+                with np.errstate(invalid="ignore", over="ignore"):
+                    got = K.power_moment_grad(u, w, t, p)
+                    want = _power_moment_grad_general(u, w, t, p)
+                assert _bits(*got) == _bits(*want), (name, p)

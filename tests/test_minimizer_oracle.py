@@ -1,0 +1,157 @@
+"""``minimizer._descend`` must return the same bits as the step loop below,
+which forms the rounding bound of the rise test on every step, solves with
+the element-by-element reference loop and evaluates F and grad F with
+``abs`` and ``copysign`` at every point.  It is the oracle: the minimizer
+forms the bound only when Q rises, solves with the factor's bound
+``dpttrs`` call and takes the sign-free |u|^p path on profiles with no sign
+bit set, and none of that may move a bit of any result or counter."""
+
+import math
+
+import numpy as np
+import pytest
+from test_kernels import _ldl_solve_py, _power_moment_grad_general
+
+from hardylab import _kernels, minimizer
+from hardylab.errors import DomainError
+from hardylab.forms import assemble_forms, build_grid, evaluate_quotient
+from hardylab.manifold import euclidean_ball, unit_sphere
+from hardylab.minimizer import (
+    _DEPTH,
+    _GRAD_TOL,
+    MinimizationResult,
+    _energy,
+    _mixed,
+    _project,
+    _project_grad,
+    _rounding,
+    minimize_quotient,
+)
+
+
+def _descend_oracle(forms, lam, a, abs_a, factor, u0, tag, max_iters):
+    sl = forms.dof
+    u, grad = _project_grad(forms, forms.check_profile(np.asarray(u0, dtype=float).copy()))
+    evals, solves = 1, 0
+    with np.errstate(over="ignore"):
+        au, q = _energy(a, u)
+        if not math.isfinite(q):
+            raise DomainError(f"the energy of start {tag} leaves the double range at lambda = {float(lam)!r}")
+        best_q, best_err, best_u = math.inf, 0.0, u
+        gnorm = math.inf
+        prev = None
+        d_u, d_f = [], []
+        iters = 0
+        for iters in range(1, max_iters + 1):
+            err = _rounding(abs_a, u)
+            if q > best_q + best_err + err:
+                break
+            if q < best_q:
+                best_q, best_err, best_u = q, err, u
+            r = (au - (q / forms.p_crit) * grad)[sl]
+            s = _ldl_solve_py(factor.diag, factor.low, r)
+            solves += 1
+            gnorm = math.sqrt(max(float(np.dot(r, s)), 0.0)) / (1.0 + abs(q))
+            if gnorm <= _GRAD_TOL:
+                break
+            v = u.copy()
+            v[sl] -= s
+            mix = prev is not None
+            v, v_grad = _project_grad(forms, v)
+            evals += 1
+            f = (v - u)[sl]
+            if mix:
+                d_u.append(u[sl] - prev[0])
+                d_f.append(f - prev[1])
+                del d_u[:-_DEPTH], d_f[:-_DEPTH]
+            prev = (u[sl], f) if _DEPTH else None
+            u, grad = v, v_grad
+            au, q = _energy(a, u)
+            if mix:
+                x = np.zeros_like(u)
+                x[sl] = _mixed(u[sl], f, d_u, d_f)
+                if np.any(x):
+                    x, x_grad = _project_grad(forms, x)
+                    evals += 1
+                    ax, qx = _energy(a, x)
+                    if qx <= q:
+                        u, au, q, grad = x, ax, qx, x_grad
+                        continue
+                d_u.clear()
+                d_f.clear()
+                prev = None
+
+    u = best_u
+    if np.any(u < 0.0):
+        u = _project(forms, np.abs(u))
+        evals += 1
+    return MinimizationResult(
+        mu_upper=evaluate_quotient(forms, u, lam),
+        profile=u,
+        iterations=iters,
+        grad_norm=gnorm,
+        init_tag=tag,
+        concentration=math.nan,
+        converged=gnorm <= _GRAD_TOL,
+        evaluations=evals + 1,
+        solves=solves,
+    )
+
+
+def _sphere(N, sigma, M):
+    return assemble_forms(build_grid(math.pi, M, 2.0, "reflected"), unit_sphere(N), sigma)
+
+
+CASES = {
+    "flat-ball-256": (lambda: assemble_forms(build_grid(1.0, 256, 2.0, "dirichlet"), euclidean_ball(3, 1.0), 1.0), 0.0),
+    "S4-32": (lambda: _sphere(4, 1.0, 32), -1.0),
+    "S4-64": (lambda: _sphere(4, 1.0, 64), -1.0),
+    "S5-32-sigma-0.5": (lambda: _sphere(5, 0.5, 32), -0.5),  # Q rises on one step
+    "S4-64-shifted": (lambda: _sphere(4, 1.0, 64), 0.5),
+    "S3-64-shifted": (lambda: _sphere(3, 1.0, 64), 1.0),
+}
+FIELDS = ("mu_upper", "iterations", "iterations_total", "evaluations", "solves", "grad_norm", "converged")
+
+
+def _bits(res):
+    values = [np.float64(getattr(res, k)).tobytes() for k in FIELDS]
+    return values, res.profile.tobytes(), [(np.float64(mu).tobytes(), u.tobytes()) for mu, u in res.finals]
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_step_matches_oracle_bit_for_bit(case, monkeypatch):
+    make, lam = CASES[case]
+    forms = make()
+    rises = []
+    monkeypatch.setattr(minimizer, "_rounding", lambda abs_a, u: rises.append(1) or _rounding(abs_a, u))
+    got = minimize_quotient(forms, lam)
+    with monkeypatch.context() as m:
+        m.setattr(minimizer, "_descend", _descend_oracle)
+        m.setattr(_kernels, "power_moment_grad", _power_moment_grad_general)
+        want = minimize_quotient(forms, lam)
+    assert _bits(got) == _bits(want)
+    assert got.converged and [s["stop"] for s in got.starts] == ["converged"] * 4
+    # the bounds are formed only where Q rises, two per rise test
+    assert len(rises) == (2 if case == "S5-32-sigma-0.5" else 0)
+
+
+def test_stop_reasons_and_oracle_at_a_small_budget(monkeypatch):
+    # three steps stop every start on its budget; the oracle agrees there too
+    forms = _sphere(4, 1.0, 32)
+    got = minimize_quotient(forms, -1.0, max_iters=3)
+    assert got.starts == [
+        {"init": tag, "iterations": 3, "stop": "max_iters"}
+        for tag in ("constant", "bubble(2)", "bubble(8)", "bubble(32)")
+    ]
+    assert got.stop == "max_iters" and not got.converged
+    monkeypatch.setattr(minimizer, "_descend", _descend_oracle)
+    monkeypatch.setattr(_kernels, "power_moment_grad", _power_moment_grad_general)
+    assert _bits(got) == _bits(minimize_quotient(forms, -1.0, max_iters=3))
+
+
+def test_a_rise_past_a_zero_bound_stops_its_start(monkeypatch):
+    # with the rounding bound read as 0, the one step of S^5 (sigma = 0.5)
+    # on which Q rises ends the bubble(8) start with stop "rise"
+    monkeypatch.setattr(minimizer, "_rounding", lambda abs_a, u: 0.0)
+    res = minimize_quotient(_sphere(5, 0.5, 32), -0.5)
+    assert [s["stop"] for s in res.starts] == ["converged", "converged", "rise", "converged"]
