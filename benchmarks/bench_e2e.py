@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Time the README CLI examples and the ``cli-quadrature`` and
-``minimizer-theorem2`` commands end to end, in-process through
-``hardylab.cli.main``, and write a BENCH json.
+"""Time the README CLI examples and the ``cli-quadrature``,
+``minimizer-theorem2`` and ``pencil-threshold`` commands end to end,
+in-process through ``hardylab.cli.main``, and write a BENCH json.
 
 Each source tree (``--src``, default this checkout's ``src``; optionally a
 second one with ``--baseline``) is timed in its own worker process, which
@@ -12,11 +12,12 @@ commands run forwards in even rounds and backwards in odd ones, so a drift
 of the machine's speed falls on both trees alike.  One untimed round per
 tree warms the imports and caches first.
 
-Reported per command and for three totals: the median and quartiles of the
+Reported per command and for four totals: the median and quartiles of the
 seconds per call over the rounds.  ``quadrature_pass`` is the sum of the six
 ``cli-quadrature`` commands (one pass of that workload at seed 0),
-``minimizer_pass`` the sum of the four ``minimizer-theorem2`` commands (one
-pass at seed 0) and ``readme`` the sum of the nine README examples.  With a
+``minimizer_pass`` the sum of the four ``minimizer-theorem2`` commands,
+``pencil_pass`` the sum of the three ``pencil-threshold`` commands (one pass
+each at seed 0) and ``readme`` the sum of the nine README examples.  With a
 baseline, the ratio change / baseline of each median and, for each total,
 the share of rounds the change won are added.  Every tree is stamped with its
 ``_kernels.BACKEND`` and its python and numpy versions.
@@ -54,8 +55,8 @@ README = [
     ["expansion-fit", "--lambda", "-1", "--sigma", "1", "--dim", "5", "--n", "4,8,16,32,64"],
     ["verify", "--suite", "all"],
 ]
-# one pass of the cli-quadrature and of the minimizer-theorem2 workload at seed 0
-PASSES = {"quadrature": "cli-quadrature", "minimizer": "minimizer-theorem2"}
+# one pass of the cli-quadrature, minimizer-theorem2 and pencil-threshold workloads at seed 0
+PASSES = {"quadrature": "cli-quadrature", "minimizer": "minimizer-theorem2", "pencil": "pencil-threshold"}
 COMMANDS = [("readme", argv) for argv in README] + [
     (kind, job.argv) for kind, workload in PASSES.items() for job in jobs(workload, 0, 0)
 ]

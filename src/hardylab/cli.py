@@ -247,6 +247,11 @@ def _write(out, command, params, tagged, grid=None, diagnostics=None) -> dict:
     return results
 
 
+def _eigen_counts(res) -> dict:
+    """The definiteness tests and LDL^T solves of a sigma = 2 run."""
+    return {"definite_tests": res.definite_tests, "solves": res.solves}
+
+
 def _print(results: dict) -> None:
     print("\n".join(f"{k} = {v}" for k, v in results.items()))
 
@@ -295,7 +300,7 @@ def _cmd_solve(args, out):
     if s == 2.0:
         res = smallest_generalized_eigen(forms, args.lam)
         tagged = {k: (getattr(res, k), "eigensolve") for k in ("mu", "concentration", "residual", "iterations")}
-        _print(_write(out, "solve", params, tagged, grid=_grid_meta(args)))
+        _print(_write(out, "solve", params, tagged, grid=_grid_meta(args), diagnostics=_eigen_counts(res)))
         return _EXIT_OK
     res = minimize_quotient(forms, args.lam)
     keys = ("mu_upper", "concentration", "grad_norm", "iterations", "iterations_total")
@@ -323,7 +328,7 @@ def _cmd_mu_curve(args, out):
         "mu_last": (float(curve.mus[-1]), "eigensolve"),
         "rows": (len(rows), "eigensolve"),
     }
-    _write(out, "mu-curve", params, tagged, grid=_grid_meta(args))
+    _write(out, "mu-curve", params, tagged, grid=_grid_meta(args), diagnostics=_eigen_counts(curve))
     for lam, mu, c in rows:
         f = "f" if abs(lam) <= 1e6 else "e"  # no 300-digit rows at huge lambda
         print(f"lambda={lam:+.6{f}} mu={mu:.10{f}} concentration={c:.4f}")
@@ -339,7 +344,7 @@ def _cmd_lambda_star(args, out):
     tagged["constant_profile_bound"] = (constant_profile_bound(m), "quadrature")
     tagged["hi_overestimates_threshold"] = (True, "artifact-derived")
     params = {"manifold": m.kind, "dim": m.N, "tol": args.tol}
-    _print(_write(out, "lambda-star", params, tagged, grid=_grid_meta(args)))
+    _print(_write(out, "lambda-star", params, tagged, grid=_grid_meta(args), diagnostics=_eigen_counts(br)))
     return _EXIT_OK
 
 

@@ -8,8 +8,9 @@ formula, e.g. threshold brackets).  A ``diagnostics`` block beside the
 results says how the numbers were computed (the kernel backend and the numpy
 version; on ``solve`` and ``theorem2-check`` records also the minimizer's
 F/grad F evaluations, preconditioner solves and, under ``starts``, each
-start's steps and stop reason); it is not a result and carries no
-provenance tags.
+start's steps and stop reason; on sigma = 2 ``solve``, ``mu-curve`` and
+``lambda-star`` records the eigensolves' ``definite_tests`` and LDL^T
+``solves``); it is not a result and carries no provenance tags.
 """
 
 from __future__ import annotations

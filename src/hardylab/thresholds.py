@@ -13,10 +13,11 @@ entry is bit for bit the ``mu_of_lambda`` value.  The strict-inequality
 report runs the minimizer with its own 800-step budget on M nodes from
 four cold starts, then on the nested 2M grid from the coarse finals,
 prolonged by linear interpolation (exact for P1 profiles), that lie in
-distinct basins: the coarse winner, and each other final whose value lies
-above every kept one by more than the stationarity scale
+distinct basins: the coarse winner, and each other converged final whose
+value lies above every kept one by more than the stationarity scale
 _GRAD_TOL (1 + |mu|).  Where the four coarse finals tie, as on every
-case the tests and the benchmark run, the fine grid runs one warm start.
+case the tests and the benchmark run, or where no other start converged,
+the fine grid runs one warm start.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ class MuCurve:
     concentrations: np.ndarray
     M: int
     gamma: float
+    definite_tests: int = 0  # summed over the eigensolves
+    solves: int = 0  # LDL^T solves, summed over the eigensolves
 
 
 @dataclass
@@ -68,6 +71,8 @@ class LambdaStarBracket:
     mu_lo: float
     mu_hi: float
     cap: float
+    definite_tests: int = 0  # the margin bisections' and the eigensolves'
+    solves: int = 0  # LDL^T solves of the eigensolves
 
 
 @dataclass
@@ -116,11 +121,14 @@ def mu_curve(
     forms = _forms_for(m, M, gamma, 2.0, bc)
     mus = np.empty_like(lams)
     concs = np.empty_like(lams)
+    curve = MuCurve(lambdas=lams, mus=mus, concentrations=concs, M=M, gamma=gamma)
     for i, lam in enumerate(lams):
         res = smallest_generalized_eigen(forms, lam)
         mus[i] = res.mu
         concs[i] = res.concentration
-    return MuCurve(lambdas=lams, mus=mus, concentrations=concs, M=M, gamma=gamma)
+        curve.definite_tests += res.definite_tests
+        curve.solves += res.solves
+    return curve
 
 
 def constant_profile_bound(m: ModelManifold) -> float:
@@ -173,9 +181,21 @@ def lambda_star_bracket(
     cap = hardy_constant(m.N)
     forms = _forms_for(m, M, gamma, 2.0, bc)
     _check_weight(forms.md[forms.dof])
+    counts = {"definite_tests": 0, "solves": 0}
+
+    def eigensolve(grid_forms, lam):
+        res = smallest_generalized_eigen(grid_forms, lam)
+        counts["definite_tests"] += res.definite_tests
+        counts["solves"] += res.solves
+        return res.mu
 
     def bisect(delta):
-        definite = _margin_test(forms, cap - delta)
+        margin_test = _margin_test(forms, cap - delta)
+
+        def definite(lam):
+            counts["definite_tests"] += 1
+            return margin_test(lam)
+
         lo, hi = float(sweep[0]), float(sweep[1])
         widen = 0
         while not definite(lo):
@@ -202,24 +222,28 @@ def lambda_star_bracket(
         forms2 = _forms_for(m, 2 * M, gamma, 2.0, bc)
 
         def gap_at(lam):
-            return abs(smallest_generalized_eigen(forms, lam).mu - smallest_generalized_eigen(forms2, lam).mu)
+            return abs(eigensolve(forms, lam) - eigensolve(forms2, lam))
 
         provisional = max(gap_at(0.5 * (sweep[0] + sweep[1])), 1e-9)
         lo, hi = bisect(provisional)
         detection_delta = max(gap_at(0.5 * (lo + hi)), 1e-9)
     lo, hi = bisect(detection_delta)
-    mu_lo = smallest_generalized_eigen(forms, lo).mu
-    mu_hi = smallest_generalized_eigen(forms, hi).mu
-    return LambdaStarBracket(lo=lo, hi=hi, detection_delta=float(detection_delta), mu_lo=mu_lo, mu_hi=mu_hi, cap=cap)
+    mu_lo = eigensolve(forms, lo)
+    mu_hi = eigensolve(forms, hi)
+    return LambdaStarBracket(
+        lo=lo, hi=hi, detection_delta=float(detection_delta), mu_lo=mu_lo, mu_hi=mu_hi, cap=cap, **counts
+    )
 
 
-def _distinct_basins(values) -> list[int]:
+def _distinct_basins(values, converged) -> list[int]:
     """Indices of the values that mark distinct basins, lowest first: the
-    lowest, and each other value that lies above every kept one by more
-    than the stationarity scale _GRAD_TOL (1 + |value|)."""
+    lowest, and each other value whose run ``converged`` and that lies above
+    every kept one by more than the stationarity scale
+    _GRAD_TOL (1 + |value|).  A run stopped short of stationarity marks no
+    basin of its own."""
     kept = []
     for j in sorted(range(len(values)), key=lambda j: values[j]):
-        if not kept or values[j] - values[kept[-1]] > _GRAD_TOL * (1.0 + abs(values[j])):
+        if not kept or converged[j] and values[j] - values[kept[-1]] > _GRAD_TOL * (1.0 + abs(values[j])):
             kept.append(j)
     return kept
 
@@ -235,7 +259,8 @@ def strict_inequality_report(
     """Compare the minimized quotient against the sharp flat constant.
 
     The M-grid minimizer runs its four cold starts; the 2M-grid minimizer
-    starts from the coarse finals that ``_distinct_basins`` keeps, prolonged
+    starts from the coarse winner and the converged coarse finals that
+    ``_distinct_basins`` keeps, prolonged
     onto the nested fine nodes.  Each run's value is a certified upper
     bound on its own grid, and the Richardson error estimate
     |mu_M - mu_2M| measures how far refinement lowers the same minimizer.
@@ -249,7 +274,7 @@ def strict_inequality_report(
     coarse = minimize_quotient(coarse_forms, lam)
     starts = [
         np.interp(fine_forms.grid.nodes, coarse_forms.grid.nodes, coarse.finals[j][1])
-        for j in _distinct_basins([mu for mu, _ in coarse.finals])
+        for j in _distinct_basins([mu for mu, _ in coarse.finals], [s["stop"] == "converged" for s in coarse.starts])
     ]
     fine = minimize_quotient(fine_forms, lam, inits=starts)
     err = abs(coarse.mu_upper - fine.mu_upper)

@@ -129,6 +129,32 @@ def test_records_count_evaluations_and_solves_as_diagnostics(tmp_path):
     assert set(rec["provenance"]) == set(rec["results"])
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "--sigma", "2", "--lambda", "-1", "--dim", "3", "--nodes", "64"],
+        ["mu-curve", "--lambda-min", "-1", "--lambda-max", "1", "--steps", "3", "--dim", "3", "--nodes", "64"],
+        ["lambda-star", "--dim", "3", "--tol", "0.05", "--nodes", "64"],
+    ],
+)
+def test_sigma2_records_count_definite_tests_and_solves_as_diagnostics(args, tmp_path, monkeypatch):
+    # every definiteness test and LDL^T solve of the run, in the diagnostics only
+    tests, solves = [], []
+    build, solve = _kernels.definite_test, _kernels.LDLFactor.solve
+
+    def counting(*pencil):
+        test = build(*pencil)
+        return lambda s: tests.append(s) or test(s)
+
+    monkeypatch.setattr(_kernels, "definite_test", counting)
+    monkeypatch.setattr(_kernels.LDLFactor, "solve", lambda factor, b: solves.append(1) or solve(factor, b))
+    assert run(args, tmp_path) == 0
+    rec = read_records(tmp_path)[-1]
+    assert (rec["diagnostics"]["definite_tests"], rec["diagnostics"]["solves"]) == (len(tests), len(solves))
+    assert len(tests) > 10 and len(solves) > 3
+    assert not {"definite_tests", "solves"} & (set(rec["results"]) | set(rec["provenance"]))
+
+
 def test_records_carry_each_starts_stop_reason(tmp_path):
     # {init, iterations, stop} per start, in the diagnostics only
     assert run(["solve", "--sigma", "1", "--lambda", "-1", "--dim", "4", "--nodes", "64"], tmp_path) == 0
@@ -485,8 +511,8 @@ def test_import_builds_no_parser():
 
 
 def test_e2e_benchmark_script_imports(monkeypatch):
-    # the end-to-end benchmark reads the cli-quadrature and
-    # minimizer-theorem2 job lists from perfbench/ by name; loading it
+    # the end-to-end benchmark reads the cli-quadrature, minimizer-theorem2
+    # and pencil-threshold job lists from perfbench/ by name; loading it
     # (without starting a worker) catches a stale import, and every command
     # it times must parse
     import importlib.util
@@ -497,6 +523,7 @@ def test_e2e_benchmark_script_imports(monkeypatch):
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     kinds = [kind for kind, _ in bench.COMMANDS]
-    assert [kinds.count(k) for k in ("readme", "quadrature", "minimizer")] == [9, 6, 4] and callable(bench.main)
+    assert [kinds.count(k) for k in ("readme", "quadrature", "minimizer", "pencil")] == [9, 6, 4, 3]
+    assert callable(bench.main)
     for _, argv in bench.COMMANDS:
         cli.build_parser()[0].parse_args(argv)

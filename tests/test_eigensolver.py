@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from hardylab import _kernels, eigensolver
@@ -172,9 +172,125 @@ def test_eigensolve_checks_its_weight_once(denominator, monkeypatch, definite_re
     check = eigensolver._check_weight
     monkeypatch.setattr(eigensolver, "_check_weight", lambda w: checks.append(w.shape) or check(w))
     forms = assemble_forms(build_grid(1.0, 64, 2.0, "dirichlet"), euclidean_ball(3, 1.0), 2.0)
-    smallest_generalized_eigen(forms, 0.0, denominator)
+    res = smallest_generalized_eigen(forms, 0.0, denominator)
     assert len(checks) == 1
-    assert len(definite_results) > 30  # the bracket search and the bisection
+    assert len(definite_results) == res.definite_tests > 0
+
+
+def _plain_bisect(definite, lo, hi, tol):
+    """The bisection loop without probes: every midpoint is tested."""
+    steps = 0
+    while hi - lo > tol:
+        mid = 0.5 * lo + 0.5 * hi
+        if mid in (lo, hi):
+            break
+        if definite(mid):
+            lo = mid
+        else:
+            hi = mid
+        steps += 1
+    return lo, hi, steps
+
+
+@pytest.mark.parametrize(
+    "m,bc,lam",
+    [(unit_sphere(3), "reflected", -1.0), (unit_sphere(3), "reflected", 0.7), (euclidean_ball(3, 1.0), "dirichlet", 0.0)],
+)
+@pytest.mark.parametrize("denominator", ["w2", "mass"])
+def test_eigensolve_bisects_like_plain_bisection_with_fewer_tests(backend, denominator, m, bc, lam, monkeypatch):
+    # the eigensolve's bisection skips the tests its probes answer; a plain
+    # bisection of the same pencil from the same bracket must end at the
+    # same bracket after the same halvings, and a plain eigensolve must
+    # return the same bits
+    forms = assemble_forms(build_grid(m.r_max, 256, 2.0, bc), m, 2.0)
+    calls = []
+    probed = eigensolver._bisect
+
+    def recording(definite, lo, hi, tol, probes=()):
+        calls.append(((lo, hi), probes, probed(definite, lo, hi, tol, probes)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(eigensolver, "_bisect", recording)
+    solves = []
+    solve = _kernels.LDLFactor.solve
+    monkeypatch.setattr(_kernels.LDLFactor, "solve", lambda factor, b: solves.append(1) or solve(factor, b))
+    res = smallest_generalized_eigen(forms, lam, denominator)
+    assert res.solves == len(solves)
+    (start, _, _), (coarse, probes, (lo, hi, _)) = calls[0], calls[-1]
+    # the mass pencils here keep e <= 0 and me >= 0; they are probed where
+    # the bracket lies at s >= 0 (the sphere at lambda = 0.7 has mu = -0.7)
+    assert len(calls) == 2 and len(probes) == (2 if denominator == "w2" or coarse[0] >= 0.0 else 0)
+    d, e, wd, we = eigensolver._pencil_arrays(forms, lam, denominator)
+    plain = _plain_bisect(_kernels.definite_test(d, e, wd, we), *start, eigensolver._TOL_ABS)
+    assert (lo, hi) == plain[:2]
+    assert sum(steps for *_, (_, _, steps) in calls) == plain[2]
+
+    calls.clear()
+    monkeypatch.setattr(eigensolver, "_bisect", lambda definite, lo, hi, tol, probes=(): _plain_bisect(definite, lo, hi, tol))
+    ref = smallest_generalized_eigen(forms, lam, denominator)
+    assert (res.mu, res.iterations, res.residual, res.concentration) == (ref.mu, ref.iterations, ref.residual, ref.concentration)
+    assert res.profile.tobytes() == ref.profile.tobytes()
+    if probes:
+        assert res.definite_tests < ref.definite_tests - 10
+    else:
+        assert res.definite_tests == ref.definite_tests
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), n=st.integers(1, 40))
+def test_definiteness_is_monotone_in_the_shift(backend, data, n):
+    # with a positive diagonal W every pivot of T - s*W is a monotone
+    # rounding of the previous one, so definite at s means definite at every
+    # shift below s; checked on shifts 1 to 2**20 ulps apart around the
+    # switch, where rounding decides the answer
+    def vector(size, lo, hi):
+        return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
+
+    d = vector(n, -1e3, 1e3)
+    e = vector(n - 1, -1e3, 1e3)
+    w = vector(n, 1e-3, 1e3)
+    off = e / np.sqrt(w[:-1] * w[1:])
+    mu = float(np.linalg.eigvalsh(np.diag(d / w) + np.diag(off, 1) + np.diag(off, -1))[0])
+    test = _kernels.definite_test(d, e, w)
+    reach = 1.0 + abs(mu)
+    assume(test(mu - reach) and not test(mu + reach))
+    below, switch, _ = _plain_bisect(test, mu - reach, mu + reach, 0.0)  # adjacent doubles
+    step = data.draw(st.sampled_from([1, 4, 64, 2**20])) * math.ulp(switch)
+    shifts = sorted({switch + k * step for k in range(-40, 41)} | {below})
+    answers = [test(s) for s in shifts]
+    assert answers == [s < switch for s in shifts]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    threshold=st.floats(-2.0, 3.0),
+    lo=st.floats(-2.0, 0.5),
+    width=st.floats(1e-6, 4.0),
+    tol=st.sampled_from([0.0, 1e-12, 1e-10, 1e-3, 0.5]),
+    probes=st.lists(
+        st.one_of(st.floats(-3.0, 4.0), st.just(math.nan), st.floats(allow_nan=True, allow_infinity=True)),
+        max_size=4,
+    ),
+    near=st.lists(st.floats(-1e-9, 1e-9), max_size=2),
+)
+def test_probes_never_change_the_bisection(threshold, lo, width, tol, probes, near):
+    # whatever the probes (inside or outside the bracket, on the wrong side
+    # of the threshold, NaN or infinite) the probe-aware loop returns the
+    # plain loop's (lo, hi, steps), and never makes more tests than the plain
+    # loop makes plus one per probe
+    hi = lo + width
+    assume(lo < threshold <= hi)
+    probes = probes + [threshold + dx for dx in near]
+
+    def monotone(tests):
+        return lambda s: tests.append(s) or s < threshold
+
+    plain_tests, probed_tests = [], []
+    plain = _plain_bisect(monotone(plain_tests), lo, hi, tol)
+    assert eigensolver._bisect(monotone(probed_tests), lo, hi, tol, probes) == plain
+    assert eigensolver._bisect(monotone([]), lo, hi, tol) == plain
+    assert len(probed_tests) <= len(plain_tests) + len(probes)
+    assert all(lo < s < hi for s in probed_tests)
 
 
 def test_eigensolve_at_huge_lambda():

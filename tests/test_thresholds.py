@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylab import _kernels
+from hardylab import _kernels, thresholds
 from hardylab.constants import hardy_constant
 from hardylab.eigensolver import smallest_generalized_eigen
 from hardylab.errors import DomainError
@@ -269,4 +269,36 @@ def test_theorem_report_fine_grid_starts_from_the_coarse_answer():
     ],
 )
 def test_distinct_basins(values, kept):
-    assert _distinct_basins(values) == kept
+    assert _distinct_basins(values, [True] * len(values)) == kept
+
+
+@pytest.mark.parametrize(
+    "values,converged,kept",
+    [
+        ([1.0, 1.1, 1.2, 1.3], [False] * 4, [0]),  # the winner only: no other start converged
+        ([1.3, 1.0, 1.2, 1.1], [True, False, False, False], [1, 0]),  # the winner needs no convergence
+        # an unconverged final neither opens a basin nor hides a converged one
+        ([1.0, 1.2, 1.2 + 1e-12, 1.5], [True, False, True, False], [0, 2]),
+    ],
+)
+def test_distinct_basins_skips_unconverged_finals(values, converged, kept):
+    assert _distinct_basins(values, converged) == kept
+
+
+def test_theorem_report_opens_no_fine_basin_for_an_unconverged_start(monkeypatch):
+    # with a 3-step budget every coarse start stops at max_iters with its
+    # own value; only the coarse winner goes on to the fine grid
+    budgets = []
+
+    def short(forms, lam, inits=None):
+        budgets.append(inits)
+        return minimize_quotient(forms, lam, inits, max_iters=3)
+
+    monkeypatch.setattr(thresholds, "minimize_quotient", short)
+    rep = strict_inequality_report(unit_sphere(4), -1.0, 1.0, M=32)
+    assert {s["stop"] for s in rep.coarse.starts} == {"max_iters"}
+    assert len({mu for mu, _ in rep.coarse.finals}) == 4
+    assert len(budgets[1]) == len(rep.fine.finals) == 1
+    winner = min(range(4), key=lambda j: rep.coarse.finals[j][0])
+    fine_nodes, coarse_nodes = budgets[1][0], rep.coarse.finals[winner][1]
+    assert fine_nodes[::2].tobytes() == coarse_nodes.tobytes()  # the prolonged winner
