@@ -19,8 +19,14 @@ seconds per call over the rounds.  ``quadrature_pass`` is the sum of the six
 ``pencil_pass`` the sum of the three ``pencil-threshold`` commands (one pass
 each at seed 0) and ``readme`` the sum of the nine README examples.  With a
 baseline, the ratio change / baseline of each median and, for each total,
-the share of rounds the change won are added.  Every tree is stamped with its
-``_kernels.BACKEND`` and its python and numpy versions.
+the share of rounds the change won and a verdict are added.  The verdict is
+the rule of ``perfbench/compare.py``: ``improved`` (``worse``) only when the
+change wins (loses) at least nine tenths of the rounds and the medians
+differ by more than the interquartile range of the baseline's own rounds,
+``unresolved`` otherwise, since the machine's speed swings by about 10 %
+between runs and a median ratio alone cannot tell that from a change.
+Every tree is stamped with its ``_kernels.BACKEND`` and its python and
+numpy versions.
 
 Usage:
   python benchmarks/bench_e2e.py [--rounds N] [--baseline SRC] [--out BENCH.json]
@@ -128,6 +134,16 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(new: list[float], old: list[float]) -> str:
+    """improved, worse or unresolved: see the module docstring."""
+    q1, median, q3 = statistics.quantiles(old, n=4, method="inclusive")
+    gap = statistics.median(new) - median
+    won = sum(a < b for a, b in zip(new, old)) if gap < 0 else sum(a > b for a, b in zip(new, old))
+    if abs(gap) > q3 - q1 and won >= 0.9 * len(old):
+        return "improved" if gap < 0 else "worse"
+    return "unresolved"
+
+
 def totals(w: Worker) -> dict:
     series = {
         total: [sum(s for (k, _), s in zip(COMMANDS, r) if k == kind) for r in w.rounds]
@@ -180,6 +196,7 @@ def main() -> None:
         for key in TOTALS:
             wins = sum(a < b for a, b in zip(new[key], old[key]))
             result[f"{key}_rounds_won"] = f"{wins}/{args.rounds}"
+            result[f"{key}_verdict"] = verdict(new[key], old[key])
 
     for name, tree in result["trees"].items():
         for key in TOTALS:
@@ -189,7 +206,7 @@ def main() -> None:
         for key in TOTALS:
             print(f"change / baseline {key}: {result['change_over_baseline'][key]:.3f}")
         for key in TOTALS:
-            print(f"{key} rounds won: {result[f'{key}_rounds_won']}")
+            print(f"{key} rounds won: {result[f'{key}_rounds_won']}, verdict {result[f'{key}_verdict']}")
     if args.out is not None:
         args.out.write_text(json.dumps(result, indent=1) + "\n")
 

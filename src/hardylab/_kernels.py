@@ -34,6 +34,12 @@ The recurrences run on the backend resolved once at import, ``BACKEND``:
   the recurrence on NumPy scalars, which return the same inf/nan bits an
   indexed loop gives.
 
+``COUNTS`` tallies, process-wide and on both backends, the calls served:
+``definite_tests`` (calls of a ``definite_test`` closure),
+``factorizations`` (``ldl_factor``), ``solves`` (``LDLFactor.solve``) and
+``evaluations`` (``power_moment`` and ``power_moment_grad``).  The run
+records report its changes (``records``).
+
 ``benchmarks/bench_kernels.py`` times both backends.
 """
 
@@ -46,6 +52,7 @@ import os
 import numpy as np
 
 HAVE_NUMBA = False  # kept for the benchmark's environment stamp
+COUNTS = {"definite_tests": 0, "factorizations": 0, "solves": 0, "evaluations": 0}  # calls served
 
 
 def _lapack():
@@ -89,7 +96,12 @@ def definite_test(d, e, w, w_off=None):
     overwrites, a scratch vector and the ctypes arguments are made once; a
     call forms T - s*W in place (the IEEE operations of d - s*w)."""
     if _PTTRF is None:
-        return lambda s: negcount(d - s * w, e if w_off is None else e - s * w_off) == 0
+
+        def test(s):
+            COUNTS["definite_tests"] += 1
+            return negcount(d - s * w, e if w_off is None else e - s * w_off) == 0
+
+        return test
     n = d.shape[0]
     buf = np.empty(2 * n - 1)
     diag, off = buf[:n], buf[n:]
@@ -98,6 +110,7 @@ def definite_test(d, e, w, w_off=None):
     args, info = _pttrf_args(buf, n)
 
     def test(s):
+        COUNTS["definite_tests"] += 1
         np.multiply(w, s, scratch)
         np.subtract(d, scratch, diag)
         if w_off is None:
@@ -192,6 +205,7 @@ class LDLFactor:
         """x with L D L^T x = b."""
         if b.shape != self.diag.shape:
             raise ValueError(f"factors of order {self.diag.shape[0]} need as many right-hand sides, got {b.shape}")
+        COUNTS["solves"] += 1
         x = self._x
         if x is None:
             try:
@@ -206,6 +220,7 @@ class LDLFactor:
 
 def ldl_factor(d, e):
     """The ``LDLFactor`` of symmetric tridiagonal T = (d, e)."""
+    COUNTS["factorizations"] += 1
     if _PTTRF is not None:
         n = d.shape[0]
         buf = np.concatenate((d, e), dtype=float)
@@ -244,6 +259,7 @@ def _cell_values(u, t):
 
 def power_moment(u, w, t, p):
     """Value of the weighted |u|^p moment over all cells."""
+    COUNTS["evaluations"] += 1
     v, _ = _cell_values(u, t)
     return float(np.vdot(w, np.abs(v) ** p))
 
@@ -255,6 +271,7 @@ def power_moment_grad(u, w, t, p):
     no sign bit set (no negative entry, no -0.0) has v >= +0 at points t in
     [0, 1], where ``abs`` and ``copysign`` are the identity: g = w v^{p-1}
     then skips both, with the same bits."""
+    COUNTS["evaluations"] += 1
     v, basis = _cell_values(u, t)
     if np.signbit(u).any():
         g = w * np.copysign(np.abs(v) ** (p - 1.0), v)

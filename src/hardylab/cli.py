@@ -47,7 +47,7 @@ from .manifold import (
     unit_sphere,
 )
 from .minimizer import minimize_quotient
-from .records import RunRecord, write_record, write_table
+from .records import RunRecord, start_count, write_record, write_table
 from .eigensolver import smallest_generalized_eigen
 from .thresholds import (
     constant_profile_bound,
@@ -247,11 +247,6 @@ def _write(out, command, params, tagged, grid=None, diagnostics=None) -> dict:
     return results
 
 
-def _eigen_counts(res) -> dict:
-    """The definiteness tests and LDL^T solves of a sigma = 2 run."""
-    return {"definite_tests": res.definite_tests, "solves": res.solves}
-
-
 def _print(results: dict) -> None:
     print("\n".join(f"{k} = {v}" for k, v in results.items()))
 
@@ -300,15 +295,14 @@ def _cmd_solve(args, out):
     if s == 2.0:
         res = smallest_generalized_eigen(forms, args.lam)
         tagged = {k: (getattr(res, k), "eigensolve") for k in ("mu", "concentration", "residual", "iterations")}
-        _print(_write(out, "solve", params, tagged, grid=_grid_meta(args), diagnostics=_eigen_counts(res)))
+        _print(_write(out, "solve", params, tagged, grid=_grid_meta(args)))
         return _EXIT_OK
     res = minimize_quotient(forms, args.lam)
     keys = ("mu_upper", "concentration", "grad_norm", "iterations", "iterations_total")
     tagged = {k: (getattr(res, k), "minimize") for k in keys}
     tagged.update(init=(res.init_tag, "minimize"), converged=(res.converged, "minimize"))
     tagged["radial_upper_bound_only"] = (True, "artifact-derived")
-    diagnostics = {"evaluations": res.evaluations, "solves": res.solves, "starts": res.starts}
-    _print(_write(out, "solve", params, tagged, grid=_grid_meta(args), diagnostics=diagnostics))
+    _print(_write(out, "solve", params, tagged, grid=_grid_meta(args), diagnostics={"starts": res.starts}))
     _warn_unconverged(res)
     return _EXIT_OK
 
@@ -328,7 +322,7 @@ def _cmd_mu_curve(args, out):
         "mu_last": (float(curve.mus[-1]), "eigensolve"),
         "rows": (len(rows), "eigensolve"),
     }
-    _write(out, "mu-curve", params, tagged, grid=_grid_meta(args), diagnostics=_eigen_counts(curve))
+    _write(out, "mu-curve", params, tagged, grid=_grid_meta(args))
     for lam, mu, c in rows:
         f = "f" if abs(lam) <= 1e6 else "e"  # no 300-digit rows at huge lambda
         print(f"lambda={lam:+.6{f}} mu={mu:.10{f}} concentration={c:.4f}")
@@ -344,7 +338,7 @@ def _cmd_lambda_star(args, out):
     tagged["constant_profile_bound"] = (constant_profile_bound(m), "quadrature")
     tagged["hi_overestimates_threshold"] = (True, "artifact-derived")
     params = {"manifold": m.kind, "dim": m.N, "tol": args.tol}
-    _print(_write(out, "lambda-star", params, tagged, grid=_grid_meta(args), diagnostics=_eigen_counts(br)))
+    _print(_write(out, "lambda-star", params, tagged, grid=_grid_meta(args)))
     return _EXIT_OK
 
 
@@ -363,13 +357,10 @@ def _cmd_theorem2(args, out):
         "within_theorem_dims": (rep.within_theorem_dims, "artifact-derived"),
         "verdict": (rep.verdict, "artifact-derived"),
     }
-    diagnostics = {}
     for grid, res in (("coarse", rep.coarse), ("fine", rep.fine)):
         for key in ("converged", "iterations", "iterations_total"):
             tagged[f"{grid}_{key}"] = (getattr(res, key), "minimize")
-        diagnostics.update({f"{grid}_evaluations": res.evaluations, f"{grid}_solves": res.solves})
-    diagnostics["fine_starts"] = len(rep.fine.finals)
-    diagnostics["starts"] = {"coarse": rep.coarse.starts, "fine": rep.fine.starts}
+    diagnostics = {"fine_starts": len(rep.fine.finals), "starts": {"coarse": rep.coarse.starts, "fine": rep.fine.starts}}
     params = {"manifold": m.kind, "dim": m.N, "lambda": args.lam, "sigma": args.sigma}
     _print(_write(out, "theorem2-check", params, tagged, grid=_grid_meta(args), diagnostics=diagnostics))
     _warn_unconverged(rep.coarse)
@@ -495,6 +486,7 @@ def main(argv=None) -> int:
         parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
+        start_count()
         return args.handler(args, args.out)
     except (DomainError, SweepRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

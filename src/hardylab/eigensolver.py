@@ -70,8 +70,6 @@ class EigenResult:
     residual: float
     concentration: float
     method: str  # always "inverse-iteration"; perfbench/tracing.py reads it
-    definite_tests: int  # definiteness tests of the pencil, bracket search included
-    solves: int  # LDL^T solves: the estimate's inverse steps and inverse iteration's
 
 
 def inertia_count(
@@ -215,15 +213,12 @@ def smallest_generalized_eigen(forms: QuadraticForms, lam: float, denominator: s
     pencil_test = _kernels.definite_test(d, e, wd, we)
     wd_max = float(np.max(wd))
     w_max = wd_max if we is None else max(wd_max, float(np.max(np.abs(we))))
-    tests = 0
 
     def definite(s):
         # a shift s whose s*W leaves the double range (only a bracket end
         # can) is refused, not tested
-        nonlocal tests
         if not abs(s) * w_max < math.inf:
             raise _out_of_range(lam)
-        tests += 1
         return pencil_test(s)
 
     it = 0
@@ -290,8 +285,6 @@ def smallest_generalized_eigen(forms: QuadraticForms, lam: float, denominator: s
         residual=res,
         concentration=conc,
         method="inverse-iteration",
-        definite_tests=tests,
-        solves=inv_it + (_ESTIMATE_STEPS if probes else 0),
     )
 
 

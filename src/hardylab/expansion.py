@@ -214,7 +214,7 @@ def _remainder_orders(N: int, sigma: float) -> list[float]:
     return sorted({4.0, N - 2.0, N - 2.0 + (2.0 - sigma)})[:2]
 
 
-def fit_expansion(series: ExpansionSeries, N: int | None = None) -> ExpansionFit:
+def fit_expansion(series: ExpansionSeries) -> ExpansionFit:
     """Least squares of Q(n) against {1, 1/n^2, n^{-q1}, n^{-q2}} (N >= 5,
     q1 and q2 the remainder orders of the module docstring) or
     {1, log n/n^2, 1/n^2} (N = 4).
@@ -227,7 +227,7 @@ def fit_expansion(series: ExpansionSeries, N: int | None = None) -> ExpansionFit
     one per column of the N >= 5 design; with exactly four that design
     interpolates and rms_residual is 0.
     """
-    nn = series.N if N is None else int(N)
+    nn = series.N
     if nn < 4:
         raise DomainError("fit requires N >= 4")
     n = series.n

@@ -90,8 +90,6 @@ class MinimizationResult:
     concentration: float
     converged: bool
     iterations_total: int = 0  # steps summed over all starts
-    evaluations: int = 0  # F and grad F evaluations, summed over all starts
-    solves: int = 0  # preconditioner solves, summed over all starts
     finals: list = field(default_factory=list)  # (mu_upper, profile) of every start, in start order
     stop: str = ""  # why this start stopped: "converged", "rise" or "max_iters"
     starts: list = field(default_factory=list)  # {init, iterations, stop} of every start, in start order
@@ -195,8 +193,6 @@ def minimize_quotient(
     best = min(runs, key=lambda res: res.mu_upper)
     best.concentration = _hs_concentration(forms, best.profile)
     best.iterations_total = sum(res.iterations for res in runs)
-    best.evaluations = sum(res.evaluations for res in runs) + 2  # the concentration's two
-    best.solves = sum(res.solves for res in runs)
     best.finals = [(res.mu_upper, res.profile) for res in runs]
     best.starts = [{"init": res.init_tag, "iterations": res.iterations, "stop": res.stop} for res in runs]
     return best
@@ -240,7 +236,6 @@ def _mixed(g, f, d_u, d_f):
 def _descend(forms, lam, a, abs_a, factor, u0, tag, max_iters):
     sl = forms.dof
     u, grad = _project_grad(forms, forms.check_profile(np.asarray(u0, dtype=float).copy()))
-    evals, solves = 1, 0
     # at a huge lambda an energy, its rounding bound or gnorm may overflow;
     # each is read next: a start whose energy is not finite is refused, an
     # infinite energy later fails the rise test, an infinite rounding bound
@@ -263,7 +258,6 @@ def _descend(forms, lam, a, abs_a, factor, u0, tag, max_iters):
                 best_q, best_u = q, u
             r = (au - (q / forms.p_crit) * grad)[sl]
             s = factor.solve(r)
-            solves += 1
             gnorm = math.sqrt(max(float(np.dot(r, s)), 0.0)) / (1.0 + abs(q))
             if gnorm <= _GRAD_TOL:
                 stop = "converged"
@@ -272,7 +266,6 @@ def _descend(forms, lam, a, abs_a, factor, u0, tag, max_iters):
             v[sl] -= s
             mix = prev is not None
             v, v_grad = _project_grad(forms, v)
-            evals += 1
             f = (v - u)[sl]
             if mix:
                 d_u.append(u[sl] - prev[0])
@@ -286,7 +279,6 @@ def _descend(forms, lam, a, abs_a, factor, u0, tag, max_iters):
                 x[sl] = _mixed(u[sl], f, d_u, d_f)
                 if np.any(x):  # zero: no candidate, or none that can be rescaled
                     x, x_grad = _project_grad(forms, x)
-                    evals += 1
                     ax, qx = _energy(a, x)
                     if qx <= q:
                         u, au, q, grad = x, ax, qx, x_grad
@@ -299,7 +291,6 @@ def _descend(forms, lam, a, abs_a, factor, u0, tag, max_iters):
     if np.any(u < 0.0):
         # the shifted (c > 0) step need not keep the sign; |u| is admissible
         u = _project(forms, np.abs(u))
-        evals += 1
     return MinimizationResult(
         mu_upper=evaluate_quotient(forms, u, lam),
         profile=u,
@@ -308,8 +299,6 @@ def _descend(forms, lam, a, abs_a, factor, u0, tag, max_iters):
         init_tag=tag,
         concentration=math.nan,  # computed for the best start only
         converged=gnorm <= _GRAD_TOL,
-        evaluations=evals + 1,  # and the quotient's
-        solves=solves,
         stop=stop,
     )
 

@@ -5,12 +5,14 @@ Every result key carries a provenance tag naming how the number was
 obtained: "closed-form", "quadrature", "eigensolve", "minimize", "fit" or
 "artifact-derived" (for quantities the underlying theory does not pin to a
 formula, e.g. threshold brackets).  A ``diagnostics`` block beside the
-results says how the numbers were computed (the kernel backend and the numpy
-version; on ``solve`` and ``theorem2-check`` records also the minimizer's
-F/grad F evaluations, preconditioner solves and, under ``starts``, each
-start's steps and stop reason; on sigma = 2 ``solve``, ``mu-curve`` and
-``lambda-star`` records the eigensolves' ``definite_tests`` and LDL^T
-``solves``); it is not a result and carries no provenance tags.
+results says how the numbers were computed: the kernel backend, the numpy
+version and the kernel calls the record's work made (``definite_tests``,
+``factorizations``, ``solves`` and ``evaluations`` of ``_kernels.COUNTS``,
+counted from ``start_count``, which ``cli.main`` calls for each command, or
+from the previous record, so each ``verify`` check counts its own); on
+``solve`` and ``theorem2-check`` records also, under ``starts``, each
+minimizer start's steps and stop reason.  It is not a result and carries no
+provenance tags.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import _kernels
 
-__all__ = ["RunRecord", "write_record", "write_table", "default_out_dir"]
+__all__ = ["RunRecord", "write_record", "write_table", "default_out_dir", "start_count"]
 
 ENV_OUT_DIR = "HARDYLAB_OUT"
 
@@ -35,9 +37,20 @@ def default_out_dir() -> Path:
     return Path(os.environ.get(ENV_OUT_DIR, "runs"))
 
 
+_COUNTED = dict(_kernels.COUNTS)  # the tally where the next record's count starts
+
+
+def start_count() -> None:
+    """Count the next record's kernel calls from here."""
+    _COUNTED.update(_kernels.COUNTS)
+
+
 def _diagnostics() -> dict:
-    """How this process computes: the kernel backend and the numpy version."""
-    return {"kernel_backend": _kernels.BACKEND, "numpy": np.__version__}
+    """How this process computes: the kernel backend, the numpy version and
+    the kernel calls since the count started, which starts it again."""
+    calls = {k: n - _COUNTED[k] for k, n in _kernels.COUNTS.items()}
+    start_count()
+    return {"kernel_backend": _kernels.BACKEND, "numpy": np.__version__, **calls}
 
 
 @dataclass

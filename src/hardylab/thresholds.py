@@ -59,8 +59,6 @@ class MuCurve:
     concentrations: np.ndarray
     M: int
     gamma: float
-    definite_tests: int = 0  # summed over the eigensolves
-    solves: int = 0  # LDL^T solves, summed over the eigensolves
 
 
 @dataclass
@@ -71,8 +69,6 @@ class LambdaStarBracket:
     mu_lo: float
     mu_hi: float
     cap: float
-    definite_tests: int = 0  # the margin bisections' and the eigensolves'
-    solves: int = 0  # LDL^T solves of the eigensolves
 
 
 @dataclass
@@ -121,14 +117,11 @@ def mu_curve(
     forms = _forms_for(m, M, gamma, 2.0, bc)
     mus = np.empty_like(lams)
     concs = np.empty_like(lams)
-    curve = MuCurve(lambdas=lams, mus=mus, concentrations=concs, M=M, gamma=gamma)
     for i, lam in enumerate(lams):
         res = smallest_generalized_eigen(forms, lam)
         mus[i] = res.mu
         concs[i] = res.concentration
-        curve.definite_tests += res.definite_tests
-        curve.solves += res.solves
-    return curve
+    return MuCurve(lambdas=lams, mus=mus, concentrations=concs, M=M, gamma=gamma)
 
 
 def constant_profile_bound(m: ModelManifold) -> float:
@@ -167,8 +160,9 @@ def lambda_star_bracket(
     The returned hi over-estimates the threshold (discrete detection only
     certifies genuinely-below-cap values); delta defaults to the measured
     refinement gap |mu_M - mu_2M| at the midpoint of the sweep.  A sweep
-    that misses the threshold widens: downward at most three times, upward
-    at most six times by doubling steps (0, 1, 3, 7, 15, 31, 63 from the
+    (finite, bottom <= top) that misses the threshold widens: downward at
+    most three times, by max(|lo|, hi - lo) or 1 where that is 0, upward at
+    most six times by doubling steps (0, 1, 3, 7, 15, 31, 63 from the
     default top).  Bisection (``eigensolver._bisect``) stops at
     ``tol_lambda`` or when the midpoint equals an endpoint, so a
     ``tol_lambda`` below the spacing of doubles near the threshold returns
@@ -178,28 +172,18 @@ def lambda_star_bracket(
         raise DomainError(f"tol_lambda must be finite and positive, got {tol_lambda!r}")
     if detection_delta is not None and not (math.isfinite(detection_delta) and detection_delta > 0.0):
         raise DomainError(f"detection_delta must be finite and positive, got {detection_delta!r}")
+    if not (math.isfinite(sweep[0]) and math.isfinite(sweep[1]) and sweep[0] <= sweep[1]):
+        raise DomainError(f"sweep must be finite with bottom <= top, got {sweep!r}")
     cap = hardy_constant(m.N)
     forms = _forms_for(m, M, gamma, 2.0, bc)
     _check_weight(forms.md[forms.dof])
-    counts = {"definite_tests": 0, "solves": 0}
-
-    def eigensolve(grid_forms, lam):
-        res = smallest_generalized_eigen(grid_forms, lam)
-        counts["definite_tests"] += res.definite_tests
-        counts["solves"] += res.solves
-        return res.mu
 
     def bisect(delta):
-        margin_test = _margin_test(forms, cap - delta)
-
-        def definite(lam):
-            counts["definite_tests"] += 1
-            return margin_test(lam)
-
+        definite = _margin_test(forms, cap - delta)
         lo, hi = float(sweep[0]), float(sweep[1])
         widen = 0
         while not definite(lo):
-            step = max(abs(lo), hi - lo)
+            step = max(abs(lo), hi - lo) or 1.0  # 0 only at lo = hi = 0
             hi = lo
             lo -= step
             widen += 1
@@ -222,17 +206,14 @@ def lambda_star_bracket(
         forms2 = _forms_for(m, 2 * M, gamma, 2.0, bc)
 
         def gap_at(lam):
-            return abs(eigensolve(forms, lam) - eigensolve(forms2, lam))
+            return abs(smallest_generalized_eigen(forms, lam).mu - smallest_generalized_eigen(forms2, lam).mu)
 
         provisional = max(gap_at(0.5 * (sweep[0] + sweep[1])), 1e-9)
         lo, hi = bisect(provisional)
         detection_delta = max(gap_at(0.5 * (lo + hi)), 1e-9)
     lo, hi = bisect(detection_delta)
-    mu_lo = eigensolve(forms, lo)
-    mu_hi = eigensolve(forms, hi)
-    return LambdaStarBracket(
-        lo=lo, hi=hi, detection_delta=float(detection_delta), mu_lo=mu_lo, mu_hi=mu_hi, cap=cap, **counts
-    )
+    mu_lo, mu_hi = (smallest_generalized_eigen(forms, lam).mu for lam in (lo, hi))
+    return LambdaStarBracket(lo=lo, hi=hi, detection_delta=float(detection_delta), mu_lo=mu_lo, mu_hi=mu_hi, cap=cap)
 
 
 def _distinct_basins(values, converged) -> list[int]:

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from test_kernels import kernel_calls
 
 from hardylab import _kernels, cli
 from hardylab.cli import main
@@ -41,7 +42,8 @@ def test_record_carries_diagnostics(tmp_path):
     # beside the results, outside the provenance rule
     assert run(["constants", "--dim", "3", "--sigma", "1"], tmp_path) == 0
     rec = read_records(tmp_path)[0]
-    assert rec["diagnostics"] == {"kernel_backend": _kernels.BACKEND, "numpy": np.__version__}
+    counts = dict.fromkeys(("definite_tests", "factorizations", "solves", "evaluations"), 0)
+    assert rec["diagnostics"] == {"kernel_backend": _kernels.BACKEND, "numpy": np.__version__, **counts}
     assert set(rec["provenance"]) == set(rec["results"])
 
 
@@ -111,18 +113,21 @@ def test_records_count_evaluations_and_solves_as_diagnostics(tmp_path):
     # beside the results: no provenance tag, nothing in results
     assert run(["solve", "--sigma", "1", "--lambda", "-1", "--dim", "4", "--nodes", "64"], tmp_path) == 0
     rec = read_records(tmp_path)[-1]
-    m = minimize_quotient(_forms(4, 64), -1.0)
-    assert (rec["diagnostics"]["evaluations"], rec["diagnostics"]["solves"]) == (m.evaluations, m.solves)
+    with kernel_calls() as calls:
+        minimize_quotient(_forms(4, 64), -1.0)
+    assert (rec["diagnostics"]["evaluations"], rec["diagnostics"]["solves"]) == (calls["evaluations"], calls["solves"])
     assert not {"evaluations", "solves"} & (set(rec["results"]) | set(rec["provenance"]))
     args = ["theorem2-check", "--dim", "4", "--lambda", "-1", "--sigma", "1", "--nodes", "32"]
     run(args, tmp_path)
     rec = read_records(tmp_path)[-1]
-    rep = strict_inequality_report(unit_sphere(4), -1.0, 1.0, M=32)
-    for grid in ("coarse", "fine"):
-        m = getattr(rep, grid)
-        assert rec["diagnostics"][f"{grid}_evaluations"] == m.evaluations
-        assert rec["diagnostics"][f"{grid}_solves"] == m.solves
-        assert f"{grid}_solves" not in rec["results"]
+    with kernel_calls() as calls:
+        rep = strict_inequality_report(unit_sphere(4), -1.0, 1.0, M=32)
+    # the command's totals over both grids; each grid's steps are in starts,
+    # and each step is one solve
+    assert (rec["diagnostics"]["evaluations"], rec["diagnostics"]["solves"]) == (calls["evaluations"], calls["solves"])
+    starts = rec["diagnostics"]["starts"]
+    assert calls["solves"] == sum(s["iterations"] for grid in ("coarse", "fine") for s in starts[grid])
+    assert not {"evaluations", "solves"} & set(rec["results"])
     # the fine grid starts warm, from the one coarse basin
     assert rec["diagnostics"]["fine_starts"] == len(rep.fine.finals) == 1
     assert "fine_starts" not in rec["results"]
@@ -153,6 +158,88 @@ def test_sigma2_records_count_definite_tests_and_solves_as_diagnostics(args, tmp
     assert (rec["diagnostics"]["definite_tests"], rec["diagnostics"]["solves"]) == (len(tests), len(solves))
     assert len(tests) > 10 and len(solves) > 3
     assert not {"definite_tests", "solves"} & (set(rec["results"]) | set(rec["provenance"]))
+
+
+@pytest.fixture(params=["lapack", "python"])
+def backend(request, monkeypatch):
+    """Run the kernels on each backend."""
+    if request.param == "python":
+        monkeypatch.setattr(_kernels, "_PTTRF", None)
+        monkeypatch.setattr(_kernels, "_PTTRS", None)
+    elif _kernels.BACKEND != "lapack":
+        pytest.skip("numpy bundles no LAPACK dpttrf here")
+    return request.param
+
+
+@pytest.fixture
+def wrapped(monkeypatch):
+    """The kernel calls that counting wrappers around ``_kernels`` see."""
+    seen = dict.fromkeys(_kernels.COUNTS, 0)
+
+    def counting(key, fn):
+        def wrapper(*args):
+            seen[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    build = _kernels.definite_test
+    monkeypatch.setattr(_kernels, "definite_test", lambda *pencil: counting("definite_tests", build(*pencil)))
+    monkeypatch.setattr(_kernels, "ldl_factor", counting("factorizations", _kernels.ldl_factor))
+    monkeypatch.setattr(_kernels.LDLFactor, "solve", counting("solves", _kernels.LDLFactor.solve))
+    monkeypatch.setattr(_kernels, "power_moment", counting("evaluations", _kernels.power_moment))
+    monkeypatch.setattr(_kernels, "power_moment_grad", counting("evaluations", _kernels.power_moment_grad))
+    return seen
+
+
+EIGEN = {"definite_tests", "factorizations", "solves"}  # what an eigensolve calls
+
+
+@pytest.mark.parametrize(
+    "args,busy",
+    [
+        (["constants", "--dim", "3", "--sigma", "1"], set()),
+        (["bubble-moments", "--dim", "4", "--sigma", "1"], set()),
+        (["solve", "--sigma", "2", "--lambda", "-1", "--dim", "3", "--nodes", "64"], EIGEN),
+        (["solve", "--sigma", "1", "--lambda", "-1", "--dim", "4", "--nodes", "64"], set(_kernels.COUNTS)),
+        (["mu-curve", "--lambda-min", "-1", "--lambda-max", "1", "--steps", "3", "--dim", "3", "--nodes", "64"], EIGEN),
+        (["lambda-star", "--dim", "3", "--tol", "0.05", "--nodes", "64"], EIGEN),
+        (["theorem2-check", "--dim", "4", "--lambda", "-1", "--sigma", "1", "--nodes", "32"], set(_kernels.COUNTS)),
+        (["expansion-fit", "--lambda", "-1", "--sigma", "1", "--dim", "5", "--n", "4,8,16,32"], set()),
+        (["verify", "--suite", "fast"], EIGEN),
+    ],
+    ids=["constants", "bubble-moments", "solve-sigma2", "solve-sigma1", "mu-curve", "lambda-star", "theorem2-check", "expansion-fit", "verify"],
+)
+def test_record_counts_are_the_kernel_calls(args, busy, backend, wrapped, tmp_path):
+    # definite_tests, factorizations, solves and evaluations on every record;
+    # a verify run writes one record per check, which together count the run
+    assert run(args, tmp_path) in (0, 2)
+    recs = read_records(tmp_path)
+    assert {k: sum(rec["diagnostics"][k] for rec in recs) for k in wrapped} == wrapped
+    assert {k for k, n in wrapped.items() if n} >= busy
+
+
+def test_each_verify_check_counts_its_own_calls(tmp_path):
+    assert run(["verify", "--suite", "fast"], tmp_path) == 0
+    recs = read_records(tmp_path)
+    checks = cli._verify_checks("fast")
+    assert [rec["parameters"]["check"] for rec in recs] == [name for name, _ in checks]
+    for (_, check), rec in zip(checks, recs):
+        with kernel_calls() as calls:
+            check()
+        assert {k: rec["diagnostics"][k] for k in calls} == calls
+    assert sum(rec["diagnostics"]["definite_tests"] > 0 for rec in recs) == 2  # the two eigensolve checks
+
+
+def test_a_failed_command_leaks_no_calls_into_the_next_record(tmp_path):
+    # the curve solves lambda = 0, then refuses lambda = 1e308 and writes no record
+    args = ["mu-curve", "--lambda-min", "0", "--lambda-max", "1e308", "--steps", "2", "--dim", "3", "--nodes", "64"]
+    with kernel_calls() as failed:
+        assert run(args, tmp_path) == 1
+    assert failed["definite_tests"] > 0 and failed["solves"] > 0
+    assert run(["constants", "--dim", "3", "--sigma", "1"], tmp_path) == 0
+    (rec,) = read_records(tmp_path)
+    assert {k: rec["diagnostics"][k] for k in failed} == dict.fromkeys(failed, 0)
 
 
 def test_records_carry_each_starts_stop_reason(tmp_path):
@@ -510,11 +597,7 @@ def test_import_builds_no_parser():
     assert out.split() == ["0", "0"]
 
 
-def test_e2e_benchmark_script_imports(monkeypatch):
-    # the end-to-end benchmark reads the cli-quadrature, minimizer-theorem2
-    # and pencil-threshold job lists from perfbench/ by name; loading it
-    # (without starting a worker) catches a stale import, and every command
-    # it times must parse
+def _bench_e2e(monkeypatch):
     import importlib.util
 
     path = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "bench_e2e.py")
@@ -522,8 +605,28 @@ def test_e2e_benchmark_script_imports(monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_e2e", path)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_e2e_benchmark_script_imports(monkeypatch):
+    # the end-to-end benchmark reads the cli-quadrature, minimizer-theorem2
+    # and pencil-threshold job lists from perfbench/ by name; loading it
+    # (without starting a worker) catches a stale import, and every command
+    # it times must parse
+    bench = _bench_e2e(monkeypatch)
     kinds = [kind for kind, _ in bench.COMMANDS]
     assert [kinds.count(k) for k in ("readme", "quadrature", "minimizer", "pencil")] == [9, 6, 4, 3]
     assert callable(bench.main)
     for _, argv in bench.COMMANDS:
         cli.build_parser()[0].parse_args(argv)
+
+
+def test_e2e_benchmark_verdict_needs_nine_tenths_and_the_quartile_distance(monkeypatch):
+    verdict = _bench_e2e(monkeypatch).verdict
+    old = [1.0 + 0.01 * k for k in range(10)]  # quartile distance 0.045
+    assert verdict([0.9 * t for t in old], old) == "improved"
+    assert verdict([1.1 * t for t in old], old) == "worse"
+    assert verdict([t - 0.02 for t in old], old) == "unresolved"  # 10/10 won, medians 0.02 apart
+    faster = [0.8 * t for t in old]
+    faster[:2] = [2.0, 2.0]  # 8/10 won
+    assert verdict(faster, old) == "unresolved"

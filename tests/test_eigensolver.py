@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from test_kernels import kernel_calls
 
 from hardylab import _kernels, eigensolver
 from hardylab.eigensolver import inertia_count, smallest_generalized_eigen
@@ -172,9 +173,10 @@ def test_eigensolve_checks_its_weight_once(denominator, monkeypatch, definite_re
     check = eigensolver._check_weight
     monkeypatch.setattr(eigensolver, "_check_weight", lambda w: checks.append(w.shape) or check(w))
     forms = assemble_forms(build_grid(1.0, 64, 2.0, "dirichlet"), euclidean_ball(3, 1.0), 2.0)
-    res = smallest_generalized_eigen(forms, 0.0, denominator)
+    with kernel_calls() as calls:
+        smallest_generalized_eigen(forms, 0.0, denominator)
     assert len(checks) == 1
-    assert len(definite_results) == res.definite_tests > 0
+    assert len(definite_results) == calls["definite_tests"] > 0
 
 
 def _plain_bisect(definite, lo, hi, tol):
@@ -214,8 +216,9 @@ def test_eigensolve_bisects_like_plain_bisection_with_fewer_tests(backend, denom
     solves = []
     solve = _kernels.LDLFactor.solve
     monkeypatch.setattr(_kernels.LDLFactor, "solve", lambda factor, b: solves.append(1) or solve(factor, b))
-    res = smallest_generalized_eigen(forms, lam, denominator)
-    assert res.solves == len(solves)
+    with kernel_calls() as tally:
+        res = smallest_generalized_eigen(forms, lam, denominator)
+    assert tally["solves"] == len(solves)
     (start, _, _), (coarse, probes, (lo, hi, _)) = calls[0], calls[-1]
     # the mass pencils here keep e <= 0 and me >= 0; they are probed where
     # the bracket lies at s >= 0 (the sphere at lambda = 0.7 has mu = -0.7)
@@ -227,13 +230,14 @@ def test_eigensolve_bisects_like_plain_bisection_with_fewer_tests(backend, denom
 
     calls.clear()
     monkeypatch.setattr(eigensolver, "_bisect", lambda definite, lo, hi, tol, probes=(): _plain_bisect(definite, lo, hi, tol))
-    ref = smallest_generalized_eigen(forms, lam, denominator)
+    with kernel_calls() as ref_tally:
+        ref = smallest_generalized_eigen(forms, lam, denominator)
     assert (res.mu, res.iterations, res.residual, res.concentration) == (ref.mu, ref.iterations, ref.residual, ref.concentration)
     assert res.profile.tobytes() == ref.profile.tobytes()
     if probes:
-        assert res.definite_tests < ref.definite_tests - 10
+        assert tally["definite_tests"] < ref_tally["definite_tests"] - 10
     else:
-        assert res.definite_tests == ref.definite_tests
+        assert tally["definite_tests"] == ref_tally["definite_tests"]
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -3,8 +3,10 @@ the arrays element by element, on both backends: the one resolved at import
 (LAPACK ``dpttrf``/``dpttrs`` where numpy bundles them) and the Python-float
 recurrences that run when the LAPACK handles are missing.  The definiteness
 test is checked against dense generalized eigenvalues and against the
-inertia count."""
+inertia count.  ``COUNTS`` tallies each call served, on both backends.
+``kernel_calls`` measures its change for the other test modules."""
 
+import contextlib
 import gc
 import glob
 import importlib.util
@@ -150,6 +152,16 @@ def _power_moment_grad_general(u, w, t, p):
     grad[-1] = 0.0
     grad[1:] += ends[:, 1]
     return float(np.vdot(g, v)), grad
+
+
+@contextlib.contextmanager
+def kernel_calls():
+    """The change of ``COUNTS`` over the block: a dict with its keys, filled
+    in when the block ends."""
+    calls = {}
+    before = dict(K.COUNTS)
+    yield calls
+    calls.update({k: n - before[k] for k, n in K.COUNTS.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +442,34 @@ def test_lapack_solve_rejects_mismatched_factors():
     for lo, b in [(factor.low[:2], np.ones(4)), (factor.low, np.ones(3)), (factor.low, np.ones((4, 1)))]:
         with pytest.raises(ValueError):
             K.LDLFactor(factor.diag, lo).solve(b)
+
+
+@pytest.mark.parametrize("backend", ["lapack", "python"])
+def test_tally_counts_every_call_served(backend, rng, monkeypatch):
+    # building a test counts nothing, each call of it one test; a factor
+    # that falls back to the Python recurrence is still one factorization,
+    # and a solve refused for its shape is no solve
+    if backend == "python":
+        monkeypatch.setattr(K, "_PTTRF", None)
+        monkeypatch.setattr(K, "_PTTRS", None)
+    d, e = np.full(8, 3.0), np.ones(7)
+    before = dict(K.COUNTS)
+    test = K.definite_test(d, e, np.ones(8))
+    assert K.COUNTS == before
+    with kernel_calls() as calls:
+        assert [test(s) for s in (0.0, 1.0, 9.0)] == [True, True, False]
+        factor = K.ldl_factor(d, e)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            K.ldl_factor(np.zeros(3), np.ones(2))  # an exact zero pivot
+        factor.solve(np.ones(8))
+        factor.solve(np.ones(8))
+        with pytest.raises(ValueError):
+            factor.solve(np.ones(7))
+        u, w, t = rng.random(9), rng.random((8, 4)), np.linspace(0.1, 0.9, 4)
+        K.power_moment(u, w, t, 3.0)
+        K.power_moment_grad(u, w, t, 3.0)
+        K.tridiag_solve(d, e, np.ones(8))
+    assert calls == {"definite_tests": 3, "factorizations": 3, "solves": 3, "evaluations": 2}
 
 
 def test_import_resolves_backend_without_scipy():

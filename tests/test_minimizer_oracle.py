@@ -4,13 +4,15 @@ the element-by-element reference loop and evaluates F and grad F with
 ``abs`` and ``copysign`` at every point.  It is the oracle: the minimizer
 forms the bound only when Q rises, solves with the factor's bound
 ``dpttrs`` call and takes the sign-free |u|^p path on profiles with no sign
-bit set, and none of that may move a bit of any result or counter."""
+bit set, and none of that may move a bit of any result or kernel count.
+The oracle's reference solve and general |u|^p gradient are tallied as the
+kernel calls they stand in for."""
 
 import math
 
 import numpy as np
 import pytest
-from test_kernels import _ldl_solve_py, _power_moment_grad_general
+from test_kernels import _ldl_solve_py, _power_moment_grad_general, kernel_calls
 
 from hardylab import _kernels, minimizer
 from hardylab.errors import DomainError
@@ -32,7 +34,6 @@ from hardylab.minimizer import (
 def _descend_oracle(forms, lam, a, abs_a, factor, u0, tag, max_iters):
     sl = forms.dof
     u, grad = _project_grad(forms, forms.check_profile(np.asarray(u0, dtype=float).copy()))
-    evals, solves = 1, 0
     with np.errstate(over="ignore"):
         au, q = _energy(a, u)
         if not math.isfinite(q):
@@ -50,7 +51,7 @@ def _descend_oracle(forms, lam, a, abs_a, factor, u0, tag, max_iters):
                 best_q, best_err, best_u = q, err, u
             r = (au - (q / forms.p_crit) * grad)[sl]
             s = _ldl_solve_py(factor.diag, factor.low, r)
-            solves += 1
+            _kernels.COUNTS["solves"] += 1
             gnorm = math.sqrt(max(float(np.dot(r, s)), 0.0)) / (1.0 + abs(q))
             if gnorm <= _GRAD_TOL:
                 break
@@ -58,7 +59,6 @@ def _descend_oracle(forms, lam, a, abs_a, factor, u0, tag, max_iters):
             v[sl] -= s
             mix = prev is not None
             v, v_grad = _project_grad(forms, v)
-            evals += 1
             f = (v - u)[sl]
             if mix:
                 d_u.append(u[sl] - prev[0])
@@ -72,7 +72,6 @@ def _descend_oracle(forms, lam, a, abs_a, factor, u0, tag, max_iters):
                 x[sl] = _mixed(u[sl], f, d_u, d_f)
                 if np.any(x):
                     x, x_grad = _project_grad(forms, x)
-                    evals += 1
                     ax, qx = _energy(a, x)
                     if qx <= q:
                         u, au, q, grad = x, ax, qx, x_grad
@@ -84,7 +83,6 @@ def _descend_oracle(forms, lam, a, abs_a, factor, u0, tag, max_iters):
     u = best_u
     if np.any(u < 0.0):
         u = _project(forms, np.abs(u))
-        evals += 1
     return MinimizationResult(
         mu_upper=evaluate_quotient(forms, u, lam),
         profile=u,
@@ -93,9 +91,12 @@ def _descend_oracle(forms, lam, a, abs_a, factor, u0, tag, max_iters):
         init_tag=tag,
         concentration=math.nan,
         converged=gnorm <= _GRAD_TOL,
-        evaluations=evals + 1,
-        solves=solves,
     )
+
+
+def _power_moment_grad_counted(u, w, t, p):
+    _kernels.COUNTS["evaluations"] += 1
+    return _power_moment_grad_general(u, w, t, p)
 
 
 def _sphere(N, sigma, M):
@@ -110,12 +111,12 @@ CASES = {
     "S4-64-shifted": (lambda: _sphere(4, 1.0, 64), 0.5),
     "S3-64-shifted": (lambda: _sphere(3, 1.0, 64), 1.0),
 }
-FIELDS = ("mu_upper", "iterations", "iterations_total", "evaluations", "solves", "grad_norm", "converged")
+FIELDS = ("mu_upper", "iterations", "iterations_total", "grad_norm", "converged")
 
 
-def _bits(res):
+def _bits(res, calls):
     values = [np.float64(getattr(res, k)).tobytes() for k in FIELDS]
-    return values, res.profile.tobytes(), [(np.float64(mu).tobytes(), u.tobytes()) for mu, u in res.finals]
+    return values, calls, res.profile.tobytes(), [(np.float64(mu).tobytes(), u.tobytes()) for mu, u in res.finals]
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -124,12 +125,13 @@ def test_step_matches_oracle_bit_for_bit(case, monkeypatch):
     forms = make()
     rises = []
     monkeypatch.setattr(minimizer, "_rounding", lambda abs_a, u: rises.append(1) or _rounding(abs_a, u))
-    got = minimize_quotient(forms, lam)
-    with monkeypatch.context() as m:
+    with kernel_calls() as got_calls:
+        got = minimize_quotient(forms, lam)
+    with monkeypatch.context() as m, kernel_calls() as want_calls:
         m.setattr(minimizer, "_descend", _descend_oracle)
-        m.setattr(_kernels, "power_moment_grad", _power_moment_grad_general)
+        m.setattr(_kernels, "power_moment_grad", _power_moment_grad_counted)
         want = minimize_quotient(forms, lam)
-    assert _bits(got) == _bits(want)
+    assert _bits(got, got_calls) == _bits(want, want_calls)
     assert got.converged and [s["stop"] for s in got.starts] == ["converged"] * 4
     # the bounds are formed only where Q rises, two per rise test
     assert len(rises) == (2 if case == "S5-32-sigma-0.5" else 0)
@@ -138,15 +140,18 @@ def test_step_matches_oracle_bit_for_bit(case, monkeypatch):
 def test_stop_reasons_and_oracle_at_a_small_budget(monkeypatch):
     # three steps stop every start on its budget; the oracle agrees there too
     forms = _sphere(4, 1.0, 32)
-    got = minimize_quotient(forms, -1.0, max_iters=3)
+    with kernel_calls() as got_calls:
+        got = minimize_quotient(forms, -1.0, max_iters=3)
     assert got.starts == [
         {"init": tag, "iterations": 3, "stop": "max_iters"}
         for tag in ("constant", "bubble(2)", "bubble(8)", "bubble(32)")
     ]
     assert got.stop == "max_iters" and not got.converged
     monkeypatch.setattr(minimizer, "_descend", _descend_oracle)
-    monkeypatch.setattr(_kernels, "power_moment_grad", _power_moment_grad_general)
-    assert _bits(got) == _bits(minimize_quotient(forms, -1.0, max_iters=3))
+    monkeypatch.setattr(_kernels, "power_moment_grad", _power_moment_grad_counted)
+    with kernel_calls() as want_calls:
+        want = minimize_quotient(forms, -1.0, max_iters=3)
+    assert _bits(got, got_calls) == _bits(want, want_calls)
 
 
 def test_a_rise_past_a_zero_bound_stops_its_start(monkeypatch):

@@ -196,6 +196,18 @@ def test_bracket_widens_down_from_nonnegative_bottom(m, sweep, lo, hi):
     assert (br.lo, br.hi) == (lo, hi)
 
 
+def test_bracket_widens_down_from_a_zero_width_sweep_at_zero():
+    # the downward step max(|lo|, hi - lo) is 0 at lo = hi = 0: it is 1 there
+    br = lambda_star_bracket(unit_sphere(3), M=256, sweep=(0.0, 0.0))
+    assert (br.lo, br.hi) == (-0.375, -0.34375)
+
+
+@pytest.mark.parametrize("sweep", [(0.0, -20.0), (math.nan, 0.0), (-20.0, math.inf), (-math.inf, 0.0)])
+def test_bracket_refuses_a_reversed_or_non_finite_sweep(sweep):
+    with pytest.raises(DomainError, match="sweep must be finite with bottom <= top"):
+        lambda_star_bracket(unit_sphere(3), M=64, sweep=sweep)
+
+
 def test_bracket_widens_up_to_hyperbolic_cap_threshold():
     # the default sweep tops out at 0; the cap's threshold is about 7.3, so
     # the upward sweep must test 0, 1, 3, 7 and 15 (the doubling steps)
