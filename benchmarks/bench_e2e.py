@@ -154,11 +154,19 @@ def totals(w: Worker) -> dict:
     return series
 
 
+def rounds(text: str) -> int:
+    """--rounds: quartiles need at least two rounds."""
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"at least 2 rounds are needed for the quartiles, got {n}")
+    return n
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="source tree of the change (default: this checkout)")
     parser.add_argument("--baseline", default=None, help="source tree to compare against, e.g. a parent checkout's src")
-    parser.add_argument("--rounds", type=int, default=20, help="timed rounds per tree")
+    parser.add_argument("--rounds", type=rounds, default=20, help="timed rounds per tree, at least 2")
     parser.add_argument("--out", type=Path, default=None, help="write the results as JSON here")
     parser.add_argument("--worker", default=None, help=argparse.SUPPRESS)
     args = parser.parse_args()

@@ -212,7 +212,10 @@ def _tail_cutoff(bubble: _Bubble, name: str, tail_power: float, abs_target: floa
     if c == 0.0:
         return probe
     # int_R^inf C r^-p dr = C R^{1-p}/(p-1)
-    r = (c / (abs_target * (tail_power - 1.0))) ** (1.0 / (tail_power - 1.0))
+    try:  # p near 1 (r2_hs at N = 4 near sigma = 2) puts R past the double range
+        r = (c / (abs_target * (tail_power - 1.0))) ** (1.0 / (tail_power - 1.0))
+    except OverflowError:
+        raise DomainError(f"sigma = {bubble.s!r} is too close to 2 for the panel quadrature ({name}'s tail cutoff overflows)") from None
     return max(probe, r)
 
 

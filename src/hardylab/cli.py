@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import constants as consts
+from . import _kernels, constants as consts
 from .bubble import bubble_moments, bubble_quotient, pohozaev_residual
 from .errors import DomainError, SweepRangeError
 from .expansion import fit_expansion, quotient_series, theory_coefficient
@@ -436,10 +436,11 @@ def _residual_order(a, N):
 
 
 def _check_laplacian():
-    ball = euclidean_ball(3, 1.0)
-    forms = assemble_forms(build_grid(1.0, 512, 2.0, "dirichlet"), ball, 2.0)
-    res = smallest_generalized_eigen(forms, 0.0, denominator="mass")
-    return abs(res.mu - math.pi**2) < 1e-3
+    """lambda_1 of (K, Mass) on the unit 3-ball lies in (pi^2 - 1e-3, pi^2 + 1e-3]:
+    by Sylvester's law, K - s*Mass is definite at the lower end, not at the upper."""
+    forms = assemble_forms(build_grid(1.0, 512, 2.0, "dirichlet"), euclidean_ball(3, 1.0), 2.0)
+    definite = _kernels.definite_test(*forms.free(forms.kd, forms.ke), *forms.free(forms.md, forms.me))
+    return definite(math.pi**2 - 1e-3) and not definite(math.pi**2 + 1e-3)
 
 
 def _check_constant_mode():

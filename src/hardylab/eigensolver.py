@@ -1,16 +1,18 @@
 """Smallest generalized eigenvalue of the pencil (K - lambda*Mass, W).
 
-Every pencil in the package goes one way: it is sliced to the free nodes
-(``_pencil_arrays``; the lambda-star pencil in ``thresholds``),
-``_kernels.definite_test`` asks whether it is positive definite past a
-shift, ``_kernels.ldl_factor`` factors it once and the factor's bound
-``solve`` solves against it.  No caller needs a count: each bisection step
-only asks whether T - s*W is positive definite, one in-place shift and one
-``dpttrf`` call (``_kernels.BACKEND``).  An eigensolve checks the weight
-and builds the pencil's test once; ``_bisect`` is the one bisection loop,
-shared with the lambda-star bracket.  ``inertia_count``, the full Sturm
-count with its zero-pivot retry, stays public for the tests and for
-library users.
+Every pencil in the package goes one way: ``QuadraticForms.free``
+restricts it to the free nodes, ``_kernels.definite_test`` asks whether it
+is positive definite past a shift, ``_kernels.ldl_factor`` factors it once
+and the factor's bound ``solve`` solves against it.  No caller needs a
+count: each bisection step only asks whether T - s*W is positive definite,
+one in-place shift and one ``dpttrf`` call (``_kernels.BACKEND``).  The
+eigensolve takes one pencil shape, a tridiagonal T and a positive diagonal
+W: ``smallest_generalized_eigen`` builds (K - lambda*Mass, W) and
+``hardy_refined`` the improved-inequality pencil (K - cap*W, W_log).  It
+checks the weight and builds the pencil's test once; ``_bisect`` is the
+one bisection loop, shared with the lambda-star bracket.
+``inertia_count``, the full Sturm count with its zero-pivot retry, stays
+public for the tests and for library users.
 
 Bisection on the definiteness test localizes the eigenvalue to absolute
 _TOL_ABS = 1e-10 regardless of the indefiniteness of K - lambda*Mass.  The
@@ -18,19 +20,15 @@ floating-point test is monotone in s: with a diagonal W each step of the
 pivot recurrence (s*w, d - s*w, e/p and d' - (e/p)*e with e fixed) is a
 monotone rounding, so by induction every pivot is non-increasing in s, and
 definite at s means definite at every shift below s (the Python backend's
-d' - e*e/p likewise).  A tridiagonal W keeps this where every off-diagonal
-e - s*w_off keeps its sign and grows in size over the bracket: e <= 0,
-w_off >= 0 and s >= 0, which the mass pencil meets wherever its bracket
-lies at s >= 0; elsewhere it bisects plainly.  So once one shift tests
-definite and a higher one does not, every midpoint outside the two is
-answered.  The eigensolve bisects to _COARSE = 1e-3, estimates the
-eigenvalue by _ESTIMATE_STEPS inverse steps from the definite end, tests
-the probes estimate - _PROBE and estimate + _PROBE and finishes the same
-bisection, testing only the midpoints between the tightest answers: the
-same halvings, the same bracket and the same bits, in about 15 tests
-instead of about 36.  A probe on the wrong side or a non-finite estimate
-costs tests, never bits.  The eigenvector follows by inverse iteration
-from the constant vector, shifted
+d' - e*e/p likewise).  So once one shift tests definite and a higher one
+does not, every midpoint outside the two is answered.  The eigensolve
+bisects to _COARSE = 1e-3, estimates the eigenvalue by _ESTIMATE_STEPS
+inverse steps from the definite end, tests the probes estimate - _PROBE and
+estimate + _PROBE and finishes the same bisection, testing only the
+midpoints between the tightest answers: the same halvings, the same bracket
+and the same bits, in about 15 tests instead of about 36.  A probe on the
+wrong side or a non-finite estimate costs tests, never bits.  The
+eigenvector follows by inverse iteration from the constant vector, shifted
 to the definite side of the final bracket (so the shifted matrix is positive
 definite, its unpivoted LDL^T factor is stable, and it is factored once).
 There is no other path: if inverse iteration stops above its 1e-9 target,
@@ -87,18 +85,13 @@ def inertia_count(
     shift = float(shift)
     scale = None
     for attempt in range(4):
-        count = _kernels.negcount(*_shifted(d, e, w, shift, w_off))
+        count = _kernels.negcount(d - shift * w, e if w_off is None else e - shift * w_off)
         if count >= 0:
             return count
         if scale is None:
             scale = float(np.max(np.abs(d)) + np.max(np.abs(e), initial=0.0) + abs(shift))
         shift += (attempt + 1) * 1e-15 * max(scale, 1.0)
     raise RuntimeError("inertia count kept hitting exact singularities")
-
-
-def _shifted(d, e, w, shift, w_off):
-    """Diagonal and off-diagonal of T - shift*W."""
-    return d - shift * w, (e if w_off is None else e - shift * w_off)
 
 
 def _bisect(definite, lo, hi, tol, probes=()):
@@ -134,29 +127,29 @@ def _bisect(definite, lo, hi, tol, probes=()):
     return lo, hi, steps
 
 
-def _norm(x, apply=None) -> float:
-    """sqrt(x . apply(x)), the 2-norm without ``apply``, taken of x * 2**-k
-    with max|x| in [2**(k-1), 2**k): exact, and no square over- or underflows."""
+def _norm(x, w=None) -> float:
+    """sqrt(x . w x), the 2-norm without ``w``, taken of x * 2**-k with
+    max|x| in [2**(k-1), 2**k): exact, and no square over- or underflows."""
     k = math.frexp(np.max(np.abs(x)))[1]
     x = np.ldexp(x, -k)
-    return math.ldexp(math.sqrt(float(np.dot(x, x if apply is None else apply(x)))), k)
+    return math.ldexp(math.sqrt(float(np.dot(x, x if w is None else w * x))), k)
 
 
-def _estimate(d, e, wd, we, w_apply, shift) -> float:
+def _estimate(d, e, w, shift) -> float:
     """The eigenvalue estimate shift + (y . W x) / (y . W y) of the last of
     _ESTIMATE_STEPS inverse steps y = (T - shift*W)^-1 W x from the
     constant vector, each iterate scaled by its max.  The energy of y in
     T - shift*W is y . W x, so nothing cancels.  ``shift`` has tested
     definite, so its factor exists; a non-finite iterate gives NaN or inf."""
-    factor = _kernels.ldl_factor(*_shifted(d, e, wd, shift, we))
+    factor = _kernels.ldl_factor(d - shift * w, e)
     x = np.ones(d.shape[0])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a bad estimate is not finite
         for _ in range(_ESTIMATE_STEPS):
-            wx = w_apply(x)
+            wx = w * x
             y = factor.solve(wx)
             top = np.max(np.abs(y))
             x = y / top
-        return shift + float(np.dot(x, wx)) / (top * float(np.dot(x, w_apply(x))))
+        return shift + float(np.dot(x, wx)) / (top * float(np.dot(x, w * x)))
 
 
 def _check_weight(w: np.ndarray) -> None:
@@ -175,32 +168,20 @@ def _check_pencil(d: np.ndarray, e: np.ndarray, lam: float) -> None:
         raise DomainError(f"K - lambda*Mass overflows at lambda = {float(lam)!r}")
 
 
-def _pencil_arrays(forms: QuadraticForms, lam: float, denominator: str):
-    sl = forms.dof
-    with np.errstate(over="ignore"):  # _check_pencil refuses what overflows
-        d = forms.kd[sl] - lam * forms.md[sl]
-        n = d.shape[0]
-        e = (forms.ke - lam * forms.me)[: n - 1]
-    if denominator == "w2":
-        wd = forms.w2[sl]
-        we = None
-    elif denominator == "mass":
-        wd = forms.md[sl]
-        we = forms.me[: n - 1]
-    else:
-        raise DomainError(f"unknown denominator {denominator!r}")
-    return d, e, wd, we
-
-
-def smallest_generalized_eigen(forms: QuadraticForms, lam: float, denominator: str = "w2") -> EigenResult:
+def smallest_generalized_eigen(forms: QuadraticForms, lam: float) -> EigenResult:
     """Least eigenvalue and eigenvector of (K - lambda*Mass) u = mu W u.
 
-    ``denominator="w2"`` is the singular-weight pencil; ``"mass"`` swaps in
-    the plain mass form (a sanity configuration with classical closed-form
-    eigenvalues).  The eigenvalue may be negative.  The returned profile is
-    W-normalized and carries the boundary node.
+    W is the lumped sigma = 2 weight.  The eigenvalue may be negative.  The
+    returned profile is W-normalized and carries the boundary node.
     """
-    d, e, wd, we = _pencil_arrays(forms, lam, denominator)
+    with np.errstate(over="ignore"):  # _check_pencil refuses what overflows
+        d, e = forms.free(forms.kd - lam * forms.md, forms.ke - lam * forms.me)
+    return _eigen(forms, d, e, forms.w2[forms.dof], lam)
+
+
+def _eigen(forms: QuadraticForms, d, e, wd, lam: float) -> EigenResult:
+    """The eigensolve of the pencil (T, W) on the free nodes of ``forms``,
+    T = (d, e) and W the diagonal ``wd``; ``lam`` names it in refusals."""
     _check_weight(wd)
     _check_pencil(d, e, lam)
     # upper start: Rayleigh quotient of every basis vector
@@ -210,14 +191,13 @@ def smallest_generalized_eigen(forms: QuadraticForms, lam: float, denominator: s
     if not math.isfinite(hi):  # d / wd or the scale overflows
         raise _out_of_range(lam)
     lo = hi - max(1.0, 0.1 * abs(hi))
-    pencil_test = _kernels.definite_test(d, e, wd, we)
+    pencil_test = _kernels.definite_test(d, e, wd)
     wd_max = float(np.max(wd))
-    w_max = wd_max if we is None else max(wd_max, float(np.max(np.abs(we))))
 
     def definite(s):
         # a shift s whose s*W leaves the double range (only a bracket end
         # can) is refused, not tested
-        if not abs(s) * w_max < math.inf:
+        if not abs(s) * wd_max < math.inf:
             raise _out_of_range(lam)
         return pencil_test(s)
 
@@ -233,22 +213,15 @@ def smallest_generalized_eigen(forms: QuadraticForms, lam: float, denominator: s
         if it > 400:
             raise RuntimeError("failed to bracket the smallest eigenvalue from above")
 
-    def w_apply(x):
-        return wd * x if we is None else tri_matvec(wd, we, x)
-
-    # one bisection in two calls: to _COARSE, then, where the test is
-    # monotone, on to _TOL_ABS with probes either side of an estimate taken
-    # from the definite end
+    # one bisection in two calls: to _COARSE, then on to _TOL_ABS with
+    # probes either side of an estimate taken from the definite end
     lo, hi, steps = _bisect(definite, lo, hi, _COARSE)
-    probes = ()
-    if we is None or (lo >= 0.0 and np.all(e <= 0.0) and np.all(we >= 0.0)):
-        estimate = _estimate(d, e, wd, we, w_apply, lo)
-        probes = (estimate - _PROBE, estimate + _PROBE)
-    lo, hi, fine_steps = _bisect(definite, lo, hi, _TOL_ABS, probes)
+    estimate = _estimate(d, e, wd, lo)
+    lo, hi, fine_steps = _bisect(definite, lo, hi, _TOL_ABS, (estimate - _PROBE, estimate + _PROBE))
     it += steps + fine_steps
 
     def residual_of(x, rho):
-        r = tri_matvec(d, e, x) - rho * w_apply(x)
+        r = tri_matvec(d, e, x) - rho * (wd * x)
         denom = (scale + abs(rho) * wd_max) * _norm(x)
         # an infinite denominator: the pencil's scale leaves the double range
         return _norm(r) / max(denom, 1e-300) if denom < math.inf else math.inf
@@ -256,16 +229,16 @@ def smallest_generalized_eigen(forms: QuadraticForms, lam: float, denominator: s
     # inverse iteration from the definite side of the bracket; without a
     # finite iterate rho and res stay NaN and the eigensolve is refused
     shift = lo - max(10.0 * _TOL_ABS, 1e-14 * max(scale, 1.0))
-    factor = _kernels.ldl_factor(*_shifted(d, e, wd, shift, we))
+    factor = _kernels.ldl_factor(d - shift * wd, e)
     rho = res = math.nan
     with np.errstate(over="ignore", invalid="ignore"):  # rho and res are checked next
         x = np.ones(d.shape[0])
-        x /= _norm(x, w_apply)
+        x /= _norm(x, wd)
         for inv_it in range(1, 61):
-            y = factor.solve(w_apply(x))
+            y = factor.solve(wd * x)
             if not np.all(np.isfinite(y)):
                 break
-            x = y / _norm(y, w_apply)
+            x = y / _norm(y, wd)
             rho = tri_quadform(d, e, x)
             res = residual_of(x, rho)
             if res <= 1e-9:

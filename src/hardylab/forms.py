@@ -109,6 +109,12 @@ class QuadraticForms:
         # condition is natural and keeps every node.
         return slice(0, self.n_nodes - 1) if self.grid.bc == "dirichlet" else slice(0, self.n_nodes)
 
+    def free(self, d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The tridiagonal (d, e) on every node restricted to the free
+        nodes, which are a prefix: (d[dof], e[:n_free - 1])."""
+        d = d[self.dof]
+        return d, e[: d.shape[0] - 1]
+
     def zero_profile(self) -> np.ndarray:
         return np.zeros(self.n_nodes)
 

@@ -17,12 +17,12 @@ sub-solutions near the pole.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import check_dimension, hardy_constant, sphere_area
-from .eigensolver import smallest_generalized_eigen
+from .eigensolver import _eigen
 from .errors import DomainError
 from .forms import assemble_forms, assemble_lumped_weight, build_grid
 from .manifold import ModelManifold, euclidean_ball
@@ -145,14 +145,7 @@ def improved_hardy_eigen(N: int, r0: float, M: int = 1024, gamma: float = 3.0) -
     forms = assemble_forms(grid, ball, 2.0)
     with np.errstate(divide="ignore"):
         wlog = assemble_lumped_weight(grid, ball, lambda r: 1.0 / np.square(r * np.log(r)))
-    pencil = replace(
-        forms,
-        kd=forms.kd - hardy_constant(n) * forms.w2,
-        md=np.zeros_like(forms.md),
-        me=np.zeros_like(forms.me),
-        w2=wlog,
-    )
-    res = smallest_generalized_eigen(pencil, 0.0)
+    res = _eigen(forms, *forms.free(forms.kd - hardy_constant(n) * forms.w2, forms.ke), wlog[forms.dof], 0.0)
     return ImprovedHardyResult(
         value=res.mu, within_lemma_scope=r0 <= 0.1, r0=r0, M=M, gamma=gamma
     )

@@ -9,7 +9,7 @@ curved phenomenology) is returned.
 
 A step solves Ã s = r for the Lagrange residual r = Au - (Q/p) g, g = grad
 F(u) (u'g = pF), on the free nodes and moves to u - s, rescaled.  Ã = A + c
-Mass goes the eigensolver's pencil path (``_pencil_arrays``,
+Mass goes the package's one pencil path (``QuadraticForms.free``,
 ``_kernels.definite_test``) and is factored once per call; each step solves
 with the factor's bound ``solve``.  c = 0 when
 A - 1e-8 (1 + |lambda|) Mass is positive definite, so A is definite
@@ -63,7 +63,7 @@ import numpy as np
 
 from . import _kernels
 from .bubble import bubble_value
-from .eigensolver import _CORE, _check_pencil, _pencil_arrays
+from .eigensolver import _CORE, _check_pencil
 from .errors import DomainError
 from .forms import (
     QuadraticForms,
@@ -202,9 +202,11 @@ def _shifted_factor(forms: QuadraticForms, lam: float):
     """The LDL^T factor on the free nodes of A = K - lam*Mass when
     A - 1e-8 (1 + |lam|) Mass is positive definite, else of
     K + (1 + |lam|) Mass."""
-    d, e, md, me = _pencil_arrays(forms, lam, "mass")
-    if not _kernels.definite_test(d, e, md, me)(1e-8 * (1.0 + abs(lam))):
-        d, e, _, _ = _pencil_arrays(forms, -1.0 - abs(lam), "mass")
+    c = 1.0 + abs(lam)
+    d, e = forms.free(forms.kd - lam * forms.md, forms.ke - lam * forms.me)
+    if not _kernels.definite_test(d, e, *forms.free(forms.md, forms.me))(1e-8 * c):
+        with np.errstate(over="ignore"):  # only |lam| near the double range overflows
+            d, e = forms.free(forms.kd + c * forms.md, forms.ke + c * forms.me)
     return _kernels.ldl_factor(d, e)
 
 

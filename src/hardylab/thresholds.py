@@ -138,10 +138,7 @@ def constant_profile_bound(m: ModelManifold) -> float:
 def _margin_test(forms, shift):
     """The definiteness test, in lambda, of (K - shift*W) - lambda*Mass on
     the free nodes: it fails exactly where mu_h(lambda) <= shift."""
-    sl = forms.dof
-    md = forms.md[sl]
-    n = md.shape[0]
-    return _kernels.definite_test(forms.kd[sl] - shift * forms.w2[sl], forms.ke[: n - 1], md, forms.me[: n - 1])
+    return _kernels.definite_test(*forms.free(forms.kd - shift * forms.w2, forms.ke), *forms.free(forms.md, forms.me))
 
 
 def lambda_star_bracket(

@@ -146,6 +146,14 @@ def test_moments_refuse_sigma_too_close_to_two():
             bubble_moments(5, sigma)
 
 
+def test_moments_refuse_a_tail_cutoff_that_overflows():
+    # at N = 4 r2_hs decays like r^-(3 - sigma): near sigma = 2 the radius
+    # that bounds its tail leaves the double range
+    for sigma in (1.98, 1.99):
+        with pytest.raises(DomainError, match=rf"sigma = {sigma} .*\(r2_hs's tail cutoff overflows\)"):
+            bubble_moments(4, sigma)
+
+
 @pytest.mark.parametrize("N,sigma", [(5, 0.5), (5, 1.0), (6, 1.0), (6, 0.5)])
 def test_pohozaev_identity(N, sigma):
     assert pohozaev_residual(N, sigma) <= 1e-8

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -160,17 +161,6 @@ def test_sigma2_records_count_definite_tests_and_solves_as_diagnostics(args, tmp
     assert not {"definite_tests", "solves"} & (set(rec["results"]) | set(rec["provenance"]))
 
 
-@pytest.fixture(params=["lapack", "python"])
-def backend(request, monkeypatch):
-    """Run the kernels on each backend."""
-    if request.param == "python":
-        monkeypatch.setattr(_kernels, "_PTTRF", None)
-        monkeypatch.setattr(_kernels, "_PTTRS", None)
-    elif _kernels.BACKEND != "lapack":
-        pytest.skip("numpy bundles no LAPACK dpttrf here")
-    return request.param
-
-
 @pytest.fixture
 def wrapped(monkeypatch):
     """The kernel calls that counting wrappers around ``_kernels`` see."""
@@ -228,7 +218,25 @@ def test_each_verify_check_counts_its_own_calls(tmp_path):
         with kernel_calls() as calls:
             check()
         assert {k: rec["diagnostics"][k] for k in calls} == calls
-    assert sum(rec["diagnostics"]["definite_tests"] > 0 for rec in recs) == 2  # the two eigensolve checks
+    assert sum(rec["diagnostics"]["definite_tests"] > 0 for rec in recs) == 2  # the Laplacian and constant-mode checks
+
+
+def test_verify_laplacian_check_is_two_definiteness_tests(tmp_path, monkeypatch, capsys):
+    # definite at pi^2 - 1e-3, not at pi^2 + 1e-3: no factor and no solve
+    assert run(["verify", "--suite", "fast"], tmp_path) == 0
+    (rec,) = [r for r in read_records(tmp_path) if r["parameters"]["check"] == "laplacian_ball_pi_squared"]
+    assert [rec["diagnostics"][k] for k in ("definite_tests", "factorizations", "solves")] == [2, 0, 0]
+    # a Mass 1 % too heavy moves lambda_1 to about pi^2 / 1.01, out of the window
+    assemble = cli.assemble_forms
+
+    def heavy(*args):
+        forms = assemble(*args)
+        return dataclasses.replace(forms, md=1.01 * forms.md, me=1.01 * forms.me)
+
+    monkeypatch.setattr(cli, "assemble_forms", heavy)
+    capsys.readouterr()
+    assert run(["verify", "--suite", "fast"], tmp_path) == 1
+    assert "laplacian_ball_pi_squared: FAIL" in capsys.readouterr().out.splitlines()
 
 
 def test_a_failed_command_leaks_no_calls_into_the_next_record(tmp_path):
@@ -420,6 +428,8 @@ def test_config_bad_value_exits_1(tmp_path, capsys, text, args):
         # K - lambda*Mass is finite, the energy of the constant start is not
         ["solve", "--sigma", "1", "--dim", "4", "--lambda", "1e308", "--nodes", "64"],
         ["theorem2-check", "--dim", "4", "--lambda", "1e308", "--sigma", "1", "--nodes", "64"],
+        # r2_hs's tail cutoff radius overflows
+        ["bubble-moments", "--dim", "4", "--sigma", "1.99"],
     ],
 )
 def test_bad_numeric_input_is_an_error(tmp_path, capsys, argv):
@@ -619,6 +629,18 @@ def test_e2e_benchmark_script_imports(monkeypatch):
     assert callable(bench.main)
     for _, argv in bench.COMMANDS:
         cli.build_parser()[0].parse_args(argv)
+
+
+@pytest.mark.parametrize("rounds", ["1", "0", "-3"])
+def test_e2e_benchmark_refuses_fewer_than_two_rounds_before_timing(rounds, monkeypatch, capsys):
+    # the quartiles of one round do not exist; the refusal comes at parse
+    # time, before a worker starts
+    bench = _bench_e2e(monkeypatch)
+    monkeypatch.setattr(bench, "Worker", lambda src: pytest.fail("a worker started"))
+    monkeypatch.setattr(sys, "argv", ["bench_e2e.py", "--rounds", rounds])
+    with pytest.raises(SystemExit) as exc:
+        bench.main()
+    assert exc.value.code == 2 and "at least 2 rounds" in capsys.readouterr().err
 
 
 def test_e2e_benchmark_verdict_needs_nine_tenths_and_the_quartile_distance(monkeypatch):

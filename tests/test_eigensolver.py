@@ -98,16 +98,6 @@ def test_inertia_rejects_nan_weight():
         inertia_count(np.ones(4), np.zeros(3), np.array([1.0, np.nan, 1.0, 1.0]), 2.0)
 
 
-@pytest.fixture(params=["lapack", "python"])
-def backend(request, monkeypatch):
-    """Run the definiteness tests on each kernel backend."""
-    if request.param == "python":
-        monkeypatch.setattr(_kernels, "_PTTRF", None)
-    elif _kernels.BACKEND != "lapack":
-        pytest.skip("numpy bundles no LAPACK dpttrf here")
-    return request.param
-
-
 @pytest.fixture
 def definite_results(monkeypatch):
     """What every call of every per-pencil definiteness test returned, in
@@ -142,7 +132,7 @@ def test_inertia_count_is_weight_check_plus_count_body(backend, definite_results
         for we in (None, 0.9 * rng.uniform(-1.0, 1.0, n - 1)):
             for shift in (-5.0, -0.5, 0.0, 0.7, 4.0):
                 got = inertia_count(d, e, wd, shift, we)
-                assert got == _kernels.negcount(*eigensolver._shifted(d, e, wd, shift, we))
+                assert got == _kernels.negcount(d - shift * wd, e if we is None else e - shift * we)
                 assert _kernels.definite_test(d, e, wd, we)(shift) == (got == 0)
                 counts.add(got)
     assert max(counts) > 5  # deep counts too
@@ -156,26 +146,28 @@ def test_inertia_count_is_weight_check_plus_count_body(backend, definite_results
     assert definite_results == [False]
 
 
+# the eigensolve weighs by W2 alone; its cases keep the ids they had beside
+# the plain mass weight's
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
-@pytest.mark.parametrize("denominator,field", [("w2", "w2"), ("mass", "md")])
-def test_eigensolve_rejects_bad_weight_before_counting(denominator, field, bad, definite_results):
+@pytest.mark.parametrize("field", [pytest.param("w2", id="w2-w2")])
+def test_eigensolve_rejects_bad_weight_before_counting(field, bad, definite_results):
     forms = assemble_forms(build_grid(1.0, 64, 2.0, "dirichlet"), euclidean_ball(3, 1.0), 2.0)
     weight = getattr(forms, field).copy()
     weight[5] = bad
     with pytest.raises(DomainError, match="weight diagonal must be positive"):
-        smallest_generalized_eigen(dataclasses.replace(forms, **{field: weight}), 0.0, denominator)
+        smallest_generalized_eigen(dataclasses.replace(forms, **{field: weight}), 0.0)
     assert definite_results == []
 
 
-@pytest.mark.parametrize("denominator", ["w2", "mass"])
-def test_eigensolve_checks_its_weight_once(denominator, monkeypatch, definite_results):
+@pytest.mark.parametrize("field", ["w2"])
+def test_eigensolve_checks_its_weight_once(field, monkeypatch, definite_results):
     checks = []
     check = eigensolver._check_weight
     monkeypatch.setattr(eigensolver, "_check_weight", lambda w: checks.append(w.shape) or check(w))
     forms = assemble_forms(build_grid(1.0, 64, 2.0, "dirichlet"), euclidean_ball(3, 1.0), 2.0)
     with kernel_calls() as calls:
-        smallest_generalized_eigen(forms, 0.0, denominator)
-    assert len(checks) == 1
+        smallest_generalized_eigen(forms, 0.0)
+    assert checks == [getattr(forms, field)[forms.dof].shape]
     assert len(definite_results) == calls["definite_tests"] > 0
 
 
@@ -198,8 +190,8 @@ def _plain_bisect(definite, lo, hi, tol):
     "m,bc,lam",
     [(unit_sphere(3), "reflected", -1.0), (unit_sphere(3), "reflected", 0.7), (euclidean_ball(3, 1.0), "dirichlet", 0.0)],
 )
-@pytest.mark.parametrize("denominator", ["w2", "mass"])
-def test_eigensolve_bisects_like_plain_bisection_with_fewer_tests(backend, denominator, m, bc, lam, monkeypatch):
+@pytest.mark.parametrize("field", ["w2"])
+def test_eigensolve_bisects_like_plain_bisection_with_fewer_tests(backend, field, m, bc, lam, monkeypatch):
     # the eigensolve's bisection skips the tests its probes answer; a plain
     # bisection of the same pencil from the same bracket must end at the
     # same bracket after the same halvings, and a plain eigensolve must
@@ -217,27 +209,22 @@ def test_eigensolve_bisects_like_plain_bisection_with_fewer_tests(backend, denom
     solve = _kernels.LDLFactor.solve
     monkeypatch.setattr(_kernels.LDLFactor, "solve", lambda factor, b: solves.append(1) or solve(factor, b))
     with kernel_calls() as tally:
-        res = smallest_generalized_eigen(forms, lam, denominator)
+        res = smallest_generalized_eigen(forms, lam)
     assert tally["solves"] == len(solves)
-    (start, _, _), (coarse, probes, (lo, hi, _)) = calls[0], calls[-1]
-    # the mass pencils here keep e <= 0 and me >= 0; they are probed where
-    # the bracket lies at s >= 0 (the sphere at lambda = 0.7 has mu = -0.7)
-    assert len(calls) == 2 and len(probes) == (2 if denominator == "w2" or coarse[0] >= 0.0 else 0)
-    d, e, wd, we = eigensolver._pencil_arrays(forms, lam, denominator)
-    plain = _plain_bisect(_kernels.definite_test(d, e, wd, we), *start, eigensolver._TOL_ABS)
+    (start, _, _), (_, probes, (lo, hi, _)) = calls[0], calls[-1]
+    assert len(calls) == 2 and len(probes) == 2
+    pencil = forms.free(forms.kd - lam * forms.md, forms.ke - lam * forms.me)
+    plain = _plain_bisect(_kernels.definite_test(*pencil, getattr(forms, field)[forms.dof]), *start, eigensolver._TOL_ABS)
     assert (lo, hi) == plain[:2]
     assert sum(steps for *_, (_, _, steps) in calls) == plain[2]
 
     calls.clear()
     monkeypatch.setattr(eigensolver, "_bisect", lambda definite, lo, hi, tol, probes=(): _plain_bisect(definite, lo, hi, tol))
     with kernel_calls() as ref_tally:
-        ref = smallest_generalized_eigen(forms, lam, denominator)
+        ref = smallest_generalized_eigen(forms, lam)
     assert (res.mu, res.iterations, res.residual, res.concentration) == (ref.mu, ref.iterations, ref.residual, ref.concentration)
     assert res.profile.tobytes() == ref.profile.tobytes()
-    if probes:
-        assert tally["definite_tests"] < ref_tally["definite_tests"] - 10
-    else:
-        assert tally["definite_tests"] == ref_tally["definite_tests"]
+    assert tally["definite_tests"] < ref_tally["definite_tests"] - 10
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -359,17 +346,15 @@ def test_smallest_eigen_against_scipy():
     ball = euclidean_ball(3, 1.0)
     forms = assemble_forms(build_grid(1.0, 200, 2.0, "dirichlet"), ball, 2.0)
     res = smallest_generalized_eigen(forms, -0.7)
-    sl = forms.dof
-    d = (forms.kd + 0.7 * forms.md)[sl]
-    e = (forms.ke + 0.7 * forms.me)[: d.shape[0] - 1]
-    w = forms.w2[sl]
+    d, e = forms.free(forms.kd + 0.7 * forms.md, forms.ke + 0.7 * forms.me)
+    w = forms.w2[forms.dof]
     evals = scipy.linalg.eigh_tridiagonal(
         d / w, e / np.sqrt(w[:-1] * w[1:]), eigvals_only=True, select="i", select_range=(0, 0)
     )
     assert res.mu == pytest.approx(float(evals[0]), abs=1e-9)
 
 
-def _mpmath_smallest_eigen(forms, lam, denominator):
+def _mpmath_smallest_eigen(forms, lam):
     """Least eigenvalue of the same double-precision pencil at 30 digits."""
     mp = pytest.importorskip("mpmath")
     n = len(forms.kd[forms.dof])
@@ -379,11 +364,9 @@ def _mpmath_smallest_eigen(forms, lam, denominator):
         lam = mp.mpf(lam)
         for i in range(n):
             a[i, i] = mp.mpf(forms.kd[i]) - lam * mp.mpf(forms.md[i])
-            w[i, i] = mp.mpf(forms.w2[i] if denominator == "w2" else forms.md[i])
+            w[i, i] = mp.mpf(forms.w2[i])
             if i + 1 < n:
                 a[i, i + 1] = a[i + 1, i] = mp.mpf(forms.ke[i]) - lam * mp.mpf(forms.me[i])
-                if denominator == "mass":
-                    w[i, i + 1] = w[i + 1, i] = mp.mpf(forms.me[i])
         linv = mp.inverse(mp.cholesky(w))
         c = linv * a * linv.T
         return float(min(mp.eigsy((c + c.T) / 2, eigvals_only=True)))
@@ -396,21 +379,24 @@ def _mpmath_smallest_eigen(forms, lam, denominator):
 def test_smallest_eigen_against_mpmath(m, bc, M):
     forms = assemble_forms(build_grid(m.r_max, M, 2.0, bc), m, 2.0)
     for lam in (-2.0, -0.5, 1.0):
-        for denominator in ("w2", "mass"):
-            want = _mpmath_smallest_eigen(forms, lam, denominator)
-            got = smallest_generalized_eigen(forms, lam, denominator=denominator)
-            assert got.mu == pytest.approx(want, rel=1e-12), (lam, denominator)
-            assert got.method == "inverse-iteration"
+        want = _mpmath_smallest_eigen(forms, lam)
+        got = smallest_generalized_eigen(forms, lam)
+        assert got.mu == pytest.approx(want, rel=1e-12), lam
+        assert got.method == "inverse-iteration"
 
 
 def test_laplacian_sanity_pi_squared():
-    # plain mass denominator: radial Dirichlet Laplacian on the unit ball in
-    # three dimensions has ground value pi^2 (profile sin(pi r)/r)
+    # the pencil (K, Mass): radial Dirichlet Laplacian on the unit ball in
+    # three dimensions has ground value pi^2 (profile sin(pi r)/r); K is
+    # definite and pi^2 < 20, so its lambda_1 is bisected to adjacent doubles
     ball = euclidean_ball(3, 1.0)
     mus = []
     for M in (256, 512, 1024):
         forms = assemble_forms(build_grid(1.0, M, 2.0, "dirichlet"), ball, 2.0)
-        mus.append(smallest_generalized_eigen(forms, 0.0, denominator="mass").mu)
+        definite = _kernels.definite_test(*forms.free(forms.kd, forms.ke), *forms.free(forms.md, forms.me))
+        lo, hi, _ = eigensolver._bisect(definite, 0.0, 20.0, 0.0)
+        assert hi == math.nextafter(lo, math.inf)
+        mus.append(hi)
     assert mus[-1] == pytest.approx(math.pi**2, rel=1e-5)
     assert mus[0] >= mus[1] >= mus[2]
 
@@ -428,10 +414,8 @@ def test_bisection_inertia_consistency():
     s3 = unit_sphere(3)
     forms = assemble_forms(build_grid(math.pi, 512, 2.0, "reflected"), s3, 2.0)
     res = smallest_generalized_eigen(forms, -1.0)
-    sl = forms.dof
-    d = (forms.kd + 1.0 * forms.md)[sl]
-    e = (forms.ke + 1.0 * forms.me)[: d.shape[0] - 1]
-    w = forms.w2[sl]
+    d, e = forms.free(forms.kd + 1.0 * forms.md, forms.ke + 1.0 * forms.me)
+    w = forms.w2[forms.dof]
     assert inertia_count(d, e, w, res.mu - 1e-8) == 0
     assert inertia_count(d, e, w, res.mu + 1e-8) >= 1
 

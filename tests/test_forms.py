@@ -21,6 +21,16 @@ from hardylab.manifold import euclidean_ball, unit_sphere
 from hardylab.minimizer import bubble_init
 
 
+def test_free_restricts_a_tridiagonal_to_the_free_nodes():
+    # Dirichlet drops the boundary node, the reflected condition keeps all 17
+    for m, bc, n in ((euclidean_ball(3, 1.0), "dirichlet", 16), (unit_sphere(3), "reflected", 17)):
+        forms = assemble_forms(build_grid(m.r_max, 16, 2.0, bc), m, 2.0)
+        for d, e in ((forms.kd, forms.ke), (forms.md, forms.me)):
+            free_d, free_e = forms.free(d, e)
+            assert np.array_equal(free_d, d[:n]) and np.array_equal(free_e, e[: n - 1])
+            assert (free_d.shape, free_e.shape) == ((n,), (n - 1,))
+
+
 def test_build_grid_uniform_and_graded():
     g = build_grid(1.0, 8, 1.0, "dirichlet")
     assert np.allclose(g.nodes, np.linspace(0, 1, 9))

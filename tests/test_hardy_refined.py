@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from hardylab.constants import hardy_constant
+from hardylab.eigensolver import smallest_generalized_eigen
 from hardylab.errors import DomainError
+from hardylab.forms import assemble_forms, assemble_lumped_weight, build_grid
 from hardylab.hardy_refined import (
     build_log_grid,
     curved_operator_residual,
@@ -84,6 +88,33 @@ def test_improved_hardy_floor(N):
 def test_improved_hardy_refinement_nonincreasing():
     vals = [improved_hardy_eigen(3, 0.1, M=M).value for M in (512, 1024)]
     assert vals[0] >= vals[1] >= 0.99
+
+
+def _fake_forms_eigen(N, r0, M, gamma=3.0):
+    """The improved-inequality eigenvalue as the sigma = 2 eigensolve of
+    stand-in forms: K - cap*W2 as K, a zero Mass and W_log as W2."""
+    ball = euclidean_ball(N, r0)
+    grid = build_grid(r0, M, gamma, "dirichlet")
+    forms = assemble_forms(grid, ball, 2.0)
+    with np.errstate(divide="ignore"):
+        wlog = assemble_lumped_weight(grid, ball, lambda r: 1.0 / np.square(r * np.log(r)))
+    pencil = dataclasses.replace(
+        forms,
+        kd=forms.kd - hardy_constant(N) * forms.w2,
+        md=np.zeros_like(forms.md),
+        me=np.zeros_like(forms.me),
+        w2=wlog,
+    )
+    return smallest_generalized_eigen(pencil, 0.0).mu
+
+
+@pytest.mark.parametrize("r0", [0.05, 0.1, 0.5])
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_improved_hardy_eigen_is_the_fake_forms_eigensolve(N, r0):
+    # the pencil (K - cap*W2, W_log) goes straight to the eigensolve's core
+    # with the same bits
+    for M in (256, 1024):
+        assert improved_hardy_eigen(N, r0, M=M).value == _fake_forms_eigen(N, r0, M)
 
 
 def test_improved_hardy_scope_flag():

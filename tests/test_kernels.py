@@ -396,12 +396,10 @@ def test_kernel_benchmark_script_imports(monkeypatch):
     assert bench._kernels is K and callable(bench.main)
 
 
-def test_python_path_matches_reference(rng, monkeypatch):
+def test_python_path_matches_reference(rng, python_backend):
     """The tests above, run on the Python-float recurrences (the LAPACK
     handles set to None); the tests themselves run on the backend resolved
     at import."""
-    monkeypatch.setattr(K, "_PTTRF", None)
-    monkeypatch.setattr(K, "_PTTRS", None)
     test_negcount_matches_reference(rng)
     test_negcount_zero_pivot_sentinel()
     test_definite_matches_dense_generalized_eigenvalues(rng)
@@ -444,14 +442,10 @@ def test_lapack_solve_rejects_mismatched_factors():
             K.LDLFactor(factor.diag, lo).solve(b)
 
 
-@pytest.mark.parametrize("backend", ["lapack", "python"])
-def test_tally_counts_every_call_served(backend, rng, monkeypatch):
+def test_tally_counts_every_call_served(backend, rng):
     # building a test counts nothing, each call of it one test; a factor
     # that falls back to the Python recurrence is still one factorization,
     # and a solve refused for its shape is no solve
-    if backend == "python":
-        monkeypatch.setattr(K, "_PTTRF", None)
-        monkeypatch.setattr(K, "_PTTRS", None)
     d, e = np.full(8, 3.0), np.ones(7)
     before = dict(K.COUNTS)
     test = K.definite_test(d, e, np.ones(8))
