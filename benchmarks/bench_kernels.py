@@ -7,22 +7,24 @@ Prints ns per row (recurrences) or per cell (power functional) of the LAPACK
 backend, of the Python-float backend (the LAPACK handles set to None) and of
 the reference loop, and the measured ratios reference / backend.  The power
 functional is the same NumPy code on both backends, so it is timed once.
-The ``bisection test`` rows time one definiteness test as the eigensolver
-and the lambda-star bracket make it: one ``definite_test`` object per pencil,
-built once per backend and reused, called at the shift s = 0.25 (one
-``dpttrf`` call on the LAPACK backend; T - s*W is definite, so it walks every
-row), at M = 512 (the benchmark's pencil size, where the per-call cost shows)
-and M = 4096; its reference loop forms d - s*w and runs the loop that stops
-at the first pivot that is not positive.  ``negcount`` is the Python-float recurrence on both
-backends.  The ``inertia_count`` row counts the same shifted matrix as the
-``negcount`` row through ``eigensolver.inertia_count`` (weight check, shift,
-count), so the difference of the two rows is the per-call cost around the
-count.
-The ``bound solve`` rows time one solve against a factor made once per
-backend, as the minimizer and inverse iteration make it (one copy into the
-factor's buffer and one ``dpttrs`` call on the LAPACK backend), at 256 rows
-(where the per-call cost shows) and at M = 4096; the reference loop solves
-against the reference factor.
+The ``bisection test``, ``factor`` and ``bound solve`` rows use the
+pencil's workspace as the eigensolver and the lambda-star bracket do: one
+``PencilWorkspace`` per pencil, built once per backend and reused.  A
+``bisection test`` row calls it at the shift s = 0.25 (one in-place shift
+and one ``dpttrf`` call on the LAPACK backend; T - s*W is definite, so it
+walks every row); a ``factor`` row takes ``factor(s)`` at the same shift
+(the test's shift and ``dpttrf`` call, and the copy into the factor); a
+``bound solve`` row solves against one factor taken from the workspace, as
+inverse iteration and the minimizer do (one copy into the factor's buffer
+and one ``dpttrs`` call on the LAPACK backend).  Each runs at M = 512 (the
+benchmark's pencil size, where the per-call cost shows) and M = 4096; the
+bound solve also at 256 rows.  Their reference loops form d - s*w: the
+test's stops at the first pivot that is not positive, the factor's runs
+every row, and the solve's solves against the reference factor.
+``negcount`` is the Python-float recurrence on both backends.  The
+``inertia_count`` row counts the same shifted matrix as the ``negcount`` row
+through ``eigensolver.inertia_count`` (weight check, shift, count), so the
+difference of the two rows is the per-call cost around the count.
 The power functional is timed at p = 2.6667 (the exponent of
 ``perfbench/kernel_bench.py``), 3 (the S^4 and S^5 cases of the minimizer
 workload) and 4 (its flat ball), on M = 4096 cells and on a 256-cell table,
@@ -75,17 +77,26 @@ M = 4096
 SMALL = 256  # cells of the small power-functional table
 PENCIL = 512  # rows of the small bisection-test pencil
 SHIFT = 0.25  # bisection-test shift; T - SHIFT*W stays definite
-_TESTS = {}  # one definiteness test per pencil size and backend
+_PENCILS = {}  # one workspace per pencil size and backend
 _FACTORS = {}  # one factor per pencil size and backend, and the reference's
 
 
-def bisection_test(d, e, w, shift):
-    """One bisection step's test as the eigensolver makes it: the pencil's
-    ``definite_test``, built on the first call on each backend, at a shift."""
+def _workspace(d, e, w):
+    """The pencil's workspace, built on the first call on each backend."""
     key = (d.shape[0], _kernels._PTTRF is None)
-    if key not in _TESTS:
-        _TESTS[key] = _kernels.definite_test(d, e, w)
-    return _TESTS[key](shift)
+    if key not in _PENCILS:
+        _PENCILS[key] = _kernels.PencilWorkspace(d, e, w)
+    return _PENCILS[key]
+
+
+def bisection_test(d, e, w, shift):
+    """One bisection step's test as the eigensolver makes it."""
+    return _workspace(d, e, w)(shift)
+
+
+def workspace_factor(d, e, w, shift):
+    """One factor as the eigensolver takes it, from the pencil's workspace."""
+    return _workspace(d, e, w).factor(shift)
 
 
 def median_ns(fn, args, per, repeat):
@@ -98,19 +109,19 @@ def median_ns(fn, args, per, repeat):
     return 1e9 * statistics.median(times) / per
 
 
-def bound_solve(d, e, b):
-    """One solve against the pencil's factor, made on the first call on
-    each backend."""
+def bound_solve(d, e, w, b):
+    """One solve against a factor of the pencil at SHIFT, taken from its
+    workspace on the first call on each backend."""
     key = (d.shape[0], _kernels._PTTRS is None)
     if key not in _FACTORS:
-        _FACTORS[key] = _kernels.ldl_factor(d, e)
+        _FACTORS[key] = workspace_factor(d, e, w, SHIFT)
     return _FACTORS[key].solve(b)
 
 
-def bound_solve_loop(d, e, b):
+def bound_solve_loop(d, e, w, b):
     key = (d.shape[0], "reference")
     if key not in _FACTORS:
-        _FACTORS[key] = _ldl_factor_py(d, e)
+        _FACTORS[key] = _ldl_factor_py(d - SHIFT * w, e)
     return _ldl_solve_py(*_FACTORS[key], b)
 
 
@@ -149,6 +160,9 @@ def main():
     def shifted_definite_loop(d, e, w, shift):
         return _definite_py(d - shift * w, e)
 
+    def shifted_factor_loop(d, e, w, shift):
+        return _ldl_factor_py(d - shift * w, e)
+
     rows = [
         *(
             (f"bisection test {n}", "row", bisection_test, shifted_definite_loop, (d[:n], e[: n - 1], w[:n], SHIFT))
@@ -156,10 +170,13 @@ def main():
         ),
         ("negcount", "row", _kernels.negcount, _negcount_py, (d - 0.5 * w, e)),
         ("inertia_count", "row", inertia_count, shifted_loop, (d, e, w, 0.5)),
-        ("ldl_factor", "row", _kernels.ldl_factor, _ldl_factor_py, (d, e)),
         *(
-            (f"bound solve {n}", "row", bound_solve, bound_solve_loop, (d[:n], e[: n - 1], b[:n]))
-            for n in (SMALL, M)
+            (f"factor {n}", "row", workspace_factor, shifted_factor_loop, (d[:n], e[: n - 1], w[:n], SHIFT))
+            for n in (PENCIL, M)
+        ),
+        *(
+            (f"bound solve {n}", "row", bound_solve, bound_solve_loop, (d[:n], e[: n - 1], w[:n], b[:n]))
+            for n in (SMALL, PENCIL, M)
         ),
         ("tridiag_solve", "row", _kernels.tridiag_solve, _tridiag_solve_py, (d, e, b)),
     ]

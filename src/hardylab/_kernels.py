@@ -1,31 +1,41 @@
 """Hot numeric kernels.
 
 The three inner loops that dominate runtime are tridiagonal definiteness
-tests (the bisections of the eigensolve and of the lambda-star bracket, one
-test per pencil), tridiagonal LDL^T factors and solves (inverse iteration
-and the minimizer), and the singular-weight power functional of the
-constrained minimizer.  The power functional is NumPy on every backend: u
-at the Gauss points of all cells is one (cells, 2) by (2, q) product, and F
-with its gradient costs one ``pow`` per point; on a profile with no sign bit
-set (the minimizer's starts and mixed candidates) it skips ``abs`` and
-``copysign``, which are the identity there.
+tests (the bisections of the eigensolve and of the lambda-star bracket),
+tridiagonal LDL^T factors and solves (the eigensolve's estimate and
+inverse iteration, and the minimizer), and the singular-weight power
+functional of the constrained minimizer.  The power functional is NumPy on
+every backend: u at the Gauss points of all cells is one (cells, 2) by
+(2, q) product, and F with its gradient costs one ``pow`` per point; on a
+profile with no sign bit set (the minimizer's starts and mixed candidates)
+it skips ``abs`` and ``copysign``, which are the identity there.
 ``negcount``, the full Sturm count, is the Python-float recurrence on every
 backend; only ``eigensolver.inertia_count`` calls it.
+
+A tridiagonal pencil (T, W) is tested, factored and solved in one place,
+its ``PencilWorkspace`` (``definite_test`` builds one).  The workspace owns
+the [d, e] buffer that ``dpttrf`` overwrites, a scratch vector and the
+ctypes arguments, made once per pencil.  Calling it at a shift s is the
+definiteness test: T - s*W formed in the buffer (the IEEE operations of
+d - s*w) and one ``dpttrf`` call, which stops at the first pivot that is
+not positive.  ``factor(s)`` makes the same shift and the same call and
+returns an ``LDLFactor`` that copies the pivots and multipliers out of the
+buffer, with room for a right-hand side and its ``dpttrs`` arguments
+bound once.  So a factor stays valid after later tests and factors of its
+workspace: the eigensolve solves with its estimate's factor before the fine
+bisection tests on.  ``ldl_factor(d, e)`` is the factor of a bare T, taken
+from the workspace of (T, 0) at s = 0: there is one factor path.
 
 The recurrences run on the backend resolved once at import, ``BACKEND``:
 
 - ``"lapack"``: ``dpttrf``/``dpttrs`` of the ILP64 OpenBLAS that the numpy
   wheel bundles (``numpy.libs/libscipy_openblas64_*``), through ``ctypes``.
-  A ``definite_test`` call is one ``dpttrf`` call on a reused buffer,
-  which stops at the first pivot that is not positive.  ``ldl_factor`` is
-  ``dpttrf`` (the Python recurrence's operations in its order); a pivot
-  that is not positive sends it to the Python path, which carries an exact
-  zero pivot on as inf/nan.
-  The ``LDLFactor`` it returns binds its solve: the ``dpttrs`` arguments
-  are made once per factor, and a solve is one copy of b into the factor's
-  buffer, one ``dpttrs`` call (n >= 2) and a copy out.  At n = 1 ``dpttrs``
-  multiplies by 1/D(1), an ulp off the division, so n = 1 stays on the
-  Python path.
+  ``dpttrf`` makes the Python recurrence's operations in its order; a
+  factor whose pivot is not positive goes to the Python path, which
+  carries an exact zero pivot on as inf/nan.  A solve is one copy of b
+  into the factor's buffer, one ``dpttrs`` call (n >= 2) and a copy out.
+  At n = 1 ``dpttrs`` multiplies by 1/D(1), an ulp off the division, so
+  n = 1 stays on the Python path.
 - ``"python"``, when the library or a symbol is missing: each call converts
   its arrays with ``tolist`` once and walks them with ``zip``, the same IEEE
   operations in the same order as indexing the arrays element by element.
@@ -35,10 +45,11 @@ The recurrences run on the backend resolved once at import, ``BACKEND``:
   indexed loop gives.
 
 ``COUNTS`` tallies, process-wide and on both backends, the calls served:
-``definite_tests`` (calls of a ``definite_test`` closure),
-``factorizations`` (``ldl_factor``), ``solves`` (``LDLFactor.solve``) and
-``evaluations`` (``power_moment`` and ``power_moment_grad``).  The run
-records report its changes (``records``).
+``definite_tests`` (calls of a workspace), ``factorizations`` (its
+``factor``, so every ``ldl_factor`` too, whether ``dpttrf`` or the Python
+recurrence made it), ``solves`` (``LDLFactor.solve``) and ``evaluations``
+(``power_moment`` and ``power_moment_grad``).  The run records report its
+changes (``records``).
 
 ``benchmarks/bench_kernels.py`` times both backends.
 """
@@ -77,51 +88,83 @@ BACKEND = "python" if _PTTRF is None else "lapack"
 _ONE = ctypes.c_int64(1)
 
 
-def _pttrf_args(buf, n):
-    """``dpttrf``'s arguments for the contiguous float64 buffer [d, e] of
-    order n, and the ``info`` it sets; the caller keeps ``buf`` alive."""
-    info = ctypes.c_int64()
-    return (ctypes.byref(ctypes.c_int64(n)), buf.ctypes.data, buf.ctypes.data + 8 * n, ctypes.byref(info)), info
-
-
 # ---------------------------------------------------------------------------
-# Definiteness test and Sturm-sequence inertia count
+# The pencil workspace: definiteness test and LDL^T factor of T - s*W.
+# Callers test before they factor, so no pivoting is needed.
 # ---------------------------------------------------------------------------
 
-def definite_test(d, e, w, w_off=None):
-    """The definiteness test of the pencil (T, W) = ((d, e), (w, w_off)),
-    ``w_off=None`` for a diagonal W: a function of the shift s that says
-    whether every LDL^T pivot of T - s*W is positive (an exact zero pivot
-    reads as not definite, which is exact).  The buffer ``dpttrf``
-    overwrites, a scratch vector and the ctypes arguments are made once; a
-    call forms T - s*W in place (the IEEE operations of d - s*w)."""
-    if _PTTRF is None:
+class PencilWorkspace:
+    """The workspace of the tridiagonal pencil (T, W) = ((d, e), (w, w_off)),
+    ``w_off=None`` for a diagonal W: its buffers and ctypes arguments, made
+    once.  Calling it at the shift s is the definiteness test: whether every
+    LDL^T pivot of T - s*W is positive (an exact zero pivot reads as not
+    definite, which is exact).  ``factor(s)`` makes the same shift and the
+    same ``dpttrf`` call and returns the ``LDLFactor`` of T - s*W, which
+    stays valid after later tests and factors of the workspace."""
 
-        def test(s):
-            COUNTS["definite_tests"] += 1
-            return negcount(d - s * w, e if w_off is None else e - s * w_off) == 0
+    def __init__(self, d, e, w, w_off=None):
+        self._pencil = d, e, w, w_off
+        self._args = None
+        if _PTTRF is not None:
+            n = d.shape[0]
+            buf = np.empty(2 * n - 1)
+            self._diag, self._off = buf[:n], buf[n:]
+            self._scratch = np.empty(n)
+            self._scratch_off = self._scratch[: n - 1]
+            self._info = ctypes.c_int64()
+            at = buf.ctypes.data
+            self._args = (ctypes.byref(ctypes.c_int64(n)), at, at + 8 * n, ctypes.byref(self._info))
 
-        return test
-    n = d.shape[0]
-    buf = np.empty(2 * n - 1)
-    diag, off = buf[:n], buf[n:]
-    scratch = np.empty(n)
-    scratch_off = scratch[: n - 1]
-    args, info = _pttrf_args(buf, n)
+    def _shifted(self, s):
+        """T - s*W as new arrays."""
+        d, e, w, w_off = self._pencil
+        return d - s * w, e if w_off is None else e - s * w_off
 
-    def test(s):
-        COUNTS["definite_tests"] += 1
+    def _pttrf(self, s):
+        """T - s*W formed in the buffer (the IEEE operations of
+        ``_shifted``) and one ``dpttrf`` call on it: whether every pivot is
+        positive.  ``dpttrf`` stops at the first pivot that is not."""
+        d, e, w, w_off = self._pencil
+        diag, off, scratch = self._diag, self._off, self._scratch
         np.multiply(w, s, scratch)
         np.subtract(d, scratch, diag)
         if w_off is None:
             off[:] = e
         else:
-            np.multiply(w_off, s, scratch_off)
-            np.subtract(e, scratch_off, off)
-        _PTTRF(*args)  # diag keeps buf alive
-        return info.value == 0
+            scratch = self._scratch_off
+            np.multiply(w_off, s, scratch)
+            np.subtract(e, scratch, off)
+        _PTTRF(*self._args)  # the views keep the buffer alive
+        return self._info.value == 0
 
-    return test
+    def __call__(self, s):
+        COUNTS["definite_tests"] += 1
+        if self._args is None:
+            return negcount(*self._shifted(s)) == 0
+        return self._pttrf(s)
+
+    def factor(self, s):
+        """The ``LDLFactor`` of T - s*W.  A pivot that is not positive
+        sends it to the Python recurrence, which carries an exact zero
+        pivot on as inf/nan."""
+        COUNTS["factorizations"] += 1
+        if self._args is not None and self._pttrf(s):
+            return LDLFactor(self._diag, self._off)
+        d, e = self._shifted(s)
+        try:
+            diag, low = _factor(d.tolist(), e.tolist())
+        except ZeroDivisionError:
+            diag, low = _factor(list(d), list(e))
+        return LDLFactor(np.array(diag), np.array(low))
+
+
+definite_test = PencilWorkspace  # a workspace called with a shift is the definiteness test
+
+
+def ldl_factor(d, e):
+    """The ``LDLFactor`` of symmetric tridiagonal T = (d, e): the factor of
+    the pencil (T, 0) at s = 0, whose T - 0*0 has the bits of T."""
+    return PencilWorkspace(d, e, np.zeros(d.shape[0])).factor(0.0)
 
 
 def negcount(d, e):
@@ -144,12 +187,6 @@ def negcount(d, e):
             count += 1
     return count
 
-
-# ---------------------------------------------------------------------------
-# Tridiagonal LDL^T factor and solve.  Callers arrange for positive
-# definiteness, so no pivoting is needed.  A fixed matrix is factored once
-# and solved against many right-hand sides.
-# ---------------------------------------------------------------------------
 
 def _factor(d, e):
     piv = d[0]
@@ -180,26 +217,27 @@ def _solve(diag, low, b):
 
 class LDLFactor:
     """T = L D L^T from the pivots ``diag`` and the unit-lower multipliers
-    ``low``, with its solve bound to them.  On the LAPACK backend (n >= 2)
-    the ``dpttrs`` arguments, a right-hand-side buffer among them, are made
-    once: a solve copies b into the buffer, makes one ``dpttrs`` call and
-    returns a copy.  The arguments hold raw addresses, which keep no array
-    alive; the attributes ``diag``, ``low`` and ``_x`` do."""
+    ``low``, copied into one buffer [D, L, x] with room for a right-hand
+    side x, and its solve bound to them.  On the LAPACK backend (n >= 2)
+    the ``dpttrs`` arguments are made once: a solve copies b into x, makes
+    one ``dpttrs`` call and returns a copy.  The arguments hold raw
+    addresses, which keep no array alive; the views ``diag``, ``low`` and
+    ``_x`` keep the buffer alive."""
 
     def __init__(self, diag, low):
         n = diag.shape[0]
         if low.shape != (n - 1,):
             raise ValueError(f"factors of order {n} need {n - 1} multipliers, got shape {low.shape}")
-        self.diag = np.ascontiguousarray(diag, dtype=float)
-        self.low = np.ascontiguousarray(low, dtype=float)
+        buf = np.empty(3 * n - 1)
+        buf[:n] = diag
+        buf[n : 2 * n - 1] = low
+        self.diag, self.low = buf[:n], buf[n : 2 * n - 1]
         self._x = None
         if _PTTRS is not None and n >= 2:
-            self._x = np.empty(n)
+            self._x = buf[2 * n - 1 :]
+            at = buf.ctypes.data
             rows = ctypes.byref(ctypes.c_int64(n))
-            self._args = (
-                rows, ctypes.byref(_ONE), self.diag.ctypes.data, self.low.ctypes.data,
-                self._x.ctypes.data, rows, ctypes.byref(ctypes.c_int64()),
-            )
+            self._args = (rows, ctypes.byref(_ONE), at, at + 8 * n, at + 8 * (2 * n - 1), rows, ctypes.byref(ctypes.c_int64()))
 
     def solve(self, b):
         """x with L D L^T x = b."""
@@ -216,23 +254,6 @@ class LDLFactor:
         x[:] = b
         _PTTRS(*self._args)
         return x.copy()
-
-
-def ldl_factor(d, e):
-    """The ``LDLFactor`` of symmetric tridiagonal T = (d, e)."""
-    COUNTS["factorizations"] += 1
-    if _PTTRF is not None:
-        n = d.shape[0]
-        buf = np.concatenate((d, e), dtype=float)
-        args, info = _pttrf_args(buf, n)
-        _PTTRF(*args)
-        if info.value == 0:
-            return LDLFactor(buf[:n], buf[n:])
-    try:
-        diag, low = _factor(d.tolist(), e.tolist())
-    except ZeroDivisionError:
-        diag, low = _factor(list(d), list(e))
-    return LDLFactor(np.array(diag, dtype=float), np.array(low, dtype=float))
 
 
 def tridiag_solve(d, e, b):

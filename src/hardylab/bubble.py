@@ -190,11 +190,13 @@ class _Bubble:
         self._tables: dict[_Rule, _Profile] = {}
 
     def integrand(self, name: str, rule: _Rule) -> np.ndarray:
-        table = self._tables.get(rule)
-        if table is None:
-            table = self._tables[rule] = _Profile(rule.r, self.n, self.s, self.scale, self.p)
-        vals = _MOMENTS[name][0](table, self.om)
-        return vals if rule.jac is None else vals / rule.jac
+        # far nodes past the double range of r^{N-1} give inf or NaN, which _moment refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = self._tables.get(rule)
+            if table is None:
+                table = self._tables[rule] = _Profile(rule.r, self.n, self.s, self.scale, self.p)
+            vals = _MOMENTS[name][0](table, self.om)
+            return vals if rule.jac is None else vals / rule.jac
 
 
 def _embedded(bubble: _Bubble, name: str, rule: _Rule) -> tuple[float, float]:
@@ -246,8 +248,14 @@ def _improper_integral(bubble: _Bubble, name: str, tol: float) -> tuple[float, f
 def _moment(bubble: _Bubble, name: str, tol: float) -> tuple[float, float]:
     """One finite moment with its error estimate.  Every integrand is
     positive; near sigma = 2 the profile's weight sits below the innermost
-    panel edge and the value underflows to 0, which is refused."""
+    panel edge and the value underflows to 0, or the tail cutoff puts the
+    far nodes past the double range of r^{N-1} and the value is not
+    finite.  Both are refused."""
     value, err = _improper_integral(bubble, name, tol)
+    if not math.isfinite(value):
+        raise DomainError(
+            f"the panel quadrature of {name} leaves the double range at N = {bubble.n}, sigma = {bubble.s!r} (value {value!r})"
+        )
     if not value > 0.0:
         raise DomainError(
             f"sigma = {bubble.s!r} is too close to 2 for the panel quadrature ({name} underflows to 0)"

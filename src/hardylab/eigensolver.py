@@ -1,18 +1,18 @@
 """Smallest generalized eigenvalue of the pencil (K - lambda*Mass, W).
 
 Every pencil in the package goes one way: ``QuadraticForms.free``
-restricts it to the free nodes, ``_kernels.definite_test`` asks whether it
-is positive definite past a shift, ``_kernels.ldl_factor`` factors it once
-and the factor's bound ``solve`` solves against it.  No caller needs a
-count: each bisection step only asks whether T - s*W is positive definite,
-one in-place shift and one ``dpttrf`` call (``_kernels.BACKEND``).  The
-eigensolve takes one pencil shape, a tridiagonal T and a positive diagonal
-W: ``smallest_generalized_eigen`` builds (K - lambda*Mass, W) and
+restricts it to the free nodes and its ``_kernels.PencilWorkspace`` tests,
+factors and solves it.  No caller needs a count: each bisection step only
+asks whether T - s*W is positive definite, one in-place shift and one
+``dpttrf`` call (``_kernels.BACKEND``).  The eigensolve takes one pencil
+shape, a tridiagonal T and a positive diagonal W:
+``smallest_generalized_eigen`` builds (K - lambda*Mass, W) and
 ``hardy_refined`` the improved-inequality pencil (K - cap*W, W_log).  It
-checks the weight and builds the pencil's test once; ``_bisect`` is the
-one bisection loop, shared with the lambda-star bracket.
-``inertia_count``, the full Sturm count with its zero-pivot retry, stays
-public for the tests and for library users.
+builds the pencil's workspace once, and takes both of its factors from it:
+the estimate's at the definite end of the coarse bracket and inverse
+iteration's at its shift.  ``_bisect`` is the one bisection loop, shared
+with the lambda-star bracket.  ``inertia_count``, the full Sturm count with
+its zero-pivot retry, stays public for the tests and for library users.
 
 Bisection on the definiteness test localizes the eigenvalue to absolute
 _TOL_ABS = 1e-10 regardless of the indefiniteness of K - lambda*Mass.  The
@@ -34,10 +34,16 @@ definite, its unpivoted LDL^T factor is stable, and it is factored once).
 There is no other path: if inverse iteration stops above its 1e-9 target,
 the returned ``residual`` says so.  Its 2-norms and the iterates' W-norms
 scale the vector by an exact power of two first, so no square overflows or
-underflows.  An eigensolve refuses a pencil with a non-finite entry before
-it tests, a bracket end s whose s*W leaves the double range before that
+underflows, and write the scaled vector into one scratch pair made per
+eigensolve.  The whole eigensolve runs under one ``np.errstate`` that
+ignores overflow, invalid operations and division by zero, since every
+value that can leave the double range is read: an eigensolve refuses a
+weight whose least entry is not positive, and a pencil with a non-finite
+entry (read off the scale max|d| + max|e| of its upper start), before it
+tests, a bracket end s whose s*W leaves the double range before that
 test, and, after the tests, an inverse iteration with no finite iterate or
-a mu or residual that still leaves the double range.
+a mu or residual that still leaves the double range.  A non-finite
+estimate only moves the probes.
 """
 
 from __future__ import annotations
@@ -127,33 +133,34 @@ def _bisect(definite, lo, hi, tol, probes=()):
     return lo, hi, steps
 
 
-def _norm(x, w=None) -> float:
+def _norm(x, scratch, w=None) -> float:
     """sqrt(x . w x), the 2-norm without ``w``, taken of x * 2**-k with
-    max|x| in [2**(k-1), 2**k): exact, and no square over- or underflows."""
-    k = math.frexp(np.max(np.abs(x)))[1]
-    x = np.ldexp(x, -k)
-    return math.ldexp(math.sqrt(float(np.dot(x, x if w is None else w * x))), k)
+    max|x| in [2**(k-1), 2**k): exact, and no square over- or underflows.
+    The scaled x and w times it go to the two vectors of ``scratch``."""
+    scaled, weighted = scratch
+    k = math.frexp(np.abs(x, out=scaled).max())[1]
+    np.ldexp(x, -k, out=scaled)
+    weighted = scaled if w is None else np.multiply(w, scaled, out=weighted)
+    return math.ldexp(math.sqrt(float(scaled.dot(weighted))), k)
 
 
-def _estimate(d, e, w, shift) -> float:
+def _estimate(factor, w, shift) -> float:
     """The eigenvalue estimate shift + (y . W x) / (y . W y) of the last of
     _ESTIMATE_STEPS inverse steps y = (T - shift*W)^-1 W x from the
-    constant vector, each iterate scaled by its max.  The energy of y in
-    T - shift*W is y . W x, so nothing cancels.  ``shift`` has tested
-    definite, so its factor exists; a non-finite iterate gives NaN or inf."""
-    factor = _kernels.ldl_factor(d - shift * w, e)
-    x = np.ones(d.shape[0])
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a bad estimate is not finite
-        for _ in range(_ESTIMATE_STEPS):
-            wx = w * x
-            y = factor.solve(wx)
-            top = np.max(np.abs(y))
-            x = y / top
-        return shift + float(np.dot(x, wx)) / (top * float(np.dot(x, w * x)))
+    constant vector, each iterate scaled by its max; ``factor`` is T -
+    shift*W's.  The energy of y in T - shift*W is y . W x, so nothing
+    cancels.  A non-finite iterate gives NaN or inf."""
+    x = np.ones(w.shape[0])
+    for _ in range(_ESTIMATE_STEPS):
+        wx = w * x
+        x = factor.solve(wx)
+        top = np.abs(x).max()
+        x /= top
+    return shift + float(x.dot(wx)) / (top * float(x.dot(w * x)))
 
 
 def _check_weight(w: np.ndarray) -> None:
-    if not np.all(w > 0.0):  # NaN fails too
+    if not w.min() > 0.0:  # NaN fails too
         raise DomainError("weight diagonal must be positive")
 
 
@@ -182,63 +189,71 @@ def smallest_generalized_eigen(forms: QuadraticForms, lam: float) -> EigenResult
 def _eigen(forms: QuadraticForms, d, e, wd, lam: float) -> EigenResult:
     """The eigensolve of the pencil (T, W) on the free nodes of ``forms``,
     T = (d, e) and W the diagonal ``wd``; ``lam`` names it in refusals."""
-    _check_weight(wd)
-    _check_pencil(d, e, lam)
-    # upper start: Rayleigh quotient of every basis vector
-    with np.errstate(over="ignore"):  # checked next
-        scale = float(np.max(np.abs(d)) + np.max(np.abs(e), initial=0.0))
-        hi = float(np.min(d / wd)) + 1e-12 * max(scale, 1.0)
-    if not math.isfinite(hi):  # d / wd or the scale overflows
-        raise _out_of_range(lam)
-    lo = hi - max(1.0, 0.1 * abs(hi))
-    pencil_test = _kernels.definite_test(d, e, wd)
-    wd_max = float(np.max(wd))
-
-    def definite(s):
-        # a shift s whose s*W leaves the double range (only a bracket end
-        # can) is refused, not tested
-        if not abs(s) * wd_max < math.inf:
+    # every overflow below is read: by a refusal, or as a probe that costs tests only
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _check_weight(wd)
+        wd_max = float(wd.max())
+        # upper start: Rayleigh quotient of every basis vector
+        scale = float(abs(d).max() + abs(e).max(initial=0.0))
+        if not math.isfinite(scale):  # a non-finite entry, or the sum overflows
+            _check_pencil(d, e, lam)
+        hi = float((d / wd).min()) + 1e-12 * max(scale, 1.0)
+        if not math.isfinite(hi):  # d / wd or the scale overflows
             raise _out_of_range(lam)
-        return pencil_test(s)
+        lo = hi - max(1.0, 0.1 * abs(hi))
+        pencil = _kernels.PencilWorkspace(d, e, wd)
 
-    it = 0
-    while not definite(lo):
-        lo -= 2.0 * (hi - lo)
-        it += 1
-        if it > 200:
-            raise RuntimeError("failed to bracket the smallest eigenvalue from below")
-    while definite(hi):
-        hi += max(1.0, hi - lo)
-        it += 1
-        if it > 400:
-            raise RuntimeError("failed to bracket the smallest eigenvalue from above")
+        def definite(s):
+            # a shift s whose s*W leaves the double range (only a bracket end
+            # can) is refused, not tested
+            if not abs(s) * wd_max < math.inf:
+                raise _out_of_range(lam)
+            return pencil(s)
 
-    # one bisection in two calls: to _COARSE, then on to _TOL_ABS with
-    # probes either side of an estimate taken from the definite end
-    lo, hi, steps = _bisect(definite, lo, hi, _COARSE)
-    estimate = _estimate(d, e, wd, lo)
-    lo, hi, fine_steps = _bisect(definite, lo, hi, _TOL_ABS, (estimate - _PROBE, estimate + _PROBE))
-    it += steps + fine_steps
+        it = 0
+        while not definite(lo):
+            lo -= 2.0 * (hi - lo)
+            it += 1
+            if it > 200:
+                raise RuntimeError("failed to bracket the smallest eigenvalue from below")
+        while definite(hi):
+            hi += max(1.0, hi - lo)
+            it += 1
+            if it > 400:
+                raise RuntimeError("failed to bracket the smallest eigenvalue from above")
 
-    def residual_of(x, rho):
-        r = tri_matvec(d, e, x) - rho * (wd * x)
-        denom = (scale + abs(rho) * wd_max) * _norm(x)
-        # an infinite denominator: the pencil's scale leaves the double range
-        return _norm(r) / max(denom, 1e-300) if denom < math.inf else math.inf
+        # one bisection in two calls: to _COARSE, then on to _TOL_ABS with
+        # probes either side of an estimate taken from the definite end,
+        # which tested definite, so its factor exists
+        lo, hi, steps = _bisect(definite, lo, hi, _COARSE)
+        estimate = _estimate(pencil.factor(lo), wd, lo)
+        lo, hi, fine_steps = _bisect(definite, lo, hi, _TOL_ABS, (estimate - _PROBE, estimate + _PROBE))
+        it += steps + fine_steps
 
-    # inverse iteration from the definite side of the bracket; without a
-    # finite iterate rho and res stay NaN and the eigensolve is refused
-    shift = lo - max(10.0 * _TOL_ABS, 1e-14 * max(scale, 1.0))
-    factor = _kernels.ldl_factor(d - shift * wd, e)
-    rho = res = math.nan
-    with np.errstate(over="ignore", invalid="ignore"):  # rho and res are checked next
+        scratch = np.empty(d.shape[0]), np.empty(d.shape[0])
+
+        def residual_of(x, rho):
+            r = tri_matvec(d, e, x)
+            wx = np.multiply(wd, x, out=scratch[1])
+            wx *= rho
+            r -= wx  # K x - rho * (W x)
+            denom = (scale + abs(rho) * wd_max) * _norm(x, scratch)
+            # an infinite denominator: the pencil's scale leaves the double range
+            return _norm(r, scratch) / max(denom, 1e-300) if denom < math.inf else math.inf
+
+        # inverse iteration from the definite side of the bracket; without a
+        # finite iterate rho and res stay NaN and the eigensolve is refused
+        shift = lo - max(10.0 * _TOL_ABS, 1e-14 * max(scale, 1.0))
+        factor = pencil.factor(shift)
+        rho = res = math.nan
         x = np.ones(d.shape[0])
-        x /= _norm(x, wd)
+        x /= _norm(x, scratch, wd)
         for inv_it in range(1, 61):
-            y = factor.solve(wd * x)
-            if not np.all(np.isfinite(y)):
+            y = factor.solve(np.multiply(wd, x, out=scratch[1]))
+            if not np.isfinite(y).all():
                 break
-            x = y / _norm(y, wd)
+            y /= _norm(y, scratch, wd)
+            x = y
             rho = tri_quadform(d, e, x)
             res = residual_of(x, rho)
             if res <= 1e-9:
@@ -246,8 +261,8 @@ def _eigen(forms: QuadraticForms, d, e, wd, lam: float) -> EigenResult:
 
     if not (np.isfinite(rho) and np.isfinite(res)):
         raise _out_of_range(lam)
-    if x[np.argmax(np.abs(x))] < 0.0:
-        x = -x
+    if x[np.abs(x, out=scratch[0]).argmax()] < 0.0:
+        np.negative(x, out=x)
     full = forms.zero_profile()
     full[forms.dof] = x
     conc = concentration_fraction(forms, full)
@@ -269,9 +284,11 @@ def concentration_fraction(forms: QuadraticForms, u: np.ndarray) -> float:
     exists.
     """
     u = np.asarray(u, dtype=float)
-    wu = forms.w2 * u * u
+    wu = forms.w2 * u
+    wu *= u
     total = float(wu.sum())
     if total <= 0.0:
         return 0.0
-    inner = float(wu[forms.grid.nodes <= _CORE * forms.grid.r_max].sum())
+    # the grid's nodes increase, so the core is a prefix
+    inner = float(wu[: np.searchsorted(forms.grid.nodes, _CORE * forms.grid.r_max, "right")].sum())
     return inner / total

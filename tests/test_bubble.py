@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,16 @@ def test_moments_refuse_a_tail_cutoff_that_overflows():
     for sigma in (1.98, 1.99):
         with pytest.raises(DomainError, match=rf"sigma = {sigma} .*\(r2_hs's tail cutoff overflows\)"):
             bubble_moments(4, sigma)
+
+
+def test_moments_refuse_a_moment_that_is_not_finite():
+    # at N = 4, sigma = 1.95 the tail cutoff of r2_hs puts the far nodes
+    # past the double range of r^3: the moment is NaN, refused as such (not
+    # as an underflow to 0), with no numpy warning before the refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match=r"r2_hs leaves the double range at N = 4, sigma = 1.95 \(value nan\)"):
+            bubble_moments(4, 1.95)
 
 
 @pytest.mark.parametrize("N,sigma", [(5, 0.5), (5, 1.0), (6, 1.0), (6, 0.5)])

@@ -146,13 +146,8 @@ def test_records_count_evaluations_and_solves_as_diagnostics(tmp_path):
 def test_sigma2_records_count_definite_tests_and_solves_as_diagnostics(args, tmp_path, monkeypatch):
     # every definiteness test and LDL^T solve of the run, in the diagnostics only
     tests, solves = [], []
-    build, solve = _kernels.definite_test, _kernels.LDLFactor.solve
-
-    def counting(*pencil):
-        test = build(*pencil)
-        return lambda s: tests.append(s) or test(s)
-
-    monkeypatch.setattr(_kernels, "definite_test", counting)
+    test, solve = _kernels.PencilWorkspace.__call__, _kernels.LDLFactor.solve
+    monkeypatch.setattr(_kernels.PencilWorkspace, "__call__", lambda pencil, s: tests.append(s) or test(pencil, s))
     monkeypatch.setattr(_kernels.LDLFactor, "solve", lambda factor, b: solves.append(1) or solve(factor, b))
     assert run(args, tmp_path) == 0
     rec = read_records(tmp_path)[-1]
@@ -173,9 +168,8 @@ def wrapped(monkeypatch):
 
         return wrapper
 
-    build = _kernels.definite_test
-    monkeypatch.setattr(_kernels, "definite_test", lambda *pencil: counting("definite_tests", build(*pencil)))
-    monkeypatch.setattr(_kernels, "ldl_factor", counting("factorizations", _kernels.ldl_factor))
+    monkeypatch.setattr(_kernels.PencilWorkspace, "__call__", counting("definite_tests", _kernels.PencilWorkspace.__call__))
+    monkeypatch.setattr(_kernels.PencilWorkspace, "factor", counting("factorizations", _kernels.PencilWorkspace.factor))
     monkeypatch.setattr(_kernels.LDLFactor, "solve", counting("solves", _kernels.LDLFactor.solve))
     monkeypatch.setattr(_kernels, "power_moment", counting("evaluations", _kernels.power_moment))
     monkeypatch.setattr(_kernels, "power_moment_grad", counting("evaluations", _kernels.power_moment_grad))
@@ -207,6 +201,16 @@ def test_record_counts_are_the_kernel_calls(args, busy, backend, wrapped, tmp_pa
     recs = read_records(tmp_path)
     assert {k: sum(rec["diagnostics"][k] for rec in recs) for k in wrapped} == wrapped
     assert {k for k, n in wrapped.items() if n} >= busy
+
+
+def test_readme_sigma2_solve_counts(backend, tmp_path):
+    # the README's sigma = 2 solve: about 15 definiteness tests, the
+    # estimate's and the inverse iteration's factors, three estimate
+    # solves and one inverse step
+    args = ["solve", "--sigma", "2", "--lambda", "-1", "--manifold", "sphere", "--radius", "1", "--dim", "3", "--rmax", "pi"]
+    assert run(args, tmp_path) == 0
+    diagnostics = read_records(tmp_path)[-1]["diagnostics"]
+    assert [diagnostics[k] for k in ("definite_tests", "factorizations", "solves")] == [15, 2, 4]
 
 
 def test_each_verify_check_counts_its_own_calls(tmp_path):

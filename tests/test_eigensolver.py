@@ -100,21 +100,16 @@ def test_inertia_rejects_nan_weight():
 
 @pytest.fixture
 def definite_results(monkeypatch):
-    """What every call of every per-pencil definiteness test returned, in
+    """What every definiteness test of every pencil workspace returned, in
     call order."""
     results = []
-    build = _kernels.definite_test
+    test = _kernels.PencilWorkspace.__call__
 
-    def recording(*pencil):
-        test = build(*pencil)
+    def recorded(pencil, shift):
+        results.append(test(pencil, shift))
+        return results[-1]
 
-        def recorded(shift):
-            results.append(test(shift))
-            return results[-1]
-
-        return recorded
-
-    monkeypatch.setattr(_kernels, "definite_test", recording)
+    monkeypatch.setattr(_kernels.PencilWorkspace, "__call__", recorded)
     return results
 
 

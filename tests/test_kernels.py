@@ -466,6 +466,67 @@ def test_tally_counts_every_call_served(backend, rng):
     assert calls == {"definite_tests": 3, "factorizations": 3, "solves": 3, "evaluations": 2}
 
 
+def _weighted_pencils(rng):
+    """Graded tridiagonals T, each with a positive diagonal W
+    (``w_off=None``) and with a tridiagonal one."""
+    for d, e in list(_graded_pencils())[::5]:
+        n = d.shape[0]
+        w = np.abs(rng.standard_normal(n)) + 1.0
+        for w_off in (None, 0.2 * rng.uniform(-1.0, 1.0, n - 1)):
+            yield d, e, w, w_off
+
+
+def test_workspace_factor_has_the_bits_of_the_shifted_matrix(backend, rng):
+    # factor(s) forms T - s*W in the buffer the tests use: the bits of
+    # ldl_factor(d - s*w, e - s*w_off), whether s tests definite or not
+    outcomes = set()
+    for d, e, w, w_off in _weighted_pencils(rng):
+        pencil = K.PencilWorkspace(d, e, w, w_off)
+        for s in (-2.0, 0.1, 3.0):
+            shifted = (d - s * w, e if w_off is None else e - s * w_off)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                got, want = pencil.factor(s), K.ldl_factor(*shifted)
+            assert got.diag.tobytes() == want.diag.tobytes() and got.low.tobytes() == want.low.tobytes()
+            outcomes.add(pencil(s))
+    assert outcomes == {True, False}
+
+
+def test_workspace_factor_outlives_later_tests_and_factors(backend, rng):
+    # the estimate solves with its factor while the bisection goes on
+    # testing the same pencil: the factor owns its pivots, so its solves
+    # keep their bits
+    for d, e, w, w_off in _weighted_pencils(rng):
+        pencil = K.PencilWorkspace(d, e, w, w_off)
+        b = rng.standard_normal(d.shape[0])
+        s = -2.0
+        assert pencil(s)
+        factor = pencil.factor(s)
+        before = factor.solve(b)
+        for t in (-5.0, 0.0, 4.0, s):
+            pencil(t)
+        pencil.factor(-3.0)
+        assert factor.solve(b).tobytes() == before.tobytes()
+        assert before.tobytes() == _ldl_solve_py(*_ldl_factor_py(d - s * w, e if w_off is None else e - s * w_off), b).tobytes()
+
+
+def test_workspace_zero_pivot_carries_the_python_inf_and_nan(backend):
+    # T - 1*W has an exact zero second pivot: not definite, and its factor
+    # is the Python recurrence's, inf/nan included, on both backends
+    d, e, w = np.array([2.0, 2.0, 4.0, 3.0]), np.array([1.0, 0.5, 1.0]), np.ones(4)
+    b = np.array([1.0, -2.0, 0.5, 1.0])
+    pencil = K.PencilWorkspace(d, e, w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ref_diag, ref_low = _ldl_factor_py(d - 1.0 * w, e)
+        ref = _ldl_solve_py(ref_diag, ref_low, b)
+        assert not pencil(1.0)
+        factor = pencil.factor(1.0)
+        x = factor.solve(b)
+    assert ref_diag[1] == 0.0 and not np.all(np.isfinite(ref))
+    np.testing.assert_array_equal(factor.diag, ref_diag)
+    np.testing.assert_array_equal(factor.low, ref_low)
+    np.testing.assert_array_equal(x, ref)
+
+
 def test_import_resolves_backend_without_scipy():
     bundled = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*"))
     src = os.path.dirname(os.path.dirname(K.__file__))

@@ -84,9 +84,11 @@ def _improper_integral(f, tail_power, tol):
     return value, err
 
 
-def _moment(table, name, sigma, tol):
+def _moment(table, name, n, sigma, tol):
     f, tail_power = table[name]
     value, err = _improper_integral(f, tail_power, tol)
+    if not math.isfinite(value):
+        raise DomainError(f"the panel quadrature of {name} leaves the double range at N = {n}, sigma = {sigma!r} (value {value!r})")
     if not value > 0.0:
         raise DomainError(f"sigma = {sigma!r} is too close to 2 for the panel quadrature ({name} underflows to 0)")
     return value, err
@@ -137,7 +139,7 @@ def bubble_moments_ref(N, sigma, tol=1e-8, truncation_radius=1e4):
                 log_slope=(big - small) / math.log(8.0),
             )
         else:
-            value, err = _moment(table, name, s, tol)
+            value, err = _moment(table, name, n, s, tol)
             out[name] = MomentValue(value=value, abs_error=err, finite=True)
     return BubbleMoments(N=n, sigma=s, **out)
 
@@ -146,8 +148,8 @@ def bubble_quotient_ref(N, sigma, tol=1e-10, scale=1.0):
     n = check_dimension(N)
     s = check_sigma(sigma, closed=False)
     table = _integrands(n, s, scale=scale)
-    hs_mass, _ = _moment(table, "hs_mass", s, tol)
-    dirichlet, _ = _moment(table, "dirichlet", s, tol)
+    hs_mass, _ = _moment(table, "hs_mass", n, s, tol)
+    dirichlet, _ = _moment(table, "dirichlet", n, s, tol)
     return dirichlet / hs_mass ** (2.0 / critical_exponent(s, n))
 
 
@@ -249,7 +251,8 @@ def test_moment_tables_match_per_moment_quadrature(N, sigma):
 
 
 def test_moment_tables_match_near_two_and_on_other_balls():
-    # sigma = 1.9 refuses N = 4 after overflow warnings; 1.999 underflows
+    # sigma = 1.9 refuses N = 4, whose r2_hs is NaN (r^3 overflows on the
+    # far panels, which the oracle warns of); 1.999 underflows
     # hs_mass; the truncation ball moves with truncation_radius
     for N, sigma in ((4, 1.9), (3, 1.999), (5, 1.999)):
         _assert_same(bubble_moments, bubble_moments_ref, N, sigma)
