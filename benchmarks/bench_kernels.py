@@ -31,7 +31,13 @@ workload) and 4 (its flat ball), on M = 4096 cells and on a 256-cell table,
 where the per-call overhead shows.  ``power_moment_grad`` is timed on a
 non-negative profile (rows ``power_moment_grad+``: its sign-free path, which
 the minimizer's starts and mixed candidates take) and on a signed one (rows
-``power_moment_grad+-``: the general path).
+``power_moment_grad+-``: the general path).  The ``workspace value+`` and
+``workspace gradient`` rows time the two halves of that kernel as the
+minimizer calls them, on one ``PowerWorkspace`` per table and exponent,
+built once and reused: ``value`` on the non-negative profile (F and g, with
+the sign scan), and ``gradient`` of that profile's g.  Their reference
+loops are those of ``power_moment`` and of ``power_moment_grad``, which
+compute more (F alone, and F with its gradient).
 Inputs: M = 4096, numpy rng seed 7 (the same as ``perfbench/kernel_bench.py``).
 
 The quadrature rows time one call, in microseconds, of ``bubble_moments``
@@ -79,6 +85,7 @@ PENCIL = 512  # rows of the small bisection-test pencil
 SHIFT = 0.25  # bisection-test shift; T - SHIFT*W stays definite
 _PENCILS = {}  # one workspace per pencil size and backend
 _FACTORS = {}  # one factor per pencil size and backend, and the reference's
+_POWERS = {}  # one power workspace per table size and exponent, with the g of its profile
 
 
 def _workspace(d, e, w):
@@ -97,6 +104,26 @@ def bisection_test(d, e, w, shift):
 def workspace_factor(d, e, w, shift):
     """One factor as the eigensolver takes it, from the pencil's workspace."""
     return _workspace(d, e, w).factor(shift)
+
+
+def _power(u, w, t, p):
+    """The table's ``PowerWorkspace`` and the g of u, made on the first call."""
+    key = (w.shape[0], p)
+    if key not in _POWERS:
+        power = _kernels.PowerWorkspace(w, t, p)
+        _POWERS[key] = power, power.value(u)[1]
+    return _POWERS[key]
+
+
+def workspace_value(u, w, t, p):
+    """F and g of u from the table's reused workspace."""
+    return _power(u, w, t, p)[0].value(u)
+
+
+def workspace_gradient(u, w, t, p):
+    """grad F of u from its g, on the table's reused workspace."""
+    power, g = _power(u, w, t, p)
+    return power.gradient(g)
 
 
 def median_ns(fn, args, per, repeat):
@@ -188,6 +215,8 @@ def main():
                 (f"power_moment {cells} p={p:g}", "cell", _kernels.power_moment, _power_moment_loop_py, args),
                 (f"power_moment_grad+ {cells} p={p:g}", "cell", _kernels.power_moment_grad, grad_loop, args),
                 (f"power_moment_grad+- {cells} p={p:g}", "cell", _kernels.power_moment_grad, grad_loop, signed),
+                (f"workspace value+ {cells} p={p:g}", "cell", workspace_value, _power_moment_loop_py, args),
+                (f"workspace gradient {cells} p={p:g}", "cell", workspace_gradient, grad_loop, args),
             ]
     lapack = _kernels.BACKEND == "lapack"
     header = (

@@ -6,7 +6,8 @@ every ``perfbench`` workload at seeds 0-3.  Each runs in-process through
 ``hardylab.cli.main`` with a fresh ``--out`` directory, once per source
 tree and backend.  Each tree runs in its own worker process per backend:
 ``lapack`` is the backend resolved at import, ``python`` the Python-float
-recurrences (both LAPACK handles unset before the first command).
+recurrences (both LAPACK handles unset and ``_kernels.BACKEND`` set to
+``"python"`` before the first command, so its records name that backend).
 
 An answer is the exit code, stdout, stderr, every CSV table and every
 record of ``records.jsonl``.  The output directory's path is masked in the
@@ -92,6 +93,7 @@ def worker(src: str, backend: str) -> None:
 
     if backend == "python":
         _kernels._PTTRF = _kernels._PTTRS = None
+        _kernels.BACKEND = "python"
     argvs = json.loads(sys.stdin.readline())
     answers = []
     with tempfile.TemporaryDirectory(prefix="equivalence-") as tmp:

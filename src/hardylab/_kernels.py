@@ -5,10 +5,15 @@ tests (the bisections of the eigensolve and of the lambda-star bracket),
 tridiagonal LDL^T factors and solves (the eigensolve's estimate and
 inverse iteration, and the minimizer), and the singular-weight power
 functional of the constrained minimizer.  The power functional is NumPy on
-every backend: u at the Gauss points of all cells is one (cells, 2) by
-(2, q) product, and F with its gradient costs one ``pow`` per point; on a
-profile with no sign bit set (the minimizer's starts and mixed candidates)
-it skips ``abs`` and ``copysign``, which are the identity there.
+every backend, in one ``PowerWorkspace`` per weight table: it holds the hat
+basis [1 - t; t] and the (cells, 2) buffer of cell end values, so u at the
+Gauss points of all cells is one (cells, 2) by (2, q) product.  ``value``
+gives F and g = w sign(v) |v|^{p-1} from one ``pow`` per point, and
+``gradient`` forms grad F from g only when asked: the minimizer evaluates
+two trial points per step and keeps one.  On a profile with no sign bit
+set (the minimizer's starts and mixed candidates) ``value`` skips ``abs``
+and ``copysign``, which are the identity there.  ``power_moment_grad`` is a
+workspace's value and gradient, so there is one path.
 ``negcount``, the full Sturm count, is the Python-float recurrence on every
 backend; only ``eigensolver.inertia_count`` calls it.
 
@@ -45,11 +50,12 @@ The recurrences run on the backend resolved once at import, ``BACKEND``:
   indexed loop gives.
 
 ``COUNTS`` tallies, process-wide and on both backends, the calls served:
-``definite_tests`` (calls of a workspace), ``factorizations`` (its
+``definite_tests`` (calls of a pencil workspace), ``factorizations`` (its
 ``factor``, so every ``ldl_factor`` too, whether ``dpttrf`` or the Python
 recurrence made it), ``solves`` (``LDLFactor.solve``) and ``evaluations``
-(``power_moment`` and ``power_moment_grad``).  The run records report its
-changes (``records``).
+(``power_moment`` and ``PowerWorkspace.value``, so every
+``power_moment_grad`` too; a ``gradient`` is not one).  The run records
+report its changes (``records``).
 
 ``benchmarks/bench_kernels.py`` times both backends.
 """
@@ -266,43 +272,67 @@ def tridiag_solve(d, e, b):
 # on piecewise-linear u; cells are consecutive node pairs.
 # ---------------------------------------------------------------------------
 
-def _cell_values(u, t):
-    """u at the quadrature points of every cell, and the hat basis: the
-    (cells, 2) matrix of cell end values times the (2, q) basis [1 - t; t]."""
-    basis = np.empty((2, t.shape[0]))
-    np.subtract(1.0, t, out=basis[0])
-    basis[1] = t
-    ends = np.empty((u.shape[0] - 1, 2))
-    ends[:, 0] = u[:-1]
-    ends[:, 1] = u[1:]
-    return ends @ basis, basis
+class PowerWorkspace:
+    """The workspace of the weighted |u|^p moment on the (cells, q) weights
+    ``w`` at the points ``t`` of each cell: the hat basis [1 - t; t], its
+    transpose view and the (cells, 2) buffer of cell end values, made once.
+    ``value(u)`` is F(u) with g = w sign(v) |v|^{p-1} at the points, from
+    one ``pow`` per point; ``gradient(g)`` is the nodal gradient of F at the
+    u whose g it is.  A caller that keeps only some of the points it
+    evaluates forms only their gradients."""
+
+    def __init__(self, w, t, p):
+        self.w, self.p = w, p
+        basis = np.empty((2, t.shape[0]))
+        np.subtract(1.0, t, out=basis[0])
+        basis[1] = t
+        self._basis, self._basis_t = basis, basis.T
+        self._ends = np.empty((w.shape[0], 2))
+
+    def _points(self, u):
+        """u at the points of every cell: the (cells, 2) matrix of cell end
+        values times [1 - t; t]."""
+        ends = self._ends
+        ends[:, 0] = u[:-1]
+        ends[:, 1] = u[1:]
+        return ends @ self._basis
+
+    def value(self, u, sign_free=False):
+        """F(u) = g.v and g, where v is u at the points.  A profile with
+        no sign bit set (no negative entry, no -0.0) has v >= +0 at points
+        t in [0, 1], where ``abs`` and ``copysign`` are the identity:
+        g = w v^{p-1} then skips both, with the same bits.  A caller that
+        knows u has no sign bit set passes ``sign_free=True`` and skips
+        the scan."""
+        COUNTS["evaluations"] += 1
+        v = self._points(u)
+        if not sign_free and np.signbit(u).any():
+            g = self.w * np.copysign(np.abs(v) ** (self.p - 1.0), v)
+        else:
+            g = v ** (self.p - 1.0)
+            g *= self.w
+        return float(np.vdot(g, v)), g
+
+    def gradient(self, g):
+        """p g [1 - t; t]^T gathered onto the nodes."""
+        ends = g @ self._basis_t
+        ends *= self.p
+        grad = np.empty(ends.shape[0] + 1)
+        grad[:-1] = ends[:, 0]
+        grad[-1] = 0.0
+        grad[1:] += ends[:, 1]
+        return grad
 
 
 def power_moment(u, w, t, p):
     """Value of the weighted |u|^p moment over all cells."""
     COUNTS["evaluations"] += 1
-    v, _ = _cell_values(u, t)
-    return float(np.vdot(w, np.abs(v) ** p))
+    return float(np.vdot(w, np.abs(PowerWorkspace(w, t, p)._points(u)) ** p))
 
 
 def power_moment_grad(u, w, t, p):
-    """Value and nodal gradient of the weighted |u|^p moment, from one
-    ``pow`` per point: with g = w sign(v) |v|^{p-1}, F = g.v and the
-    gradient is p g [1 - t; t]^T gathered onto the nodes.  A profile with
-    no sign bit set (no negative entry, no -0.0) has v >= +0 at points t in
-    [0, 1], where ``abs`` and ``copysign`` are the identity: g = w v^{p-1}
-    then skips both, with the same bits."""
-    COUNTS["evaluations"] += 1
-    v, basis = _cell_values(u, t)
-    if np.signbit(u).any():
-        g = w * np.copysign(np.abs(v) ** (p - 1.0), v)
-    else:
-        g = v ** (p - 1.0)
-        g *= w
-    ends = g @ basis.T
-    ends *= p
-    grad = np.empty(u.shape[0])
-    grad[:-1] = ends[:, 0]
-    grad[-1] = 0.0
-    grad[1:] += ends[:, 1]
-    return float(np.vdot(g, v)), grad
+    """Value and nodal gradient of the weighted |u|^p moment: the
+    ``PowerWorkspace`` value and gradient at u, one evaluation."""
+    power = PowerWorkspace(w, t, p)
+    f, g = power.value(u)
+    return f, power.gradient(g)

@@ -33,11 +33,18 @@ F = 1.  It is taken only when Q(candidate) <= Q(G(u)); else G(u) is
 taken and the history is cleared.  Every iterate therefore lies on F = 1
 and is still an upper bound, and Q(u_{k+1}) <= Q(G(u_k)) <= Q(u_k) keeps
 the descent wherever it is proved above (34-39 steps per start on the
-flat ball at M = 256).  G(u) and the candidate are each rescaled by one
-evaluation of F and grad F (``_kernels.power_moment_grad``, one ``pow`` per
-Gauss point), whose gradient carries over to the rescaled vector:
-F(cv) = c^p F(v), grad F(cv) = c^{p-1} grad F(v).  A step thus makes one
-solve and at most two evaluations, and no point is evaluated twice.
+flat ball at M = 256).  The history is two stacked (_DEPTH, n) arrays, the
+rows dF and dU + dF, each row formed once when it is pushed.
+
+F goes through one ``_kernels.PowerWorkspace`` per call, shared by the
+starts.  G(u) and the candidate are each rescaled by one evaluation of F
+(``value``, one ``pow`` per Gauss point), which also gives the g that
+grad F is formed from; the candidate, |.| with a +0.0 fill, has no sign
+bit and skips the sign scan.  grad F is formed (``gradient``) only for the
+one of the two that becomes the next iterate, and it carries over to the
+rescaled vector: F(cv) = c^p F(v), grad F(cv) = c^{p-1} grad F(v).  A step
+thus makes one solve, at most two evaluations and one gradient, and no
+point is evaluated twice.
 
 gnorm = sqrt(r'Ã^{-1}r) / (1 + |Q|); converged means gnorm <= _GRAD_TOL = 1e-8.
 A run stops when it converges, when max_iters runs out, or when Q rises
@@ -69,7 +76,6 @@ from .forms import (
     QuadraticForms,
     evaluate_quotient,
     hs_functional,
-    hs_gradient,
     tri_matvec,
     tri_quadform,
 )
@@ -153,14 +159,15 @@ def _project(forms: QuadraticForms, u: np.ndarray) -> np.ndarray:
     return u / h ** (1.0 / forms.p_crit)
 
 
-def _project_grad(forms: QuadraticForms, u: np.ndarray):
-    """u rescaled onto F = 1 and grad F there, from one evaluation at u:
+def _rescaled(power, u, sign_free=False):
+    """u rescaled onto F = 1, its g and the divisor h*c that turns
+    ``power.gradient(g)`` into grad F there, from one evaluation at u:
     F(cu) = c^p F(u) and grad F(cu) = c^{p-1} grad F(u)."""
-    h, grad = hs_gradient(forms, u)
+    h, g = power.value(u, sign_free)
     if h <= 0.0:
         raise DomainError("cannot project the zero profile onto the constraint")
-    c = h ** (-1.0 / forms.p_crit)
-    return c * u, grad / (h * c)
+    c = h ** (-1.0 / power.p)
+    return c * u, g, h * c
 
 
 def minimize_quotient(
@@ -189,7 +196,8 @@ def minimize_quotient(
     _check_pencil(*a, lam)
     abs_a = (np.abs(a[0]), np.abs(a[1]))
     factor = _shifted_factor(forms, lam)
-    runs = [_descend(forms, lam, a, abs_a, factor, u0, tag, max_iters) for tag, u0 in zip(tags, inits)]
+    power = _kernels.PowerWorkspace(forms.hs_weights, forms.hs_t, forms.p_crit)
+    runs = [_descend(forms, lam, a, abs_a, factor, power, u0, tag, max_iters) for tag, u0 in zip(tags, inits)]
     best = min(runs, key=lambda res: res.mu_upper)
     best.concentration = _hs_concentration(forms, best.profile)
     best.iterations_total = sum(res.iterations for res in runs)
@@ -223,21 +231,21 @@ def _rounding(abs_a, u):
     return k_eps / (1.0 - k_eps) * tri_quadform(abs_a[0], abs_a[1], np.abs(u))
 
 
-def _mixed(g, f, d_u, d_f):
+def _mixed(g, f, df, sums):
     """|g - (dU + dF) gamma|, gamma minimizing |f - dF gamma| by its normal
     equations; zero when the differences dF are linearly dependent.  The
-    differences are the rows of dU^T and dF^T."""
-    df = np.array(d_f)
+    differences are the rows of ``df`` (dF^T) and ``sums`` ((dU + dF)^T)."""
     try:
         gamma = np.linalg.solve(df @ df.T, df @ f)
     except np.linalg.LinAlgError:
         return 0.0
-    return np.abs(g - gamma @ (np.array(d_u) + df))
+    return np.abs(g - gamma @ sums)
 
 
-def _descend(forms, lam, a, abs_a, factor, u0, tag, max_iters):
+def _descend(forms, lam, a, abs_a, factor, power, u0, tag, max_iters):
     sl = forms.dof
-    u, grad = _project_grad(forms, forms.check_profile(np.asarray(u0, dtype=float).copy()))
+    u, g, hc = _rescaled(power, forms.check_profile(np.asarray(u0, dtype=float).copy()))
+    grad = power.gradient(g) / hc
     # at a huge lambda an energy, its rounding bound or gnorm may overflow;
     # each is read next: a start whose energy is not finite is refused, an
     # infinite energy later fails the rise test, an infinite rounding bound
@@ -250,7 +258,9 @@ def _descend(forms, lam, a, abs_a, factor, u0, tag, max_iters):
         gnorm = math.inf
         stop = "max_iters"
         prev = None  # (u, G(u) - u) on the free nodes, of the last step
-        d_u, d_f = [], []  # the mixing history: differences of both
+        # the mixing history, oldest first: rows dF and dU + dF of its k differences
+        n_free = u[sl].shape[0]
+        df, sums, k = np.empty((_DEPTH, n_free)), np.empty((_DEPTH, n_free)), 0
         iters = 0
         for iters in range(1, max_iters + 1):
             if q > best_q and q > best_q + _rounding(abs_a, best_u) + _rounding(abs_a, u):
@@ -267,27 +277,32 @@ def _descend(forms, lam, a, abs_a, factor, u0, tag, max_iters):
             v = u.copy()
             v[sl] -= s
             mix = prev is not None
-            v, v_grad = _project_grad(forms, v)
-            f = (v - u)[sl]
+            v, g, hc = _rescaled(power, v)
+            f = v[sl] - u[sl]
             if mix:
-                d_u.append(u[sl] - prev[0])
-                d_f.append(f - prev[1])
-                del d_u[:-_DEPTH], d_f[:-_DEPTH]
+                if k == _DEPTH:
+                    df[:-1], sums[:-1] = df[1:], sums[1:]
+                else:
+                    k += 1
+                np.subtract(f, prev[1], out=df[k - 1])
+                np.subtract(u[sl], prev[0], out=sums[k - 1])
+                sums[k - 1] += df[k - 1]
             prev = (u[sl], f) if _DEPTH else None
-            u, grad = v, v_grad
+            u = v
             au, q = _energy(a, u)
             if mix:
                 x = np.zeros_like(u)
-                x[sl] = _mixed(u[sl], f, d_u, d_f)
+                x[sl] = _mixed(u[sl], f, df[:k], sums[:k])
                 if np.any(x):  # zero: no candidate, or none that can be rescaled
-                    x, x_grad = _project_grad(forms, x)
+                    x, x_g, x_hc = _rescaled(power, x, sign_free=True)  # |.| with +0.0 fill
                     ax, qx = _energy(a, x)
                     if qx <= q:
-                        u, au, q, grad = x, ax, qx, x_grad
+                        u, au, q = x, ax, qx
+                        grad = power.gradient(x_g) / x_hc
                         continue
-                d_u.clear()
-                d_f.clear()
+                k = 0
                 prev = None
+            grad = power.gradient(g) / hc
 
     u = best_u
     if np.any(u < 0.0):

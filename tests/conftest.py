@@ -8,9 +8,11 @@ from hardylab import _kernels
 @pytest.fixture
 def python_backend(monkeypatch):
     """The kernels on their Python-float recurrences: both LAPACK handles
-    unset, as on an install whose numpy bundles no ``dpttrf``."""
+    unset and ``BACKEND`` naming them, as on an install whose numpy bundles
+    no ``dpttrf``."""
     monkeypatch.setattr(_kernels, "_PTTRF", None)
     monkeypatch.setattr(_kernels, "_PTTRS", None)
+    monkeypatch.setattr(_kernels, "BACKEND", "python")
 
 
 @pytest.fixture(params=["lapack", "python"])

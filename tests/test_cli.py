@@ -172,7 +172,7 @@ def wrapped(monkeypatch):
     monkeypatch.setattr(_kernels.PencilWorkspace, "factor", counting("factorizations", _kernels.PencilWorkspace.factor))
     monkeypatch.setattr(_kernels.LDLFactor, "solve", counting("solves", _kernels.LDLFactor.solve))
     monkeypatch.setattr(_kernels, "power_moment", counting("evaluations", _kernels.power_moment))
-    monkeypatch.setattr(_kernels, "power_moment_grad", counting("evaluations", _kernels.power_moment_grad))
+    monkeypatch.setattr(_kernels.PowerWorkspace, "value", counting("evaluations", _kernels.PowerWorkspace.value))
     return seen
 
 
@@ -201,6 +201,12 @@ def test_record_counts_are_the_kernel_calls(args, busy, backend, wrapped, tmp_pa
     recs = read_records(tmp_path)
     assert {k: sum(rec["diagnostics"][k] for rec in recs) for k in wrapped} == wrapped
     assert {k for k, n in wrapped.items() if n} >= busy
+
+
+def test_record_names_the_backend_that_ran(backend, tmp_path):
+    # the Python recurrences, once switched in, are what the record names
+    assert run(["solve", "--sigma", "2", "--lambda", "-1", "--dim", "3", "--nodes", "64"], tmp_path) == 0
+    assert read_records(tmp_path)[-1]["diagnostics"]["kernel_backend"] == backend
 
 
 def test_readme_sigma2_solve_counts(backend, tmp_path):

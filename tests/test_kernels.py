@@ -598,3 +598,28 @@ def test_sign_free_power_moment_grad_matches_general_path(rng):
                     got = K.power_moment_grad(u, w, t, p)
                     want = _power_moment_grad_general(u, w, t, p)
                 assert _bits(*got) == _bits(*want), (name, p)
+
+
+def test_workspace_value_and_gradient_match_the_one_shot_kernel(rng):
+    # one workspace, reused across profiles: its value and gradient give the
+    # bits of power_moment_grad and of the general path, with and without
+    # the sign scan where the profile has no sign bit set, and each value
+    # counts one evaluation while a gradient counts none
+    for cells in (1, 32, 255):
+        w, t = np.abs(rng.standard_normal((cells, 7))), np.sort(rng.uniform(0.0, 1.0, 7))
+        base = np.abs(rng.standard_normal(cells + 1))
+        signed = rng.standard_normal(cells + 1)
+        signed[0] = -abs(signed[0])
+        minus_zero = base.copy()
+        minus_zero[[0, cells]] = -0.0
+        for p in (3.0, 4.0, 2.6667):
+            power = K.PowerWorkspace(w, t, p)
+            for name, u in [("sign-free", base), ("signed", signed), ("-0.0", minus_zero)]:
+                with kernel_calls() as calls:
+                    f, g = power.value(u)
+                    got = f, power.gradient(g)
+                assert calls["evaluations"] == 1
+                assert _bits(*got) == _bits(*K.power_moment_grad(u, w, t, p)), (cells, p, name)
+                assert _bits(*got) == _bits(*_power_moment_grad_general(u, w, t, p)), (cells, p, name)
+            f, g = power.value(base, True)
+            assert _bits(f, power.gradient(g)) == _bits(*_power_moment_grad_general(base, w, t, p))

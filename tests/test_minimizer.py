@@ -255,13 +255,14 @@ def test_mixing_skips_dependent_differences():
     # equal columns of dF make the normal equations singular: no candidate
     rng = np.random.default_rng(3)
     g, f, d = rng.random(8), rng.random(8), rng.random(8)
-    assert not np.any(minimizer._mixed(g, f, [d, d], [d, d]))
+    assert not np.any(minimizer._mixed(g, f, np.array([d, d]), np.array([d + d, d + d])))
     # independent columns: the least-squares combination, made non-negative
     d_u, d_f = [rng.random(8), rng.random(8)], [rng.random(8), rng.random(8)]
     df = np.column_stack(d_f)
     gamma = np.linalg.lstsq(df, f, rcond=None)[0]
     want = np.abs(g - (np.column_stack(d_u) + df) @ gamma)
-    np.testing.assert_allclose(minimizer._mixed(g, f, d_u, d_f), want, rtol=1e-12)
+    got = minimizer._mixed(g, f, np.array(d_f), np.array(d_u) + np.array(d_f))
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -273,8 +274,8 @@ def test_mixing_skips_dependent_differences():
     ids=["flat-ball-64", "S4-32"],
 )
 def test_counters_match_kernel_calls(forms, lam, monkeypatch):
-    # every F / grad F evaluation and every preconditioner solve goes
-    # through _kernels; a step makes one solve and at most two evaluations
+    # every F evaluation and every preconditioner solve goes through
+    # _kernels; a step makes one solve and at most two evaluations
     calls = {"F": 0, "solve": 0}
 
     def counted(name, fn):
@@ -285,10 +286,45 @@ def test_counters_match_kernel_calls(forms, lam, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(_kernels, "power_moment", counted("F", _kernels.power_moment))
-    monkeypatch.setattr(_kernels, "power_moment_grad", counted("F", _kernels.power_moment_grad))
+    monkeypatch.setattr(_kernels.PowerWorkspace, "value", counted("F", _kernels.PowerWorkspace.value))
     monkeypatch.setattr(_kernels.LDLFactor, "solve", counted("solve", _kernels.LDLFactor.solve))
     with kernel_calls() as tally:
         res = minimize_quotient(forms, lam)
     assert res.converged
     assert tally["evaluations"] == calls["F"] <= 2 * res.iterations_total
     assert tally["solves"] == calls["solve"] == res.iterations_total
+
+
+@pytest.mark.parametrize(
+    "sigma,N,lam,max_iters,zero_bound,stops",
+    [
+        (1.0, 4, -1.0, 800, False, {"converged"}),
+        (1.0, 4, -1.0, 3, False, {"max_iters"}),
+        (0.5, 5, -0.5, 800, True, {"converged", "rise"}),
+    ],
+    ids=["converged", "max_iters", "rise"],
+)
+def test_gradient_only_for_the_iterate_kept(sigma, N, lam, max_iters, zero_bound, stops, monkeypatch):
+    # grad F is formed at the start and once per step taken, for the one
+    # trial point the step keeps: 1 + iterations - [stop != "max_iters"]
+    # per start, since a start that converges or rises stops before its
+    # last step
+    m = unit_sphere(N)
+    forms = assemble_forms(build_grid(m.r_max, 32, 2.0, "reflected"), m, sigma)
+    formed, per_start = [], []
+    gradient, descend = _kernels.PowerWorkspace.gradient, minimizer._descend
+    monkeypatch.setattr(_kernels.PowerWorkspace, "gradient", lambda power, g: formed.append(1) or gradient(power, g))
+
+    def counted_descend(*args):
+        before = len(formed)
+        res = descend(*args)
+        per_start.append((len(formed) - before, res.iterations, res.stop))
+        return res
+
+    monkeypatch.setattr(minimizer, "_descend", counted_descend)
+    if zero_bound:
+        monkeypatch.setattr(minimizer, "_rounding", lambda abs_a, u: 0.0)
+    minimize_quotient(forms, lam, max_iters=max_iters)
+    assert len(per_start) == 4 and {stop for _, _, stop in per_start} == stops
+    for n, iterations, stop in per_start:
+        assert n == 1 + iterations - (stop != "max_iters")

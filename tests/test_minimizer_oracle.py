@@ -1,12 +1,15 @@
 """``minimizer._descend`` must return the same bits as the step loop below,
 which forms the rounding bound of the rise test on every step, solves with
-the element-by-element reference loop and evaluates F and grad F with
-``abs`` and ``copysign`` at every point.  It is the oracle: the minimizer
-forms the bound only when Q rises, solves with the factor's bound
-``dpttrs`` call and takes the sign-free |u|^p path on profiles with no sign
-bit set, and none of that may move a bit of any result or kernel count.
-The oracle's reference solve and general |u|^p gradient are tallied as the
-kernel calls they stand in for."""
+the element-by-element reference loop, evaluates F and grad F with ``abs``
+and ``copysign`` at every point and at both trial points of a step, and
+stacks the mixing history from lists on every step.  It is the oracle, and
+it imports none of the step code it checks: the minimizer forms the bound
+only when Q rises, solves with the factor's bound ``dpttrs`` call, takes
+the sign-free |u|^p path on profiles with no sign bit set, forms grad F
+only for the iterate it keeps and keeps its history stacked, and none of
+that may move a bit of any result or kernel count.  The oracle's reference
+solve and general |u|^p gradient are tallied as the kernel calls they
+stand in for."""
 
 import math
 
@@ -16,22 +19,46 @@ from test_kernels import _ldl_solve_py, _power_moment_grad_general, kernel_calls
 
 from hardylab import _kernels, minimizer
 from hardylab.errors import DomainError
-from hardylab.forms import assemble_forms, build_grid, evaluate_quotient
+from hardylab.forms import assemble_forms, build_grid, evaluate_quotient, hs_gradient, tri_matvec
 from hardylab.manifold import euclidean_ball, unit_sphere
 from hardylab.minimizer import (
     _DEPTH,
     _GRAD_TOL,
     MinimizationResult,
-    _energy,
-    _mixed,
     _project,
-    _project_grad,
     _rounding,
     minimize_quotient,
 )
 
 
-def _descend_oracle(forms, lam, a, abs_a, factor, u0, tag, max_iters):
+def _project_grad(forms, u):
+    """u rescaled onto F = 1 and grad F there, from one evaluation of F and
+    grad F at u: F(cu) = c^p F(u) and grad F(cu) = c^{p-1} grad F(u)."""
+    h, grad = hs_gradient(forms, u)
+    if h <= 0.0:
+        raise DomainError("cannot project the zero profile onto the constraint")
+    c = h ** (-1.0 / forms.p_crit)
+    return c * u, grad / (h * c)
+
+
+def _energy(a, u):
+    """Au and q = u'Au."""
+    au = tri_matvec(a[0], a[1], u)
+    return au, float(np.dot(u, au))
+
+
+def _mixed(g, f, d_u, d_f):
+    """|g - (dU + dF) gamma| from the lists of differences, stacked anew on
+    every call; zero when the differences dF are linearly dependent."""
+    df = np.array(d_f)
+    try:
+        gamma = np.linalg.solve(df @ df.T, df @ f)
+    except np.linalg.LinAlgError:
+        return 0.0
+    return np.abs(g - gamma @ (np.array(d_u) + df))
+
+
+def _descend_oracle(forms, lam, a, abs_a, factor, power, u0, tag, max_iters):
     sl = forms.dof
     u, grad = _project_grad(forms, forms.check_profile(np.asarray(u0, dtype=float).copy()))
     with np.errstate(over="ignore"):
