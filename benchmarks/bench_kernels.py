@@ -154,13 +154,16 @@ def bound_solve_loop(d, e, w, b):
 
 @contextlib.contextmanager
 def python_backend():
-    """Run the kernels on their Python-float recurrences."""
-    saved = _kernels._PTTRF, _kernels._PTTRS
+    """Run the kernels on their Python-float recurrences: both LAPACK
+    handles unset and ``BACKEND`` naming them, as ``tests/conftest.py`` and
+    ``equivalence.py`` do."""
+    saved = _kernels._PTTRF, _kernels._PTTRS, _kernels.BACKEND
     _kernels._PTTRF = _kernels._PTTRS = None
+    _kernels.BACKEND = "python"
     try:
         yield
     finally:
-        _kernels._PTTRF, _kernels._PTTRS = saved
+        _kernels._PTTRF, _kernels._PTTRS, _kernels.BACKEND = saved
 
 
 def main():

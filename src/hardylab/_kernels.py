@@ -14,46 +14,42 @@ two trial points per step and keeps one.  On a profile with no sign bit
 set (the minimizer's starts and mixed candidates) ``value`` skips ``abs``
 and ``copysign``, which are the identity there.  ``power_moment_grad`` is a
 workspace's value and gradient, so there is one path.
-``negcount``, the full Sturm count, is the Python-float recurrence on every
-backend; only ``eigensolver.inertia_count`` calls it.
+``negcount``, the full Sturm count (d - e*e/p in Python floats on every
+backend), serves only ``eigensolver.inertia_count``.
 
 A tridiagonal pencil (T, W) is tested, factored and solved in one place,
-its ``PencilWorkspace`` (``definite_test`` builds one).  The workspace owns
-the [d, e] buffer that ``dpttrf`` overwrites, a scratch vector and the
-ctypes arguments, made once per pencil.  Calling it at a shift s is the
+its ``PencilWorkspace`` (``definite_test`` builds one), which owns the
+[d, e] buffer that ``dpttrf`` overwrites.  Calling it at a shift s is the
 definiteness test: T - s*W formed in the buffer (the IEEE operations of
-d - s*w) and one ``dpttrf`` call, which stops at the first pivot that is
-not positive.  ``factor(s)`` makes the same shift and the same call and
-returns an ``LDLFactor`` that copies the pivots and multipliers out of the
-buffer, with room for a right-hand side and its ``dpttrs`` arguments
-bound once.  So a factor stays valid after later tests and factors of its
-workspace: the eigensolve solves with its estimate's factor before the fine
-bisection tests on.  ``ldl_factor(d, e)`` is the factor of a bare T, taken
-from the workspace of (T, 0) at s = 0: there is one factor path.
+d - s*w) and one ``dpttrf`` run, which stops at the first pivot that is not
+positive.  A factor exists only for a shift that tests definite:
+``factor(s)`` makes the same shift and run and copies the pivots and
+multipliers into an ``LDLFactor``, with room for a right-hand side, or
+raises a ``DomainError`` naming s.  The callers test first: the eigensolve
+factors at the definite end of its bracket and below it, and the minimizer
+factors A only after A - 1e-8 (1 + |lambda|) Mass tested definite, else
+K + (1 + |lambda|) Mass.  A factor stays valid after later tests and
+factors of its workspace.  ``ldl_factor(d, e)`` is the factor of the pencil
+(T, 0) at s = 0: there is one factor path.
 
-The recurrences run on the backend resolved once at import, ``BACKEND``:
+One recurrence runs on both backends, LAPACK's: ``dpttrf`` forms l = e/p,
+then p' = d - l*e, and ``dpttrs`` (its ``dptts2``) solves L y = b by
+y_i = b_i - y_{i-1} l_{i-1}, then D L^T x = y by x_n = y_n / p_n and
+x_i = y_i / p_i - x_{i+1} l_i, or x = b (1/p) at n = 1.  The backend is
+resolved once at import, ``BACKEND``; each workspace and factor binds its
+executor, with its arguments, when it is made:
 
 - ``"lapack"``: ``dpttrf``/``dpttrs`` of the ILP64 OpenBLAS that the numpy
   wheel bundles (``numpy.libs/libscipy_openblas64_*``), through ``ctypes``.
-  ``dpttrf`` makes the Python recurrence's operations in its order; a
-  factor whose pivot is not positive goes to the Python path, which
-  carries an exact zero pivot on as inf/nan.  A solve is one copy of b
-  into the factor's buffer, one ``dpttrs`` call (n >= 2) and a copy out.
-  At n = 1 ``dpttrs`` multiplies by 1/D(1), an ulp off the division, so
-  n = 1 stays on the Python path.
-- ``"python"``, when the library or a symbol is missing: each call converts
-  its arrays with ``tolist`` once and walks them with ``zip``, the same IEEE
-  operations in the same order as indexing the arrays element by element.
-  The test is ``negcount(d - s*w, e - s*w_off) == 0``.  An exact zero
-  pivot makes Python float division raise; the factor and solve then repeat
-  the recurrence on NumPy scalars, which return the same inf/nan bits an
-  indexed loop gives.
+- ``"python"``, when the library or a symbol is missing: stand-ins that
+  make the same operations in the same order on Python floats, read from
+  the buffer with ``tolist`` once and written back (``dpttrf``'s sets its
+  ``info``), so both backends give the same bits.
 
 ``COUNTS`` tallies, process-wide and on both backends, the calls served:
-``definite_tests`` (calls of a pencil workspace), ``factorizations`` (its
-``factor``, so every ``ldl_factor`` too, whether ``dpttrf`` or the Python
-recurrence made it), ``solves`` (``LDLFactor.solve``) and ``evaluations``
-(``power_moment`` and ``PowerWorkspace.value``, so every
+``definite_tests`` (calls of a pencil workspace), ``factorizations`` (of
+its ``factor``, so of every ``ldl_factor``), ``solves`` (``LDLFactor.solve``)
+and ``evaluations`` (``power_moment`` and ``PowerWorkspace.value``, so every
 ``power_moment_grad`` too; a ``gradient`` is not one).  The run records
 report its changes (``records``).
 
@@ -67,6 +63,8 @@ import glob
 import os
 
 import numpy as np
+
+from .errors import DomainError
 
 HAVE_NUMBA = False  # kept for the benchmark's environment stamp
 COUNTS = {"definite_tests": 0, "factorizations": 0, "solves": 0, "evaluations": 0}  # calls served
@@ -96,40 +94,67 @@ _ONE = ctypes.c_int64(1)
 
 # ---------------------------------------------------------------------------
 # The pencil workspace: definiteness test and LDL^T factor of T - s*W.
-# Callers test before they factor, so no pivoting is needed.
 # ---------------------------------------------------------------------------
+
+def _pttrf_py(buf, n, info):
+    """``dpttrf`` on buf = [d, e] in Python floats, with its ``info``: the
+    first pivot that is not positive stops it (info = its row); else
+    info = 0 and buf holds [D, L]."""
+    d = buf.tolist()
+    piv = d[0]
+    pivots, low = [piv], []
+    for di, ei in zip(d[1:n], d[n:]):
+        if piv <= 0.0:
+            break
+        li = ei / piv
+        piv = di - li * ei
+        pivots.append(piv)
+        low.append(li)
+    info.value = len(pivots) if piv <= 0.0 else 0
+    if not info.value:
+        buf[:] = pivots + low
+
+
+def _pttrs_py(buf, n):
+    """``dptts2`` on buf = [D, L, b] in Python floats: b becomes x."""
+    v = buf.tolist()
+    diag, low = v[:n], v[n : 2 * n - 1]
+    y = v[2 * n - 1]
+    fwd = [y]
+    for bi, li in zip(v[2 * n :], low):
+        y = bi - y * li
+        fwd.append(y)
+    x = y * (1.0 / diag[0]) if n == 1 else y / diag[-1]
+    out = [x]
+    for yi, di, li in zip(fwd[-2::-1], diag[-2::-1], low[::-1]):
+        x = yi / di - x * li
+        out.append(x)
+    out.reverse()
+    buf[2 * n - 1 :] = out
+
 
 class PencilWorkspace:
     """The workspace of the tridiagonal pencil (T, W) = ((d, e), (w, w_off)),
-    ``w_off=None`` for a diagonal W: its buffers and ctypes arguments, made
-    once.  Calling it at the shift s is the definiteness test: whether every
-    LDL^T pivot of T - s*W is positive (an exact zero pivot reads as not
-    definite, which is exact).  ``factor(s)`` makes the same shift and the
-    same ``dpttrf`` call and returns the ``LDLFactor`` of T - s*W, which
-    stays valid after later tests and factors of the workspace."""
+    ``w_off=None`` for a diagonal W: its buffers and bound ``dpttrf``, made
+    once.  Called at the shift s: whether every LDL^T pivot of T - s*W is
+    positive (an exact zero pivot reads as not definite, which is exact)."""
 
     def __init__(self, d, e, w, w_off=None):
         self._pencil = d, e, w, w_off
-        self._args = None
-        if _PTTRF is not None:
-            n = d.shape[0]
-            buf = np.empty(2 * n - 1)
-            self._diag, self._off = buf[:n], buf[n:]
-            self._scratch = np.empty(n)
-            self._scratch_off = self._scratch[: n - 1]
-            self._info = ctypes.c_int64()
+        n = d.shape[0]
+        buf = np.empty(2 * n - 1)
+        self._diag, self._off = buf[:n], buf[n:]  # the views keep the buffer alive
+        self._scratch = np.empty(n)
+        self._scratch_off = self._scratch[: n - 1]
+        self._info = ctypes.c_int64()
+        if _PTTRF is None:
+            self._pttrf, self._args = _pttrf_py, (buf, n, self._info)
+        else:  # raw addresses, which keep no array alive
             at = buf.ctypes.data
-            self._args = (ctypes.byref(ctypes.c_int64(n)), at, at + 8 * n, ctypes.byref(self._info))
+            self._pttrf, self._args = _PTTRF, (ctypes.byref(ctypes.c_int64(n)), at, at + 8 * n, ctypes.byref(self._info))
 
-    def _shifted(self, s):
-        """T - s*W as new arrays."""
-        d, e, w, w_off = self._pencil
-        return d - s * w, e if w_off is None else e - s * w_off
-
-    def _pttrf(self, s):
-        """T - s*W formed in the buffer (the IEEE operations of
-        ``_shifted``) and one ``dpttrf`` call on it: whether every pivot is
-        positive.  ``dpttrf`` stops at the first pivot that is not."""
+    def _definite(self, s):
+        """T - s*W formed in the buffer, and one ``dpttrf`` run on it."""
         d, e, w, w_off = self._pencil
         diag, off, scratch = self._diag, self._off, self._scratch
         np.multiply(w, s, scratch)
@@ -140,47 +165,35 @@ class PencilWorkspace:
             scratch = self._scratch_off
             np.multiply(w_off, s, scratch)
             np.subtract(e, scratch, off)
-        _PTTRF(*self._args)  # the views keep the buffer alive
+        self._pttrf(*self._args)
         return self._info.value == 0
 
     def __call__(self, s):
         COUNTS["definite_tests"] += 1
-        if self._args is None:
-            return negcount(*self._shifted(s)) == 0
-        return self._pttrf(s)
+        return self._definite(s)
 
     def factor(self, s):
-        """The ``LDLFactor`` of T - s*W.  A pivot that is not positive
-        sends it to the Python recurrence, which carries an exact zero
-        pivot on as inf/nan."""
+        """The ``LDLFactor`` of T - s*W, or a ``DomainError`` when it does
+        not test definite."""
         COUNTS["factorizations"] += 1
-        if self._args is not None and self._pttrf(s):
-            return LDLFactor(self._diag, self._off)
-        d, e = self._shifted(s)
-        try:
-            diag, low = _factor(d.tolist(), e.tolist())
-        except ZeroDivisionError:
-            diag, low = _factor(list(d), list(e))
-        return LDLFactor(np.array(diag), np.array(low))
+        if not self._definite(s):
+            raise DomainError(f"T - s*W is not positive definite at s = {s!r}, so it has no LDL^T factor")
+        return LDLFactor(self._diag, self._off)
 
 
 definite_test = PencilWorkspace  # a workspace called with a shift is the definiteness test
 
 
 def ldl_factor(d, e):
-    """The ``LDLFactor`` of symmetric tridiagonal T = (d, e): the factor of
-    the pencil (T, 0) at s = 0, whose T - 0*0 has the bits of T."""
+    """The ``LDLFactor`` of a positive definite tridiagonal T = (d, e): the
+    pencil (T, 0)'s at s = 0, whose T - 0*0 has the bits of T."""
     return PencilWorkspace(d, e, np.zeros(d.shape[0])).factor(0.0)
 
 
 def negcount(d, e):
-    """Number of negative pivots in the LDL^T factorization of a symmetric
-    tridiagonal matrix with diagonal ``d`` and off-diagonal ``e``, formed as
-    d - e*e/p in Python floats on every backend.
-
-    Returns -1 on an exactly zero pivot (caller perturbs the shift and
-    retries).
-    """
+    """Number of negative LDL^T pivots d - e*e/p of the symmetric tridiagonal
+    (d, e), in Python floats; -1 on an exactly zero pivot (the caller
+    perturbs the shift and retries)."""
     piv = float(d[0])
     if piv == 0.0:
         return -1
@@ -194,41 +207,11 @@ def negcount(d, e):
     return count
 
 
-def _factor(d, e):
-    piv = d[0]
-    diag = [piv]
-    low = []
-    for di, ei in zip(d[1:], e):
-        li = ei / piv
-        piv = di - li * ei
-        low.append(li)
-        diag.append(piv)
-    return diag, low
-
-
-def _solve(diag, low, b):
-    y = b[0]
-    fwd = [y]
-    for bi, li in zip(b[1:], low):
-        y = bi - li * y
-        fwd.append(y)
-    x = y / diag[-1]
-    out = [x]
-    for yi, di, li in zip(fwd[-2::-1], diag[-2::-1], low[::-1]):
-        x = yi / di - li * x
-        out.append(x)
-    out.reverse()
-    return out
-
-
 class LDLFactor:
     """T = L D L^T from the pivots ``diag`` and the unit-lower multipliers
-    ``low``, copied into one buffer [D, L, x] with room for a right-hand
-    side x, and its solve bound to them.  On the LAPACK backend (n >= 2)
-    the ``dpttrs`` arguments are made once: a solve copies b into x, makes
-    one ``dpttrs`` call and returns a copy.  The arguments hold raw
-    addresses, which keep no array alive; the views ``diag``, ``low`` and
-    ``_x`` keep the buffer alive."""
+    ``low``, copied into one buffer [D, L, x] with its ``dpttrs`` bound
+    once: a solve copies b into x, makes one run and returns a copy.  The
+    views ``diag``, ``low`` and ``_x`` keep the buffer alive."""
 
     def __init__(self, diag, low):
         n = diag.shape[0]
@@ -237,13 +220,12 @@ class LDLFactor:
         buf = np.empty(3 * n - 1)
         buf[:n] = diag
         buf[n : 2 * n - 1] = low
-        self.diag, self.low = buf[:n], buf[n : 2 * n - 1]
-        self._x = None
-        if _PTTRS is not None and n >= 2:
-            self._x = buf[2 * n - 1 :]
-            at = buf.ctypes.data
-            rows = ctypes.byref(ctypes.c_int64(n))
-            self._args = (rows, ctypes.byref(_ONE), at, at + 8 * n, at + 8 * (2 * n - 1), rows, ctypes.byref(ctypes.c_int64()))
+        self.diag, self.low, self._x = buf[:n], buf[n : 2 * n - 1], buf[2 * n - 1 :]
+        if _PTTRS is None:
+            self._pttrs, self._args = _pttrs_py, (buf, n)
+        else:  # raw addresses, which keep no array alive
+            at, rows = buf.ctypes.data, ctypes.byref(ctypes.c_int64(n))
+            self._pttrs, self._args = _PTTRS, (rows, ctypes.byref(_ONE), at, at + 8 * n, at + 8 * (2 * n - 1), rows, ctypes.byref(ctypes.c_int64()))
 
     def solve(self, b):
         """x with L D L^T x = b."""
@@ -251,19 +233,13 @@ class LDLFactor:
             raise ValueError(f"factors of order {self.diag.shape[0]} need as many right-hand sides, got {b.shape}")
         COUNTS["solves"] += 1
         x = self._x
-        if x is None:
-            try:
-                out = _solve(self.diag.tolist(), self.low.tolist(), b.tolist())
-            except ZeroDivisionError:
-                out = _solve(list(self.diag), list(self.low), list(b))
-            return np.array(out, dtype=float)
         x[:] = b
-        _PTTRS(*self._args)
+        self._pttrs(*self._args)
         return x.copy()
 
 
 def tridiag_solve(d, e, b):
-    """Solve T x = b for symmetric tridiagonal T = (d, e) via LDL^T."""
+    """Solve T x = b for a positive definite tridiagonal T = (d, e)."""
     return ldl_factor(d, e).solve(b)
 
 

@@ -245,6 +245,15 @@ def _improper_integral(bubble: _Bubble, name: str, tol: float) -> tuple[float, f
     return value, err
 
 
+def _check_tolerance(bubble: _Bubble, tol: float, moments: dict) -> None:
+    """Refuse a moment {name: (value, err)} whose error estimate still
+    misses tol after the last refinement, once a call's moments are all
+    computed, so that a refusal of a value itself comes first."""
+    for name, (value, err) in moments.items():
+        if not err <= tol * max(abs(value), 1e-300):
+            raise DomainError(f"the panel quadrature of {name} misses tol = {tol!r} at N = {bubble.n}, sigma = {bubble.s!r} (error estimate {err / value:.2g} relative)")
+
+
 def _moment(bubble: _Bubble, name: str, tol: float) -> tuple[float, float]:
     """One finite moment with its error estimate.  Every integrand is
     positive; near sigma = 2 the profile's weight sits below the innermost
@@ -312,7 +321,8 @@ def bubble_moments(
     are then flagged infinite and reported through their truncation over a
     ball of ``truncation_radius`` together with the fitted d(value)/d(log R)
     slope.  A finite moment that underflows to 0 (sigma too close to 2, as
-    in bubble_quotient) raises a DomainError.
+    in bubble_quotient), is not finite or whose error estimate misses tol
+    raises a DomainError.
     """
     n = check_dimension(N)
     s = check_sigma(sigma, closed=False)
@@ -341,6 +351,7 @@ def bubble_moments(
         else:
             value, err = _moment(bubble, name, tol)
             out[name] = MomentValue(value=value, abs_error=err, finite=True)
+    _check_tolerance(bubble, tol, {k: (m.value, m.abs_error) for k, m in out.items() if m.finite})
     return BubbleMoments(N=n, sigma=s, **out)
 
 
@@ -352,15 +363,17 @@ def bubble_quotient(
     For every N >= 3 and sigma in [0, 2), but accurate only away from
     sigma = 2: the profile varies on the scale log r ~ 1/(2 - sigma), so its
     weight moves below the innermost panel edge 2^-54.  At N = 3 the result
-    is 2e-8 low at sigma = 1.9 and 0.8% low at sigma = 1.99; where hs_mass
-    underflows to 0 (sigma = 1.999) a DomainError is raised.  scale
-    multiplies the profile and must not change the result (homogeneity).
+    is 2e-8 low at sigma = 1.9.  At sigma = 1.98 the error estimate of
+    hs_mass misses tol (2e-6 relative) and at sigma = 1.999 hs_mass
+    underflows to 0: each raises a DomainError.  scale multiplies the
+    profile and must not change the result (homogeneity).
     """
     n = check_dimension(N)
     s = check_sigma(sigma, closed=False)
     bubble = _Bubble(n, s, scale)
-    hs_mass, _ = _moment(bubble, "hs_mass", tol)
-    dirichlet, _ = _moment(bubble, "dirichlet", tol)
+    moments = {name: _moment(bubble, name, tol) for name in ("hs_mass", "dirichlet")}
+    _check_tolerance(bubble, tol, moments)
+    (hs_mass, _), (dirichlet, _) = moments.values()
     return dirichlet / hs_mass ** (2.0 / bubble.p)
 
 

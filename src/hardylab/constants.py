@@ -37,7 +37,7 @@ __all__ = [
 
 def check_dimension(N) -> int:
     """Validate an integer dimension N >= 3."""
-    n = int(N)
+    n = int(N) if -math.inf < N < math.inf else None  # NaN fails too
     if n != N or n < 3:
         raise DomainError(f"dimension must be an integer >= 3, got {N!r}")
     return n

@@ -19,8 +19,8 @@ _TOL_ABS = 1e-10 regardless of the indefiniteness of K - lambda*Mass.  The
 floating-point test is monotone in s: with a diagonal W each step of the
 pivot recurrence (s*w, d - s*w, e/p and d' - (e/p)*e with e fixed) is a
 monotone rounding, so by induction every pivot is non-increasing in s, and
-definite at s means definite at every shift below s (the Python backend's
-d' - e*e/p likewise).  So once one shift tests definite and a higher one
+definite at s means definite at every shift below s (both backends make
+these operations).  So once one shift tests definite and a higher one
 does not, every midpoint outside the two is answered.  The eigensolve
 bisects to _COARSE = 1e-3, estimates the eigenvalue by _ESTIMATE_STEPS
 inverse steps from the definite end, tests the probes estimate - _PROBE and

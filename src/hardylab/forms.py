@@ -63,15 +63,15 @@ class RadialGrid:
 
 def build_grid(r_max: float, M: int, gamma: float = 2.0, bc: str = "dirichlet") -> RadialGrid:
     """Graded grid r_i = r_max (i/M)^gamma, i = 0..M; nested under M -> 2M."""
-    if int(M) != M or M < 8:
+    if not (8 <= M < np.inf and int(M) == M):  # NaN fails too
         raise DomainError(f"M must be an integer >= 8, got {M!r}")
     gamma = float(gamma)
     if not (1.0 <= gamma <= 4.0):
         raise DomainError(f"grading exponent must lie in [1, 4], got {gamma!r}")
     if bc not in _BCS:
         raise DomainError(f"bc must be one of {_BCS}, got {bc!r}")
-    if r_max <= 0.0:
-        raise DomainError(f"r_max must be positive, got {r_max!r}")
+    if not 0.0 < r_max < np.inf:
+        raise DomainError(f"r_max must be positive and finite, got {r_max!r}")
     i = np.arange(int(M) + 1, dtype=float)
     nodes = r_max * (i / M) ** gamma
     return RadialGrid(nodes=nodes, gamma=gamma, bc=bc)

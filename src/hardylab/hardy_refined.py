@@ -51,9 +51,9 @@ def log_bubble_value(r, a: float, N: int):
 
 def build_log_grid(r_min: float, r0: float, M: int) -> np.ndarray:
     """Log-uniform nodes on [r_min, r0] (uniform in log r)."""
-    if not (0.0 < r_min < r0):
-        raise DomainError("need 0 < r_min < r0")
-    if M < 8:
+    if not 0.0 < r_min < r0 < math.inf:  # NaN fails too
+        raise DomainError("need 0 < r_min < r0 < inf")
+    if not 8 <= M < math.inf:
         raise DomainError("need at least 8 nodes")
     return np.exp(np.linspace(math.log(r_min), math.log(r0), int(M)))
 

@@ -78,10 +78,10 @@ def make_manifold(kind: str, a: float, N: int, r_max: float) -> ModelManifold:
     n = check_dimension(N)
     a = float(a)
     r_max = float(r_max)
-    if a <= 0.0:
-        raise DomainError(f"scale must be positive, got {a!r}")
-    if r_max <= 0.0:
-        raise DomainError(f"r_max must be positive, got {r_max!r}")
+    if not 0.0 < a < math.inf:  # NaN fails too
+        raise DomainError(f"scale must be positive and finite, got {a!r}")
+    if not 0.0 < r_max < math.inf:
+        raise DomainError(f"r_max must be positive and finite, got {r_max!r}")
     if kind == "sphere" and r_max > math.pi * a * (1.0 + 1e-12):
         raise DomainError(
             f"sphere domain cannot extend past the antipode: r_max <= pi*a = {math.pi * a}"

@@ -1,11 +1,12 @@
 """Threshold localization for the linear pencil and the strict-inequality
 report for the interpolated quotient.
 
-The attainment threshold is reported as a bracket, never a point estimate:
-the discrete eigenvalue over-estimates the continuous infimum, so a grid
-can only certify "strictly below the inverse-square cap", and it does so
-through the predicate mu_h(lambda) < cap - delta with delta tied to the
-measured refinement gap, one pencil test per delta (``_margin_test``).
+The attainment threshold is a bracket of the predicate mu_h(lambda) <
+cap - delta, delta tied to the measured refinement gap, one pencil test per
+delta (``_margin_test``).  It certifies no side of the continuous
+threshold, since the lumped W puts mu_h below its Rayleigh-Ritz value (for
+N >= 5 below the cap itself); hi was measured above lambda-star on every
+case checked (the exact ball, S^3 and H^3, the enclosures of S^4, S^5, H^4).
 
 A mu curve assembles the forms once and solves every lambda from cold (no
 warm start: each eigensolve takes one inverse step either way), so each
@@ -154,16 +155,16 @@ def lambda_star_bracket(
     (cap - delta)*W) - lambda*Mass is not positive definite": one
     definiteness test per margin delta, shifted by lambda (no eigensolve).
 
-    The returned hi over-estimates the threshold (discrete detection only
-    certifies genuinely-below-cap values); delta defaults to the measured
-    refinement gap |mu_M - mu_2M| at the midpoint of the sweep.  A sweep
-    (finite, bottom <= top) that misses the threshold widens: downward at
-    most three times, by max(|lo|, hi - lo) or 1 where that is 0, upward at
-    most six times by doubling steps (0, 1, 3, 7, 15, 31, 63 from the
-    default top).  Bisection (``eigensolver._bisect``) stops at
-    ``tol_lambda`` or when the midpoint equals an endpoint, so a
-    ``tol_lambda`` below the spacing of doubles near the threshold returns
-    a bracket of adjacent doubles.
+    The returned hi lay above the continuous threshold on every case
+    measured, which nothing certifies (see the module docstring); delta
+    defaults to the measured refinement gap |mu_M - mu_2M| at the midpoint
+    of the sweep.  A sweep (finite, bottom <= top) that misses the
+    threshold widens: downward at most three times, by max(|lo|, hi - lo)
+    or 1 where that is 0, upward at most six times by doubling steps
+    (0, 1, 3, 7, 15, 31, 63 from the default top).  Bisection
+    (``eigensolver._bisect``) stops at ``tol_lambda`` or when the midpoint
+    equals an endpoint, so a ``tol_lambda`` below the spacing of doubles
+    near the threshold returns a bracket of adjacent doubles.
     """
     if not (math.isfinite(tol_lambda) and tol_lambda > 0.0):
         raise DomainError(f"tol_lambda must be finite and positive, got {tol_lambda!r}")

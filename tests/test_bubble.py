@@ -147,6 +147,20 @@ def test_moments_refuse_sigma_too_close_to_two():
             bubble_moments(5, sigma)
 
 
+def test_moments_refuse_an_error_estimate_that_misses_tol():
+    # near sigma = 2 the last refinement still misses tol; the moment is
+    # refused, not returned with a value that claims it
+    cases = [
+        (bubble_quotient, (3, 1.98), "hs_mass"),
+        (bubble_quotient, (4, 1.99), "hs_mass"),
+        (bubble_quotient, (5, 1.99, 1e-10), "hs_mass"),
+        (bubble_moments, (5, 1.99, 1e-10), "dirichlet"),
+    ]
+    for call, args, name in cases:
+        with pytest.raises(DomainError, match=rf"{name} misses tol = .* at N = {args[0]}, sigma = {args[1]} "):
+            call(*args)
+
+
 def test_moments_refuse_a_tail_cutoff_that_overflows():
     # at N = 4 r2_hs decays like r^-(3 - sigma): near sigma = 2 the radius
     # that bounds its tail leaves the double range

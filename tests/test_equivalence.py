@@ -1,7 +1,8 @@
 """``benchmarks/equivalence.py``, run on a short command list through its
 Python API: a tree is identical to itself on both backends, and a copy with
 one perturbed constant is flagged, in the results or in the kernel counts
-alone."""
+alone.  On its full command list, this checkout's two backends give the
+same answers."""
 
 import importlib.util
 import shutil
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from hardylab import _kernels
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -71,3 +74,17 @@ def test_a_perturbed_count_is_reported_apart(equivalence, tmp_path):
     assert report["lapack"]["results"] == []
     assert report["lapack"]["diagnostics"] == [(COMMANDS[0], ["diagnostics"])]
     assert not equivalence.identical(report)
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "lapack", reason="numpy bundles no LAPACK dpttrf here")
+def test_both_backends_give_the_same_answers(equivalence):
+    # one recurrence on both: the same results and the same kernel counts,
+    # with only the backend stamp apart
+    argvs = equivalence.commands()
+    procs = [equivalence._run(SRC, backend, argvs) for backend in equivalence.BACKENDS]
+    lapack, python = (equivalence._answers(proc, SRC) for proc in procs)
+    assert len(lapack) == len(python) == len(argvs)
+    for argv, a, b in zip(argvs, lapack, python):
+        stamps = [{d.pop("kernel_backend") for d in answer["diagnostics"]} for answer in (a, b)]
+        assert stamps[0] <= {"lapack"} and stamps[1] <= {"python"}, argv
+        assert a == b, argv

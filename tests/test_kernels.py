@@ -1,10 +1,12 @@
 """The kernels must return the same bits as plain reference loops that index
 the arrays element by element, on both backends: the one resolved at import
 (LAPACK ``dpttrf``/``dpttrs`` where numpy bundles them) and the Python-float
-recurrences that run when the LAPACK handles are missing.  The definiteness
-test is checked against dense generalized eigenvalues and against the
-inertia count.  ``COUNTS`` tallies each call served, on both backends.
-``kernel_calls`` measures its change for the other test modules."""
+stand-ins with LAPACK's operations that run when the LAPACK handles are
+missing.  The definiteness test is checked against dense generalized
+eigenvalues and against the inertia count.  A factor exists only for a
+shift that tests definite; any other is refused with a ``DomainError``.
+``COUNTS`` tallies each call served, on both backends.  ``kernel_calls``
+measures its change for the other test modules."""
 
 import contextlib
 import gc
@@ -21,6 +23,7 @@ import scipy.linalg
 
 from hardylab import _kernels as K
 from hardylab.eigensolver import inertia_count
+from hardylab.errors import DomainError
 from hardylab.forms import assemble_forms, build_grid
 from hardylab.manifold import unit_sphere
 
@@ -74,7 +77,10 @@ def _ldl_solve_py(diag, low, b):
     x = b.copy()
     for i in range(1, n):
         x[i] -= low[i - 1] * x[i - 1]
-    x[n - 1] /= diag[n - 1]
+    if n == 1:  # dptts2 scales by the reciprocal
+        x[0] *= 1.0 / diag[0]
+    else:
+        x[n - 1] /= diag[n - 1]
     for i in range(n - 2, -1, -1):
         x[i] = x[i] / diag[i] - low[i] * x[i + 1]
     return x
@@ -92,7 +98,10 @@ def _tridiag_solve_py(d, e, b):
         diag[i] = d[i] - low[i - 1] * e[i - 1]
     for i in range(1, n):
         x[i] -= low[i - 1] * x[i - 1]
-    x[n - 1] /= diag[n - 1]
+    if n == 1:  # dptts2 scales by the reciprocal
+        x[0] *= 1.0 / diag[0]
+    else:
+        x[n - 1] /= diag[n - 1]
     for i in range(n - 2, -1, -1):
         x[i] = x[i] / diag[i] - low[i] * x[i + 1]
     return x
@@ -325,9 +334,16 @@ def test_definite_test_zero_pivots_and_tiny_pencils():
 
 def test_factor_and_solve_match_reference(rng):
     cases = [(_definite(d, e), e) for d, e in _random_pencils(rng)]
-    cases += list(_graded_pencils())  # indefinite: pivots of both signs
+    cases += list(_graded_pencils())  # definite and indefinite
+    refused = 0
     for d, e in cases:
         b = rng.standard_normal(d.shape[0])
+        if not _definite_py(d, e):  # a pivot that is not positive: no factor
+            refused += 1
+            for make in (lambda: K.ldl_factor(d, e), lambda: K.tridiag_solve(d, e, b)):
+                with pytest.raises(DomainError, match="at s = 0.0"):
+                    make()
+            continue
         factor = K.ldl_factor(d, e)
         ref_diag, ref_low = _ldl_factor_py(d, e)
         assert np.array_equal(factor.diag, ref_diag) and np.array_equal(factor.low, ref_low)
@@ -336,6 +352,7 @@ def test_factor_and_solve_match_reference(rng):
         assert np.array_equal(factor.solve(b), ref)
         assert np.array_equal(factor.solve(b), ref)  # the bound buffer is reused
         assert np.array_equal(K.tridiag_solve(d, e, b), ref)
+    assert 0 < refused < len(cases)
 
 
 def test_factor_and_solve_agree_with_dense_solve(rng):
@@ -346,38 +363,23 @@ def test_factor_and_solve_agree_with_dense_solve(rng):
         assert np.allclose(K.tridiag_solve(d, e, b), np.linalg.solve(a, b), rtol=1e-9, atol=1e-9)
 
 
-def test_exact_zero_pivot_gives_reference_inf_and_nan():
-    # pivot 2 is exactly zero: the reference loop divides by it and carries
-    # inf/nan on; the kernels must return the same bits
-    d = np.array([1.0, 1.0, 3.0, 2.0])
-    e = np.array([1.0, 0.5, 1.0])
-    b = np.array([1.0, -2.0, 0.5, 1.0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ref_diag, ref_low = _ldl_factor_py(d, e)
-        ref = _tridiag_solve_py(d, e, b)
-        factor = K.ldl_factor(d, e)
-        x = K.tridiag_solve(d, e, b)
-        x_factored = factor.solve(b)
-    assert ref_diag[1] == 0.0 and not np.all(np.isfinite(ref))
-    np.testing.assert_array_equal(factor.diag, ref_diag)
-    np.testing.assert_array_equal(factor.low, ref_low)
-    np.testing.assert_array_equal(x, ref)
-    np.testing.assert_array_equal(x_factored, ref)
-
-
 def test_one_and_two_row_pencils():
-    # n = 1 divides (dpttrs would multiply by 1/D(1), an ulp off: 5 * (1/3) != 5/3)
+    # n = 1 scales by the reciprocal, as dptts2 does: 5 * (1/3) != 5/3
     d1, e1, b1 = np.array([3.0]), np.zeros(0), np.array([5.0])
     factor = K.ldl_factor(d1, e1)
     assert factor.diag.tolist() == [3.0] and factor.low.shape == (0,)
-    assert factor.solve(b1).tolist() == [5.0 / 3.0] != [5.0 * (1.0 / 3.0)]
-    assert K.tridiag_solve(d1, e1, b1).tolist() == _tridiag_solve_py(d1, e1, b1).tolist()
+    assert factor.solve(b1).tolist() == [5.0 * (1.0 / 3.0)] != [5.0 / 3.0]
+    assert K.tridiag_solve(d1, e1, b1).tolist() == _tridiag_solve_py(d1, e1, b1).tolist() == [5.0 * (1.0 / 3.0)]
     assert [K.negcount(np.array([v]), e1) for v in (3.0, -3.0, 0.0)] == [0, 1, -1]
     assert [_definite_at_zero(np.array([v]), e1) for v in (3.0, -3.0, 0.0)] == [True, False, False]
     for d in ([3.0, 2.0], [3.0, -2.0], [-3.0, 2.0], [-3.0, -2.0], [0.5, 1.0 / 3.0]):
         d2, e2, b2 = np.array(d), np.array([0.7]), np.array([5.0, -1.0])
         assert K.negcount(d2, e2) == _negcount_py(d2, e2)
         assert _definite_at_zero(d2, e2) == (_negcount_py(d2, e2) == 0)
+        if not _definite_at_zero(d2, e2):
+            with pytest.raises(DomainError):
+                K.ldl_factor(d2, e2)
+            continue
         ref_diag, ref_low = _ldl_factor_py(d2, e2)
         factor = K.ldl_factor(d2, e2)
         assert np.array_equal(factor.diag, ref_diag) and np.array_equal(factor.low, ref_low)
@@ -410,7 +412,6 @@ def test_python_path_matches_reference(rng, python_backend):
     test_definite_test_zero_pivots_and_tiny_pencils()
     test_factor_and_solve_match_reference(rng)
     test_factor_and_solve_agree_with_dense_solve(rng)
-    test_exact_zero_pivot_gives_reference_inf_and_nan()
     test_one_and_two_row_pencils()
     test_bound_solve_outlives_its_inputs(rng)
     test_lapack_solve_rejects_mismatched_factors()
@@ -443,9 +444,8 @@ def test_lapack_solve_rejects_mismatched_factors():
 
 
 def test_tally_counts_every_call_served(backend, rng):
-    # building a test counts nothing, each call of it one test; a factor
-    # that falls back to the Python recurrence is still one factorization,
-    # and a solve refused for its shape is no solve
+    # building a test counts nothing, each call of it one test, each factor
+    # one factorization, and a solve refused for its shape is no solve
     d, e = np.full(8, 3.0), np.ones(7)
     before = dict(K.COUNTS)
     test = K.definite_test(d, e, np.ones(8))
@@ -453,8 +453,6 @@ def test_tally_counts_every_call_served(backend, rng):
     with kernel_calls() as calls:
         assert [test(s) for s in (0.0, 1.0, 9.0)] == [True, True, False]
         factor = K.ldl_factor(d, e)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            K.ldl_factor(np.zeros(3), np.ones(2))  # an exact zero pivot
         factor.solve(np.ones(8))
         factor.solve(np.ones(8))
         with pytest.raises(ValueError):
@@ -463,7 +461,7 @@ def test_tally_counts_every_call_served(backend, rng):
         K.power_moment(u, w, t, 3.0)
         K.power_moment_grad(u, w, t, 3.0)
         K.tridiag_solve(d, e, np.ones(8))
-    assert calls == {"definite_tests": 3, "factorizations": 3, "solves": 3, "evaluations": 2}
+    assert calls == {"definite_tests": 3, "factorizations": 2, "solves": 3, "evaluations": 2}
 
 
 def _weighted_pencils(rng):
@@ -478,16 +476,22 @@ def _weighted_pencils(rng):
 
 def test_workspace_factor_has_the_bits_of_the_shifted_matrix(backend, rng):
     # factor(s) forms T - s*W in the buffer the tests use: the bits of
-    # ldl_factor(d - s*w, e - s*w_off), whether s tests definite or not
+    # ldl_factor(d - s*w, e - s*w_off) where s tests definite, and the same
+    # refusal where it does not
     outcomes = set()
     for d, e, w, w_off in _weighted_pencils(rng):
         pencil = K.PencilWorkspace(d, e, w, w_off)
         for s in (-2.0, 0.1, 3.0):
             shifted = (d - s * w, e if w_off is None else e - s * w_off)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                got, want = pencil.factor(s), K.ldl_factor(*shifted)
+            definite = pencil(s)
+            outcomes.add(definite)
+            if not definite:
+                for make in (lambda: pencil.factor(s), lambda: K.ldl_factor(*shifted)):
+                    with pytest.raises(DomainError):
+                        make()
+                continue
+            got, want = pencil.factor(s), K.ldl_factor(*shifted)
             assert got.diag.tobytes() == want.diag.tobytes() and got.low.tobytes() == want.low.tobytes()
-            outcomes.add(pencil(s))
     assert outcomes == {True, False}
 
 
@@ -509,22 +513,40 @@ def test_workspace_factor_outlives_later_tests_and_factors(backend, rng):
         assert before.tobytes() == _ldl_solve_py(*_ldl_factor_py(d - s * w, e if w_off is None else e - s * w_off), b).tobytes()
 
 
-def test_workspace_zero_pivot_carries_the_python_inf_and_nan(backend):
-    # T - 1*W has an exact zero second pivot: not definite, and its factor
-    # is the Python recurrence's, inf/nan included, on both backends
+def test_factor_refuses_a_shift_that_is_not_definite(backend):
+    # a factor exists only for a shift that tests definite: a zero or a
+    # negative pivot, from the matrix or from the shift, is a DomainError
+    # that names the shift, and the workspace factors on afterwards
     d, e, w = np.array([2.0, 2.0, 4.0, 3.0]), np.array([1.0, 0.5, 1.0]), np.ones(4)
+    cases = [  # (T, shift, second pivot of T - s*W)
+        (d, 1.0, 0.0),  # from the shift: (2 - 1) - 1/1
+        (d, 1.5, -1.5),  # from the shift: (2 - 1.5) - 1/0.5
+        (d - 1.0, 0.0, 0.0),  # from the matrix
+        (np.array([1.0, 0.5, 4.0, 3.0]), 0.0, -0.5),  # from the matrix: 0.5 - 1/1
+    ]
+    for t, s, pivot in cases:
+        d_s = t - s * w
+        assert d_s[0] > 0.0 and d_s[1] - e[0] / d_s[0] * e[0] == pivot
+        pencil = K.PencilWorkspace(t, e, w)
+        assert not pencil(s)
+        with pytest.raises(DomainError, match=f"at s = {s!r}"):
+            pencil.factor(s)
+        factor = pencil.factor(-1.0)
+        ref_diag, ref_low = _ldl_factor_py(t + w, e)
+        assert factor.diag.tobytes() == ref_diag.tobytes() and factor.low.tobytes() == ref_low.tobytes()
+
+
+def test_one_shot_kernels_refuse_an_exact_zero_pivot():
+    # pivot 2 is exactly zero: ldl_factor and tridiag_solve refuse the
+    # matrix as a DomainError at s = 0.0 rather than carry inf/nan on
+    d = np.array([1.0, 1.0, 3.0, 2.0])
+    e = np.array([1.0, 0.5, 1.0])
     b = np.array([1.0, -2.0, 0.5, 1.0])
-    pencil = K.PencilWorkspace(d, e, w)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ref_diag, ref_low = _ldl_factor_py(d - 1.0 * w, e)
-        ref = _ldl_solve_py(ref_diag, ref_low, b)
-        assert not pencil(1.0)
-        factor = pencil.factor(1.0)
-        x = factor.solve(b)
-    assert ref_diag[1] == 0.0 and not np.all(np.isfinite(ref))
-    np.testing.assert_array_equal(factor.diag, ref_diag)
-    np.testing.assert_array_equal(factor.low, ref_low)
-    np.testing.assert_array_equal(x, ref)
+    assert d[1] - e[0] / d[0] * e[0] == 0.0
+    assert not K.definite_test(d, e, np.ones(4))(0.0)
+    for make in (lambda: K.ldl_factor(d, e), lambda: K.tridiag_solve(d, e, b)):
+        with pytest.raises(DomainError, match="at s = 0.0"):
+            make()
 
 
 def test_import_resolves_backend_without_scipy():

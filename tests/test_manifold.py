@@ -1,9 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from hardylab.constants import check_dimension
 from hardylab.errors import DomainError
+from hardylab.forms import build_grid
+from hardylab.hardy_refined import build_log_grid
 from hardylab.manifold import (
     curvature_criterion,
     density_expansion_residual,
@@ -29,6 +33,30 @@ def test_make_manifold_validation():
         make_manifold("torus", 1.0, 3, 1.0)
     with pytest.raises(DomainError):
         make_manifold("sphere", 1.0, 2, 1.0)
+
+
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize(
+    "build,args",
+    [
+        *((check_dimension, (v,)) for v in (INF, -INF, NAN)),
+        (make_manifold, ("sphere", NAN, 3, 1.0)),
+        (make_manifold, ("hyperbolic-cap", INF, 3, 1.0)),
+        *((make_manifold, (kind, 1.0, 3, v)) for kind in ("sphere", "euclidean-ball") for v in (INF, -INF, NAN)),
+        (make_manifold, ("sphere", 1.0, NAN, 1.0)),
+        *((build_grid, args) for args in [(1.0, INF), (1.0, NAN), (INF, 64), (NAN, 64)]),
+        *((build_log_grid, args) for args in [(1e-4, INF, 64), (NAN, 0.5, 64), (1e-4, 0.5, INF), (1e-4, 0.5, NAN)]),
+    ],
+)
+def test_non_finite_arguments_are_refused(build, args):
+    # a DomainError, not a bare OverflowError or ValueError, and no numpy
+    # warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            build(*args)
 
 
 def test_warp_functions():

@@ -171,14 +171,16 @@ def test_shift_branch(sphere4_forms, lam, kappa):
 
 def test_singular_leading_block_takes_shifted_branch(ball3_forms):
     # A = K is definite on the Dirichlet ball at lam = 0; with K[0, 0] set to
-    # 1e-8 * Mass[0, 0] the leading 1x1 block of A - 1e-8 Mass is exactly
-    # zero, which reads as not definite, so K + Mass is factored (the branch
-    # that is safe for every lam)
-    kd = ball3_forms.kd.copy()
-    kd[0] = 1e-8 * ball3_forms.md[0]
-    f = dataclasses.replace(ball3_forms, kd=kd)
+    # 1e-8 * Mass[0, 0] and node 0 cut loose from K, the leading 1x1 block
+    # of A - 1e-8 Mass is exactly zero, which reads as not definite, so the
+    # definite K + Mass is factored (the branch that is safe for every lam)
+    kd, ke = ball3_forms.kd.copy(), ball3_forms.ke.copy()
+    kd[0], ke[0] = 1e-8 * ball3_forms.md[0], 0.0
+    f = dataclasses.replace(ball3_forms, kd=kd, ke=ke)
     assert f.kd[0] - 1e-8 * f.md[0] == 0.0
     n = f.dof.stop
+    free = (f.kd[:n], f.ke[: n - 1], f.md[:n], f.me[: n - 1])
+    assert not _kernels.definite_test(*free)(1e-8) and _kernels.definite_test(*free)(-1.0)
     for forms, kappa in [(ball3_forms, 0.0), (f, 1.0)]:  # kappa: the Mass multiple
         got = _shifted_factor(forms, 0.0)
         want = ldl_factor((forms.kd + kappa * forms.md)[:n], (forms.ke + kappa * forms.me)[: n - 1])
