@@ -3,9 +3,10 @@
 reference loops that ``tests/test_kernels.py`` holds as their oracles, in
 one process.
 
-Prints ns per row (recurrences) or per cell (power functional) of the LAPACK
-backend, of the Python-float backend (the LAPACK handles set to None) and of
-the reference loop, and the measured ratios reference / backend.  The power
+Prints ns per row (recurrences), per cell (power functional) or per call
+(the Anderson solve) of the LAPACK backend, of the Python-float backend (the
+LAPACK handles set to None) and of the reference loop, and the measured
+ratios reference / backend.  The power
 functional is the same NumPy code on both backends, so it is timed once.
 The ``bisection test``, ``factor`` and ``bound solve`` rows use the
 pencil's workspace as the eigensolver and the lambda-star bracket do: one
@@ -38,6 +39,12 @@ built once and reused: ``value`` on the non-negative profile (F and g, with
 the sign scan), and ``gradient`` of that profile's g.  Their reference
 loops are those of ``power_moment`` and of ``power_moment_grad``, which
 compute more (F alone, and F with its gradient).
+The ``Anderson solve k=5`` row times, in ns per call, the minimizer's
+mixing solve at its full depth: gamma from the normal equations of five
+differences on 64 free nodes, through one ``NormalEquations`` per backend
+(the Gram matrix and right-hand side formed in its buffer and one bound
+``dgesv`` call), against ``numpy.linalg.solve(R @ R.T, R @ f)``, which the
+minimizer called before and the Python backend still calls.
 Inputs: M = 4096, numpy rng seed 7 (the same as ``perfbench/kernel_bench.py``).
 
 The quadrature rows time one call, in microseconds, of ``bubble_moments``
@@ -82,10 +89,12 @@ from test_quadrature import bubble_moments_ref, quotient_series_ref  # noqa: E40
 M = 4096
 SMALL = 256  # cells of the small power-functional table
 PENCIL = 512  # rows of the small bisection-test pencil
+ANDERSON = 1000  # solves per timed call of the Anderson rows
 SHIFT = 0.25  # bisection-test shift; T - SHIFT*W stays definite
 _PENCILS = {}  # one workspace per pencil size and backend
 _FACTORS = {}  # one factor per pencil size and backend, and the reference's
 _POWERS = {}  # one power workspace per table size and exponent, with the g of its profile
+_NORMALS = {}  # one normal-equations solve per backend
 
 
 def _workspace(d, e, w):
@@ -126,6 +135,23 @@ def workspace_gradient(u, w, t, p):
     return power.gradient(g)
 
 
+def anderson_solve(rows, f):
+    """ANDERSON mixing solves as the minimizer makes them, on the backend's
+    ``NormalEquations``, built on the first call on each backend."""
+    key = _kernels._GESV is None
+    if key not in _NORMALS:
+        _NORMALS[key] = _kernels.NormalEquations(rows.shape[0])
+    normal = _NORMALS[key]
+    for _ in range(ANDERSON):
+        normal(rows, f)
+
+
+def anderson_solve_numpy(rows, f):
+    """ANDERSON of the same solves by ``numpy.linalg.solve``."""
+    for _ in range(ANDERSON):
+        np.linalg.solve(rows @ rows.T, rows @ f)
+
+
 def median_ns(fn, args, per, repeat):
     fn(*args)
     times = []
@@ -154,16 +180,16 @@ def bound_solve_loop(d, e, w, b):
 
 @contextlib.contextmanager
 def python_backend():
-    """Run the kernels on their Python-float recurrences: both LAPACK
+    """Run the kernels on their Python-float recurrences: the three LAPACK
     handles unset and ``BACKEND`` naming them, as ``tests/conftest.py`` and
     ``equivalence.py`` do."""
-    saved = _kernels._PTTRF, _kernels._PTTRS, _kernels.BACKEND
-    _kernels._PTTRF = _kernels._PTTRS = None
+    saved = _kernels._PTTRF, _kernels._PTTRS, _kernels._GESV, _kernels.BACKEND
+    _kernels._PTTRF = _kernels._PTTRS = _kernels._GESV = None
     _kernels.BACKEND = "python"
     try:
         yield
     finally:
-        _kernels._PTTRF, _kernels._PTTRS, _kernels.BACKEND = saved
+        _kernels._PTTRF, _kernels._PTTRS, _kernels._GESV, _kernels.BACKEND = saved
 
 
 def main():
@@ -209,6 +235,7 @@ def main():
             for n in (SMALL, PENCIL, M)
         ),
         ("tridiag_solve", "row", _kernels.tridiag_solve, _tridiag_solve_py, (d, e, b)),
+        ("Anderson solve k=5", "call", anderson_solve, anderson_solve_numpy, (rng.standard_normal((5, 64)), b[:64])),
     ]
     for cells in (M, SMALL):
         for p in (2.6667, 3.0, 4.0):
@@ -231,9 +258,9 @@ def main():
     print("-" * len(header))
     for name, unit, fast, ref, args in rows:
         # the reference power loops are ~100x slower; time them less often
-        ref_repeat = repeat if unit == "row" else max(1, repeat // 5)
-        per = args[0].shape[0] if unit == "row" else args[1].shape[0]  # rows, or cells of the table
-        t_lapack = median_ns(fast, args, per, repeat) if lapack and unit == "row" else None
+        ref_repeat = repeat if unit != "cell" else max(1, repeat // 5)
+        per = {"row": args[0].shape[0], "cell": args[1].shape[0], "call": ANDERSON}[unit]  # rows, cells of the table, or calls
+        t_lapack = median_ns(fast, args, per, repeat) if lapack and unit != "cell" else None
         with python_backend():
             t_python = median_ns(fast, args, per, repeat)
         t_ref = median_ns(ref, args, per, ref_repeat)

@@ -6,7 +6,7 @@ every ``perfbench`` workload at seeds 0-3.  Each runs in-process through
 ``hardylab.cli.main`` with a fresh ``--out`` directory, once per source
 tree and backend.  Each tree runs in its own worker process per backend:
 ``lapack`` is the backend resolved at import, ``python`` the Python-float
-recurrences (both LAPACK handles unset and ``_kernels.BACKEND`` set to
+recurrences (the three LAPACK handles unset and ``_kernels.BACKEND`` set to
 ``"python"`` before the first command, so its records name that backend).
 
 An answer is the exit code, stdout, stderr, every CSV table and every
@@ -92,7 +92,7 @@ def worker(src: str, backend: str) -> None:
     from hardylab import _kernels, cli
 
     if backend == "python":
-        _kernels._PTTRF = _kernels._PTTRS = None
+        _kernels._PTTRF = _kernels._PTTRS = _kernels._GESV = None
         _kernels.BACKEND = "python"
     argvs = json.loads(sys.stdin.readline())
     answers = []

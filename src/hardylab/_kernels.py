@@ -4,13 +4,15 @@ The three inner loops that dominate runtime are tridiagonal definiteness
 tests (the bisections of the eigensolve and of the lambda-star bracket),
 tridiagonal LDL^T factors and solves (the eigensolve's estimate and
 inverse iteration, and the minimizer), and the singular-weight power
-functional of the constrained minimizer.  The power functional is NumPy on
-every backend, in one ``PowerWorkspace`` per weight table: it holds the hat
-basis [1 - t; t] and the (cells, 2) buffer of cell end values, so u at the
-Gauss points of all cells is one (cells, 2) by (2, q) product.  ``value``
-gives F and g = w sign(v) |v|^{p-1} from one ``pow`` per point, and
-``gradient`` forms grad F from g only when asked: the minimizer evaluates
-two trial points per step and keeps one.  On a profile with no sign bit
+functional of the constrained minimizer; the minimizer's Anderson mixing
+also solves small dense normal equations (``NormalEquations``).  The power
+functional is NumPy on every backend, in one ``PowerWorkspace`` per weight
+table: it holds the hat basis [1 - t; t] and the (cells, 2) buffer of cell
+end values, so u at the Gauss points of all cells is one (cells, 2) by
+(2, q) product.  ``value`` gives F and g = w sign(v) |v|^{p-1} from one
+``pow`` per point, and ``gradient`` forms grad F from g only when asked:
+the minimizer evaluates two trial points per step and keeps one.  On a
+profile with no sign bit
 set (the minimizer's starts and mixed candidates) ``value`` skips ``abs``
 and ``copysign``, which are the identity there.  ``power_moment_grad`` is a
 workspace's value and gradient, so there is one path.
@@ -25,7 +27,8 @@ d - s*w) and one ``dpttrf`` run, which stops at the first pivot that is not
 positive.  A factor exists only for a shift that tests definite:
 ``factor(s)`` makes the same shift and run and copies the pivots and
 multipliers into an ``LDLFactor``, with room for a right-hand side, or
-raises a ``DomainError`` naming s.  The callers test first: the eigensolve
+raises a ``DomainError`` naming s.  A solve returns that room, which the
+factor's next solve overwrites.  The callers test first: the eigensolve
 factors at the definite end of its bracket and below it, and the minimizer
 factors A only after A - 1e-8 (1 + |lambda|) Mass tested definite, else
 K + (1 + |lambda|) Mass.  A factor stays valid after later tests and
@@ -40,11 +43,17 @@ resolved once at import, ``BACKEND``; each workspace and factor binds its
 executor, with its arguments, when it is made:
 
 - ``"lapack"``: ``dpttrf``/``dpttrs`` of the ILP64 OpenBLAS that the numpy
-  wheel bundles (``numpy.libs/libscipy_openblas64_*``), through ``ctypes``.
+  wheel bundles (``numpy.libs/libscipy_openblas64_*``), through ``ctypes``,
+  each buffer by its raw address (``_address``).
 - ``"python"``, when the library or a symbol is missing: stand-ins that
   make the same operations in the same order on Python floats, read from
   the buffer with ``tolist`` once and written back (``dpttrf``'s sets its
   ``info``), so both backends give the same bits.
+
+``NormalEquations`` solves the Gram system of k <= order rows with the same
+library's ``dgesv``, bound once per order k to one buffer; where the
+library is missing it calls ``numpy.linalg.solve``, which makes the same
+``dgesv`` call, so both give the same bits.
 
 ``COUNTS`` tallies, process-wide and on both backends, the calls served:
 ``definite_tests`` (calls of a pencil workspace), ``factorizations`` (of
@@ -71,25 +80,33 @@ COUNTS = {"definite_tests": 0, "factorizations": 0, "solves": 0, "evaluations": 
 
 
 def _lapack():
-    """``dpttrf`` and ``dpttrs`` of the OpenBLAS bundled with numpy, or
-    ``(None, None)`` when the library or a symbol is missing."""
+    """``dpttrf``, ``dpttrs`` and ``dgesv`` of the OpenBLAS bundled with
+    numpy, or ``(None, None, None)`` when the library or a symbol is
+    missing."""
     wheel_libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     libs = sorted(glob.glob(os.path.join(wheel_libs, "libscipy_openblas64_*")))
     try:
         lib = ctypes.CDLL(libs[0])
-        pttrf, pttrs = lib.scipy_dpttrf_64_, lib.scipy_dpttrs_64_
+        pttrf, pttrs, gesv = lib.scipy_dpttrf_64_, lib.scipy_dpttrs_64_, lib.scipy_dgesv_64_
     except (IndexError, OSError, AttributeError):
-        return None, None
+        return None, None, None
     # every argument by reference; integers are int64 (ILP64)
     pttrf.argtypes = [ctypes.c_void_p] * 4  # n, d, e, info
     pttrs.argtypes = [ctypes.c_void_p] * 7  # n, nrhs, d, e, b, ldb, info
-    pttrf.restype = pttrs.restype = None
-    return pttrf, pttrs
+    gesv.argtypes = [ctypes.c_void_p] * 8  # n, nrhs, a, lda, ipiv, b, ldb, info
+    pttrf.restype = pttrs.restype = gesv.restype = None
+    return pttrf, pttrs, gesv
 
 
-_PTTRF, _PTTRS = _lapack()
+_PTTRF, _PTTRS, _GESV = _lapack()
 BACKEND = "python" if _PTTRF is None else "lapack"
 _ONE = ctypes.c_int64(1)
+
+
+def _address(buf):
+    """The address of the array ``buf``'s first byte, as a raw integer that
+    keeps no array alive."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(buf))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +167,7 @@ class PencilWorkspace:
         if _PTTRF is None:
             self._pttrf, self._args = _pttrf_py, (buf, n, self._info)
         else:  # raw addresses, which keep no array alive
-            at = buf.ctypes.data
+            at = _address(buf)
             self._pttrf, self._args = _PTTRF, (ctypes.byref(ctypes.c_int64(n)), at, at + 8 * n, ctypes.byref(self._info))
 
     def _definite(self, s):
@@ -210,8 +227,9 @@ def negcount(d, e):
 class LDLFactor:
     """T = L D L^T from the pivots ``diag`` and the unit-lower multipliers
     ``low``, copied into one buffer [D, L, x] with its ``dpttrs`` bound
-    once: a solve copies b into x, makes one run and returns a copy.  The
-    views ``diag``, ``low`` and ``_x`` keep the buffer alive."""
+    once: a solve copies b into x, makes one run and returns x itself, which
+    the next solve overwrites.  The views ``diag``, ``low`` and ``_x`` keep
+    the buffer alive."""
 
     def __init__(self, diag, low):
         n = diag.shape[0]
@@ -224,23 +242,72 @@ class LDLFactor:
         if _PTTRS is None:
             self._pttrs, self._args = _pttrs_py, (buf, n)
         else:  # raw addresses, which keep no array alive
-            at, rows = buf.ctypes.data, ctypes.byref(ctypes.c_int64(n))
+            at, rows = _address(buf), ctypes.byref(ctypes.c_int64(n))
             self._pttrs, self._args = _PTTRS, (rows, ctypes.byref(_ONE), at, at + 8 * n, at + 8 * (2 * n - 1), rows, ctypes.byref(ctypes.c_int64()))
 
     def solve(self, b):
-        """x with L D L^T x = b."""
+        """x with L D L^T x = b: the factor's buffer, valid until its next
+        solve."""
         if b.shape != self.diag.shape:
             raise ValueError(f"factors of order {self.diag.shape[0]} need as many right-hand sides, got {b.shape}")
         COUNTS["solves"] += 1
         x = self._x
         x[:] = b
         self._pttrs(*self._args)
-        return x.copy()
+        return x
 
 
 def tridiag_solve(d, e, b):
     """Solve T x = b for a positive definite tridiagonal T = (d, e)."""
     return ldl_factor(d, e).solve(b)
+
+
+# ---------------------------------------------------------------------------
+# Small dense systems: the minimizer's Anderson normal equations.
+# ---------------------------------------------------------------------------
+
+class NormalEquations:
+    """The gamma that minimizes |f - R^T gamma| for k <= ``order`` rows R,
+    by its normal equations (R R^T) gamma = R f: one buffer [G, b] takes
+    G = R R^T and b = R f (numpy's products, G exactly symmetric, so its C
+    order is LAPACK's column-major one), and ``dgesv`` (LU with partial
+    pivoting) is bound to it once for every k, with an int64 ``ipiv`` and
+    ``info``.  A call returns gamma, a view of the buffer that the next call
+    overwrites, or None when G is exactly singular (a zero pivot, ``info``
+    > 0), as for a zero row.  Where the library is missing it calls
+    ``numpy.linalg.solve``, which makes the same ``dgesv`` call on its own
+    copies."""
+
+    def __init__(self, order):
+        self.order = order
+        self._gesv = _GESV
+        if _GESV is None or not order:  # order 0: no system to bind
+            return
+        buf = np.empty(order * order + order)
+        self._gram = [buf[: k * k].reshape(k, k) for k in range(order + 1)]
+        self._rhs = [buf[order * order : order * order + k] for k in range(order + 1)]
+        self._ipiv, self._info = np.empty(order, dtype=np.int64), ctypes.c_int64()
+        # raw addresses, which keep no array alive
+        at, piv, info = _address(buf), _address(self._ipiv), ctypes.byref(self._info)
+        rows = [ctypes.byref(ctypes.c_int64(k)) for k in range(order + 1)]
+        self._args = [(n, ctypes.byref(_ONE), at, n, piv, at + 8 * order * order, n, info) for n in rows]
+
+    def __call__(self, rows, f):
+        """gamma with (R R^T) gamma = R f for the rows R, or None when
+        R R^T is exactly singular."""
+        k = rows.shape[0]
+        if not 1 <= k <= self.order:
+            raise ValueError(f"normal equations of order 1 to {self.order}, got {k} rows")
+        if self._gesv is None:
+            try:
+                return np.linalg.solve(rows @ rows.T, rows @ f)
+            except np.linalg.LinAlgError:
+                return None
+        gamma = self._rhs[k]
+        np.matmul(rows, rows.T, out=self._gram[k])
+        np.matmul(rows, f, out=gamma)
+        self._gesv(*self._args[k])
+        return None if self._info.value else gamma
 
 
 # ---------------------------------------------------------------------------

@@ -252,8 +252,7 @@ def _eigen(forms: QuadraticForms, d, e, wd, lam: float) -> EigenResult:
             y = factor.solve(np.multiply(wd, x, out=scratch[1]))
             if not np.isfinite(y).all():
                 break
-            y /= _norm(y, scratch, wd)
-            x = y
+            x = y / _norm(y, scratch, wd)  # out of the factor's buffer, which the next solve overwrites
             rho = tri_quadform(d, e, x)
             res = residual_of(x, rho)
             if res <= 1e-9:

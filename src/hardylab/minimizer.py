@@ -26,15 +26,20 @@ linearly where the minimizer concentrates (the flat ball at lambda = 0: 729
 steps at M = 256).  It is Anderson-mixed (Walker and Ni, SIAM J. Numer.
 Anal. 49, 2011) with depth _DEPTH: with f = G(u) - u and the differences
 dU, dF of the last iterates and of their f, gamma minimizes |f - dF gamma|
-(least squares on the free nodes, by its normal equations; no candidate
-when they are singular) and the candidate G(u) - (dU + dF) gamma is made
-non-negative (|.|), its Dirichlet node zeroed and it is rescaled onto
-F = 1.  It is taken only when Q(candidate) <= Q(G(u)); else G(u) is
-taken and the history is cleared.  Every iterate therefore lies on F = 1
-and is still an upper bound, and Q(u_{k+1}) <= Q(G(u_k)) <= Q(u_k) keeps
-the descent wherever it is proved above (34-39 steps per start on the
-flat ball at M = 256).  The history is two stacked (_DEPTH, n) arrays, the
-rows dF and dU + dF, each row formed once when it is pushed.
+(least squares on the free nodes, by its normal equations, which one
+``_kernels.NormalEquations`` per start forms and solves with a bound LAPACK
+``dgesv``; no candidate when they are exactly singular) and the candidate
+G(u) - (dU + dF) gamma is made non-negative (|.|), its Dirichlet node
+zeroed and it is rescaled onto F = 1.  It is taken only when
+Q(candidate) <= Q(G(u)); else G(u) is taken and the history is cleared.
+Every iterate therefore lies on F = 1 and is still an upper bound, and
+Q(u_{k+1}) <= Q(G(u_k)) <= Q(u_k) keeps the descent wherever it is proved
+above (34-39 steps per start on the flat ball at M = 256).  The history is
+two stacked (_DEPTH, n) arrays, the rows dF and dU + dF, each row formed
+once when it is pushed.  The residual r, the step u - s and the candidate
+are formed in buffers made once per start, and s is read from the
+factor's buffer, so a step allocates only the vectors it keeps (the
+rescaled points with their A u and grad F, and f).
 
 F goes through one ``_kernels.PowerWorkspace`` per call, shared by the
 starts.  G(u) and the candidate are each rescaled by one evaluation of F
@@ -231,15 +236,19 @@ def _rounding(abs_a, u):
     return k_eps / (1.0 - k_eps) * tri_quadform(abs_a[0], abs_a[1], np.abs(u))
 
 
-def _mixed(g, f, df, sums):
-    """|g - (dU + dF) gamma|, gamma minimizing |f - dF gamma| by its normal
-    equations; zero when the differences dF are linearly dependent.  The
-    differences are the rows of ``df`` (dF^T) and ``sums`` ((dU + dF)^T)."""
-    try:
-        gamma = np.linalg.solve(df @ df.T, df @ f)
-    except np.linalg.LinAlgError:
-        return 0.0
-    return np.abs(g - gamma @ sums)
+def _mixed(g, f, df, sums, normal, out):
+    """|g - (dU + dF) gamma| formed in ``out``, gamma minimizing
+    |f - dF gamma| by its normal equations (``normal``, a
+    ``_kernels.NormalEquations``); None when they are exactly singular, as
+    for a zero difference (equal rows of dF need not be: their Gram matrix
+    rounds).  The differences are the rows of ``df`` (dF^T) and ``sums``
+    ((dU + dF)^T)."""
+    gamma = normal(df, f)
+    if gamma is None:
+        return None
+    np.matmul(gamma, sums, out=out)
+    np.subtract(g, out, out=out)
+    return np.abs(out, out=out)
 
 
 def _descend(forms, lam, a, abs_a, factor, power, u0, tag, max_iters):
@@ -261,6 +270,10 @@ def _descend(forms, lam, a, abs_a, factor, power, u0, tag, max_iters):
         # the mixing history, oldest first: rows dF and dU + dF of its k differences
         n_free = u[sl].shape[0]
         df, sums, k = np.empty((_DEPTH, n_free)), np.empty((_DEPTH, n_free)), 0
+        normal = _kernels.NormalEquations(_DEPTH)
+        # r, u - s and the candidate, formed anew every step; the candidate's
+        # Dirichlet node stays +0.0
+        resid, step, cand = np.empty(n_free), np.empty_like(u), np.zeros_like(u)
         iters = 0
         for iters in range(1, max_iters + 1):
             if q > best_q and q > best_q + _rounding(abs_a, best_u) + _rounding(abs_a, u):
@@ -268,16 +281,17 @@ def _descend(forms, lam, a, abs_a, factor, power, u0, tag, max_iters):
                 break
             if q < best_q:
                 best_q, best_u = q, u
-            r = (au - (q / forms.p_crit) * grad)[sl]
-            s = factor.solve(r)
+            r = np.multiply(grad[sl], q / forms.p_crit, out=resid)
+            np.subtract(au[sl], r, out=r)
+            s = factor.solve(r)  # the factor's buffer
             gnorm = math.sqrt(max(float(np.dot(r, s)), 0.0)) / (1.0 + abs(q))
             if gnorm <= _GRAD_TOL:
                 stop = "converged"
                 break
-            v = u.copy()
-            v[sl] -= s
+            np.copyto(step, u)
+            step[sl] -= s
             mix = prev is not None
-            v, g, hc = _rescaled(power, v)
+            v, g, hc = _rescaled(power, step)
             f = v[sl] - u[sl]
             if mix:
                 if k == _DEPTH:
@@ -291,10 +305,9 @@ def _descend(forms, lam, a, abs_a, factor, power, u0, tag, max_iters):
             u = v
             au, q = _energy(a, u)
             if mix:
-                x = np.zeros_like(u)
-                x[sl] = _mixed(u[sl], f, df[:k], sums[:k])
-                if np.any(x):  # zero: no candidate, or none that can be rescaled
-                    x, x_g, x_hc = _rescaled(power, x, sign_free=True)  # |.| with +0.0 fill
+                x = _mixed(u[sl], f, df[:k], sums[:k], normal, cand[sl])
+                if x is not None and np.any(x):  # else no candidate, or none that can be rescaled
+                    x, x_g, x_hc = _rescaled(power, cand, sign_free=True)  # |.| with +0.0 fill
                     ax, qx = _energy(a, x)
                     if qx <= q:
                         u, au, q = x, ax, qx

@@ -443,6 +443,34 @@ def test_lapack_solve_rejects_mismatched_factors():
             K.LDLFactor(factor.diag, lo).solve(b)
 
 
+def test_normal_equations_match_numpy_solve(backend, rng):
+    # the bound dgesv makes numpy.linalg.solve's LU of the same Gram matrix:
+    # the same bits at every order and scale, None exactly where numpy
+    # finds it singular, and the same NaNs
+    normal = K.NormalEquations(5)
+    for n in (5, 33, 257):
+        f = rng.standard_normal(n)
+        for scale in (1e-8, 1e-3, 1.0, 1e3):
+            history = scale * rng.standard_normal((5, n))
+            for k in range(1, 6):
+                rows = history[:k]
+                want = np.linalg.solve(rows @ rows.T, rows @ f)
+                assert normal(rows, f).tobytes() == want.tobytes(), (n, scale, k)
+    d, f = rng.standard_normal(33), rng.standard_normal(33)
+    rows = np.array([d, np.zeros(33), rng.standard_normal(33)])  # a zero row and column of G: exactly singular
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(rows @ rows.T, rows @ f)
+    assert normal(rows, f) is None
+    rows[1, 4] = np.nan
+    want = np.linalg.solve(rows @ rows.T, rows @ f)
+    assert np.isnan(want).all() and normal(rows, f).tobytes() == want.tobytes()
+    rows = rng.standard_normal((4, 33))
+    assert normal(rows, f).tobytes() == np.linalg.solve(rows @ rows.T, rows @ f).tobytes()
+    for k in (0, 6):
+        with pytest.raises(ValueError):
+            normal(rng.standard_normal((k, 33)), f)
+
+
 def test_tally_counts_every_call_served(backend, rng):
     # building a test counts nothing, each call of it one test, each factor
     # one factorization, and a solve refused for its shape is no solve
@@ -505,7 +533,7 @@ def test_workspace_factor_outlives_later_tests_and_factors(backend, rng):
         s = -2.0
         assert pencil(s)
         factor = pencil.factor(s)
-        before = factor.solve(b)
+        before = factor.solve(b).copy()  # a solve returns the factor's buffer
         for t in (-5.0, 0.0, 4.0, s):
             pencil(t)
         pencil.factor(-3.0)

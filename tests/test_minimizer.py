@@ -254,16 +254,18 @@ def test_mixing_matches_plain_step(N, lam, sigma, M, monkeypatch):
 
 
 def test_mixing_skips_dependent_differences():
-    # equal columns of dF make the normal equations singular: no candidate
+    # a zero column of dF makes the normal equations exactly singular (a
+    # zero row and column of the Gram matrix): no candidate
     rng = np.random.default_rng(3)
     g, f, d = rng.random(8), rng.random(8), rng.random(8)
-    assert not np.any(minimizer._mixed(g, f, np.array([d, d]), np.array([d + d, d + d])))
+    normal, zero = _kernels.NormalEquations(2), np.zeros(8)
+    assert not np.any(minimizer._mixed(g, f, np.array([d, zero]), np.array([d + d, zero]), normal, np.empty(8)))
     # independent columns: the least-squares combination, made non-negative
     d_u, d_f = [rng.random(8), rng.random(8)], [rng.random(8), rng.random(8)]
     df = np.column_stack(d_f)
     gamma = np.linalg.lstsq(df, f, rcond=None)[0]
     want = np.abs(g - (np.column_stack(d_u) + df) @ gamma)
-    got = minimizer._mixed(g, f, np.array(d_f), np.array(d_u) + np.array(d_f))
+    got = minimizer._mixed(g, f, np.array(d_f), np.array(d_u) + np.array(d_f), normal, np.empty(8))
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
