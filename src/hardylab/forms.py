@@ -5,8 +5,11 @@ The Dirichlet form K and the plain mass form are assembled consistently
 (symmetric tridiagonal, exact per-cell 16-point Gauss in the weight
 r-power times psi^{N-1}); the singular sigma=2 weight is a row-sum lumped
 diagonal, which keeps the eigenvalue pencil tridiagonal-vs-diagonal and is
-exact on constants.  All forms carry the full surface factor |S^{N-1}|, so
-quotient values are directly comparable to the sharp constants.
+exact on constants.  Its integrand (psi/r)^2 psi^{N-3} is formed from the
+warp values the other forms use (Gauss points lie inside their cells, so
+r > 0), so an assembly evaluates the warp once.  All forms carry the full
+surface factor |S^{N-1}|, so quotient values are directly comparable to the
+sharp constants.
 
 The sigma < 2 constraint functional and its first variation are evaluated
 from per-cell Gauss tables through the kernels module (vectorized NumPy).
@@ -183,9 +186,9 @@ def assemble_forms(grid: RadialGrid, m: ModelManifold, sigma: float) -> Quadrati
     md = _to_nodes((base * (1.0 - t) ** 2).sum(axis=1), (base * t**2).sum(axis=1))
     me = (base * (1.0 - t) * t).sum(axis=1)
 
-    # lumped inverse-square weight: r^{-2} psi^{N-1} = (psi/r)^2 psi^{N-3},
-    # written in the right-hand form so it stays finite at r = 0
-    w2 = _lump(om * wq * m.warp_over_r(rq) ** 2 * psi ** (n - 3), t)
+    # lumped inverse-square weight r^{-2} psi^{N-1} = (psi/r)^2 psi^{N-3}, from
+    # the warp already evaluated: Gauss points lie inside their cells, so r > 0
+    w2 = _lump(om * wq * (psi / rq) ** 2 * psi ** (n - 3), t)
 
     forms = QuadraticForms(
         grid=grid, manifold=m, sigma=s, kd=kd, ke=ke, md=md, me=me, w2=w2

@@ -27,7 +27,7 @@ steps at M = 256).  It is Anderson-mixed (Walker and Ni, SIAM J. Numer.
 Anal. 49, 2011) with depth _DEPTH: with f = G(u) - u and the differences
 dU, dF of the last iterates and of their f, gamma minimizes |f - dF gamma|
 (least squares on the free nodes, by its normal equations, which one
-``_kernels.NormalEquations`` per start forms and solves with a bound LAPACK
+``_kernels.NormalEquations`` per call forms and solves with a bound LAPACK
 ``dgesv``; no candidate when they are exactly singular) and the candidate
 G(u) - (dU + dF) gamma is made non-negative (|.|), its Dirichlet node
 zeroed and it is rescaled onto F = 1.  It is taken only when
@@ -35,11 +35,12 @@ Q(candidate) <= Q(G(u)); else G(u) is taken and the history is cleared.
 Every iterate therefore lies on F = 1 and is still an upper bound, and
 Q(u_{k+1}) <= Q(G(u_k)) <= Q(u_k) keeps the descent wherever it is proved
 above (34-39 steps per start on the flat ball at M = 256).  The history is
-two stacked (_DEPTH, n) arrays, the rows dF and dU + dF, each row formed
-once when it is pushed.  The residual r, the step u - s and the candidate
-are formed in buffers made once per start, and s is read from the
-factor's buffer, so a step allocates only the vectors it keeps (the
-rescaled points with their A u and grad F, and f).
+two stacked (_DEPTH, n) arrays per start, the rows dF and dU + dF, each
+row formed once when it is pushed.  The residual r, the step u - s and the
+candidate are formed in buffers made once per call and shared by the
+starts, and s is read from the factor's buffer, so a step allocates only
+the vectors it keeps (the rescaled points with their A u and grad F, and
+f).
 
 F goes through one ``_kernels.PowerWorkspace`` per call, shared by the
 starts.  G(u) and the candidate are each rescaled by one evaluation of F
@@ -202,7 +203,12 @@ def minimize_quotient(
     abs_a = (np.abs(a[0]), np.abs(a[1]))
     factor = _shifted_factor(forms, lam)
     power = _kernels.PowerWorkspace(forms.hs_weights, forms.hs_t, forms.p_crit)
-    runs = [_descend(forms, lam, a, abs_a, factor, power, u0, tag, max_iters) for tag, u0 in zip(tags, inits)]
+    # the Anderson normal equations and the step's buffers: r, u - s and the
+    # candidate, formed anew every step of every start; the candidate's
+    # Dirichlet node stays +0.0
+    n = forms.n_nodes
+    work = _kernels.NormalEquations(_DEPTH), np.empty(forms.md[forms.dof].shape), np.empty(n), np.zeros(n)
+    runs = [_descend(forms, lam, a, abs_a, factor, power, work, u0, tag, max_iters) for tag, u0 in zip(tags, inits)]
     best = min(runs, key=lambda res: res.mu_upper)
     best.concentration = _hs_concentration(forms, best.profile)
     best.iterations_total = sum(res.iterations for res in runs)
@@ -251,8 +257,9 @@ def _mixed(g, f, df, sums, normal, out):
     return np.abs(out, out=out)
 
 
-def _descend(forms, lam, a, abs_a, factor, power, u0, tag, max_iters):
+def _descend(forms, lam, a, abs_a, factor, power, work, u0, tag, max_iters):
     sl = forms.dof
+    normal, resid, step, cand = work
     u, g, hc = _rescaled(power, forms.check_profile(np.asarray(u0, dtype=float).copy()))
     grad = power.gradient(g) / hc
     # at a huge lambda an energy, its rounding bound or gnorm may overflow;
@@ -270,10 +277,6 @@ def _descend(forms, lam, a, abs_a, factor, power, u0, tag, max_iters):
         # the mixing history, oldest first: rows dF and dU + dF of its k differences
         n_free = u[sl].shape[0]
         df, sums, k = np.empty((_DEPTH, n_free)), np.empty((_DEPTH, n_free)), 0
-        normal = _kernels.NormalEquations(_DEPTH)
-        # r, u - s and the candidate, formed anew every step; the candidate's
-        # Dirichlet node stays +0.0
-        resid, step, cand = np.empty(n_free), np.empty_like(u), np.zeros_like(u)
         iters = 0
         for iters in range(1, max_iters + 1):
             if q > best_q and q > best_q + _rounding(abs_a, best_u) + _rounding(abs_a, u):

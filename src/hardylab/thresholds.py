@@ -8,9 +8,11 @@ threshold, since the lumped W puts mu_h below its Rayleigh-Ritz value (for
 N >= 5 below the cap itself); hi was measured above lambda-star on every
 case checked (the exact ball, S^3 and H^3, the enclosures of S^4, S^5, H^4).
 
-A mu curve assembles the forms once and solves every lambda from cold (no
-warm start: each eigensolve takes one inverse step either way), so each
-entry is bit for bit the ``mu_of_lambda`` value.  The strict-inequality
+A mu curve assembles the forms once and seeds each lambda's eigensolve
+with the profile of the one before; a seed saves bisection tests and moves
+no bit, so each entry is bit for bit the ``mu_of_lambda`` value.  The
+bracket seeds its 2M solves with the M profile, prolonged, and its mu_lo
+and mu_hi with the M profile at the bracket midpoint.  The strict-inequality
 report runs the minimizer with its own 800-step budget on M nodes from
 four cold starts, then on the nested 2M grid from the coarse finals,
 prolonged by linear interpolation (exact for P1 profiles), that lie in
@@ -113,13 +115,15 @@ def mu_curve(
     bc: str | None = None,
 ) -> MuCurve:
     """Sweep of the sigma = 2 pencil in increasing lambda, on forms
-    assembled once."""
+    assembled once, each solve seeded by the profile of the one before."""
     lams = np.asarray(sorted(float(v) for v in lambdas), dtype=float)
     forms = _forms_for(m, M, gamma, 2.0, bc)
     mus = np.empty_like(lams)
     concs = np.empty_like(lams)
+    trial = None
     for i, lam in enumerate(lams):
-        res = smallest_generalized_eigen(forms, lam)
+        res = smallest_generalized_eigen(forms, lam, trial)
+        trial = res.profile
         mus[i] = res.mu
         concs[i] = res.concentration
     return MuCurve(lambdas=lams, mus=mus, concentrations=concs, M=M, gamma=gamma)
@@ -128,11 +132,12 @@ def mu_curve(
 def constant_profile_bound(m: ModelManifold) -> float:
     """Quotient of the constant profile at the cap: the threshold must sit at
     or below lambda = -cap * Vol / int rho^{-2} dv, computed by direct
-    quadrature of the warp."""
+    quadrature of the warp, evaluated once (Gauss points lie in (0, r_max),
+    so psi/r is finite)."""
     r, wq = (q.ravel() for q in gauss_panels(np.linspace(0.0, m.r_max, 65), 64))
-    nm1 = m.N - 1
-    vol = float(np.dot(wq, m.warp(r) ** nm1))
-    inv2 = float(np.dot(wq, m.warp_over_r(r) ** 2 * m.warp(r) ** (m.N - 3)))
+    psi = m.warp(r)
+    vol = float(np.dot(wq, psi ** (m.N - 1)))
+    inv2 = float(np.dot(wq, (psi / r) ** 2 * psi ** (m.N - 3)))
     return -hardy_constant(m.N) * inv2 / vol
 
 
@@ -175,6 +180,7 @@ def lambda_star_bracket(
     cap = hardy_constant(m.N)
     forms = _forms_for(m, M, gamma, 2.0, bc)
     _check_weight(forms.md[forms.dof])
+    trial = None  # the M profile at the bracket midpoint, once measured
 
     def bisect(delta):
         definite = _margin_test(forms, cap - delta)
@@ -204,13 +210,18 @@ def lambda_star_bracket(
         forms2 = _forms_for(m, 2 * M, gamma, 2.0, bc)
 
         def gap_at(lam):
-            return abs(smallest_generalized_eigen(forms, lam).mu - smallest_generalized_eigen(forms2, lam).mu)
+            """|mu_M - mu_2M| at lam, the 2M solve seeded by the M profile
+            prolonged onto the nested nodes, and the M profile."""
+            coarse = smallest_generalized_eigen(forms, lam)
+            prolonged = np.interp(forms2.grid.nodes, forms.grid.nodes, coarse.profile)
+            return abs(coarse.mu - smallest_generalized_eigen(forms2, lam, prolonged).mu), coarse.profile
 
-        provisional = max(gap_at(0.5 * (sweep[0] + sweep[1])), 1e-9)
+        provisional = max(gap_at(0.5 * (sweep[0] + sweep[1]))[0], 1e-9)
         lo, hi = bisect(provisional)
-        detection_delta = max(gap_at(0.5 * (lo + hi)), 1e-9)
+        gap, trial = gap_at(0.5 * (lo + hi))
+        detection_delta = max(gap, 1e-9)
     lo, hi = bisect(detection_delta)
-    mu_lo, mu_hi = (smallest_generalized_eigen(forms, lam).mu for lam in (lo, hi))
+    mu_lo, mu_hi = (smallest_generalized_eigen(forms, lam, trial).mu for lam in (lo, hi))
     return LambdaStarBracket(lo=lo, hi=hi, detection_delta=float(detection_delta), mu_lo=mu_lo, mu_hi=mu_hi, cap=cap)
 
 

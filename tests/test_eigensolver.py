@@ -222,6 +222,41 @@ def test_eigensolve_bisects_like_plain_bisection_with_fewer_tests(backend, field
     assert tally["definite_tests"] < ref_tally["definite_tests"] - 10
 
 
+@pytest.mark.parametrize("m,bc,lam", [(unit_sphere(3), "reflected", -1.0), (euclidean_ball(3, 1.0), "dirichlet", 4.0)])
+def test_a_trial_saves_tests_and_moves_no_bit(backend, m, bc, lam):
+    # a trial's probes answer tests of the coarse bisection; wherever they
+    # fall (a neighbour's profile, a poor or a degenerate trial), the
+    # eigensolve returns the unseeded bits, and a neighbour's costs fewer tests
+    forms = assemble_forms(build_grid(m.r_max, 256, 2.0, bc), m, 2.0)
+    with kernel_calls() as cold_tally:
+        cold = smallest_generalized_eigen(forms, lam)
+    rng = np.random.default_rng(7)
+    trials = {
+        "neighbour": smallest_generalized_eigen(forms, lam - 0.5).profile,
+        "own": cold.profile,
+        "random": rng.standard_normal(forms.n_nodes),
+        "zero": forms.zero_profile(),
+        "nan": np.full(forms.n_nodes, np.nan),
+        "huge": np.full(forms.n_nodes, 1e300),
+    }
+    for name, trial in trials.items():
+        if bc == "dirichlet":
+            trial[-1] = 0.0
+        with kernel_calls() as tally:
+            res = smallest_generalized_eigen(forms, lam, trial)
+        assert (res.mu, res.iterations, res.residual, res.concentration) == (
+            cold.mu,
+            cold.iterations,
+            cold.residual,
+            cold.concentration,
+        ), name
+        assert res.profile.tobytes() == cold.profile.tobytes(), name
+        if name in ("neighbour", "own"):
+            assert tally["definite_tests"] < cold_tally["definite_tests"], name
+    with pytest.raises(DomainError, match="nodal values"):
+        smallest_generalized_eigen(forms, lam, np.ones(forms.n_nodes + 1))
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), n=st.integers(1, 40))
 def test_definiteness_is_monotone_in_the_shift(backend, data, n):

@@ -1,8 +1,9 @@
 """``benchmarks/equivalence.py``, run on a short command list through its
 Python API: a tree is identical to itself on both backends, and a copy with
 one perturbed constant is flagged, in the results or in the kernel counts
-alone.  On its full command list, this checkout's two backends give the
-same answers."""
+alone, or passes where it moves only barred values within their bars.  On
+its full command list, this checkout's two backends give the same
+answers."""
 
 import importlib.util
 import shutil
@@ -88,3 +89,59 @@ def test_both_backends_give_the_same_answers(equivalence):
         stamps = [{d.pop("kernel_backend") for d in answer["diagnostics"]} for answer in (a, b)]
         assert stamps[0] <= {"lapack"} and stamps[1] <= {"python"}, argv
         assert a == b, argv
+
+
+def test_a_perturbed_result_within_its_bars_passes(equivalence, tmp_path):
+    # inverse iteration from three times further below the bracket moves
+    # mu, the concentration and the residual by rounding, and nothing else
+    tree = _perturbed(tmp_path, "max(10.0 * _TOL_ABS", "max(30.0 * _TOL_ABS")
+    bars = {"mu": 1e-12, "concentration": 1e-6, "residual": 1.0}
+    report = equivalence.compare(SRC, tree, COMMANDS, backends=("lapack",), bars=bars)
+    assert report["lapack"]["results"] == report["lapack"]["diagnostics"] == []
+    [(argv, changes)] = report["lapack"]["bars"]
+    assert argv == COMMANDS[0] and set(changes) == set(bars)
+    assert all(0.0 < changes[key][0] <= bars[key] for key in bars)
+    assert equivalence.within_bars(report, bars) and not equivalence.identical(report)
+
+
+def test_a_perturbed_result_beyond_its_bar_fails(equivalence, tmp_path):
+    tree = _perturbed(tmp_path, "_CORE = 0.01 ", "_CORE = 0.02 ")
+    bars = {"concentration": 1e-3}
+    report = equivalence.compare(SRC, tree, COMMANDS, backends=("lapack",), bars=bars)
+    assert report["lapack"]["results"] == []
+    [(argv, changes)] = report["lapack"]["bars"]
+    assert argv == COMMANDS[0] and changes["concentration"][0] > 1e-3
+    assert not equivalence.within_bars(report, bars)
+    # an unbarred change stays a difference of its parts
+    report = equivalence.compare(SRC, tree, COMMANDS, backends=("lapack",), bars={"mu": 1.0})
+    assert report["lapack"]["results"] == [(COMMANDS[0], ["records.jsonl", "stdout"])]
+    assert report["lapack"]["bars"] == []
+
+
+def test_barred_values_in_stdout_csv_and_records(equivalence):
+    old = {
+        "stdout": "lambda=-1.000000 mu=0.25 concentration=0.9\nmu_lo = 0.5\n",
+        "t.csv": [["lambda", "mu"], ["-1.0", "0.25"]],
+        "records.jsonl": [{"results": {"mu": (0.25).hex(), "rows": 1}}],
+    }
+    new = {
+        "stdout": "lambda=-1.000000 mu=0.2500000001 concentration=0.9\nmu_lo = 0.5\n",
+        "t.csv": [["lambda", "mu"], ["-1.0", "0.25"]],
+        "records.jsonl": [{"results": {"mu": (0.5).hex(), "rows": 1}}],
+    }
+    parts, changes = equivalence._barred(new, old, {"mu": 1.0})
+    assert parts == [] and changes["mu"] == pytest.approx((0.5, 0.25))
+    # mu_lo is another key, so its value is compared as text
+    new["stdout"] = new["stdout"].replace("0.5\n", "0.6\n")
+    assert equivalence._barred(new, old, {"mu": 1.0})[0] == ["stdout"]
+    # the same value in other digits is no change, and still a difference
+    same = {**old, "stdout": old["stdout"].replace("mu=0.25 ", "mu=0.250 ")}
+    parts, changes = equivalence._barred(same, old, {"mu": 1.0})
+    assert parts == [] and changes == {"mu": None}
+    report = {"lapack": {"commands": 1, "results": [], "diagnostics": [], "bars": [(["cmd"], changes)]}}
+    assert not equivalence.within_bars(report, {"mu": 1.0})
+    # an added empty field or a duplicated barred column is a difference of its part
+    grown = {**old, "records.jsonl": [{"results": {"mu": (0.25).hex(), "rows": 1, "extra": {}}}]}
+    assert equivalence._barred(grown, old, {"mu": 1.0})[0] == ["records.jsonl"]
+    wider = {**old, "t.csv": [["lambda", "mu", "mu"], ["-1.0", "0.25", "0.25"]]}
+    assert equivalence._barred(wider, old, {"mu": 1.0})[0] == ["t.csv"]

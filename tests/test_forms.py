@@ -17,7 +17,7 @@ from hardylab.forms import (
     refine_grid,
     tri_quadform,
 )
-from hardylab.manifold import euclidean_ball, unit_sphere
+from hardylab.manifold import euclidean_ball, hyperbolic_cap, unit_sphere
 from hardylab.minimizer import bubble_init
 
 
@@ -72,6 +72,14 @@ def test_w2_closed_form_on_constant():
         ones_n = np.ones(forms_n.n_nodes)
         want = sphere_area(n - 1) * 1.5 ** (n - 2) / (n - 2)
         assert float(np.dot(forms_n.w2, ones_n**2)) == pytest.approx(want, rel=1e-10)
+    # curved: |S^{N-1}| int_0^R psi^{N-1} / r^2 dr, from a 30-digit quadrature of the warp
+    mp = pytest.importorskip("mpmath")
+    for m, warp in ((unit_sphere(3), mp.sin), (unit_sphere(5), mp.sin), (hyperbolic_cap(3, 1.0, 1.0), mp.sinh)):
+        forms_m = assemble_forms(build_grid(m.r_max, 64, 2.0, "reflected"), m, 2.0)
+        with mp.workdps(30):
+            integral = mp.quad(lambda r: warp(r) ** (m.N - 1) / r**2, [0, m.r_max])
+        want = sphere_area(m.N - 1) * float(integral)
+        assert float(forms_m.w2.sum()) == pytest.approx(want, rel=1e-10), (m.kind, m.N)
 
 
 def test_stiffness_annihilates_constants():

@@ -253,6 +253,17 @@ def test_mixing_matches_plain_step(N, lam, sigma, M, monkeypatch):
     assert mixed.iterations_total <= plain.iterations_total
 
 
+def test_one_normal_equations_binding_per_call(monkeypatch):
+    # the four starts of a call share one bound solver and one set of step buffers
+    bindings = []
+    bind = _kernels.NormalEquations
+    monkeypatch.setattr(_kernels, "NormalEquations", lambda order: bindings.append(order) or bind(order))
+    for m, bc in ((unit_sphere(4), "reflected"), (euclidean_ball(3, 1.0), "dirichlet")):
+        res = minimize_quotient(assemble_forms(build_grid(m.r_max, 32, 2.0, bc), m, 1.0), -1.0)
+        assert len(res.starts) == 4
+    assert bindings == [minimizer._DEPTH] * 2
+
+
 def test_mixing_skips_dependent_differences():
     # a zero column of dF makes the normal equations exactly singular (a
     # zero row and column of the Gram matrix): no candidate

@@ -58,7 +58,7 @@ def _mixed(g, f, d_u, d_f):
     return np.abs(g - gamma @ (np.array(d_u) + df))
 
 
-def _descend_oracle(forms, lam, a, abs_a, factor, power, u0, tag, max_iters):
+def _descend_oracle(forms, lam, a, abs_a, factor, power, work, u0, tag, max_iters):
     sl = forms.dof
     u, grad = _project_grad(forms, forms.check_profile(np.asarray(u0, dtype=float).copy()))
     with np.errstate(over="ignore"):

@@ -45,12 +45,29 @@ def test_mu_curve_shape_and_decrease():
 
 @pytest.mark.parametrize(
     "m,lams",
-    [(unit_sphere(3), np.linspace(-2.0, 1.0, 9)), (euclidean_ball(3, 1.0), np.linspace(0.0, 8.0, 9))],
+    [
+        (unit_sphere(3), np.linspace(-2.0, 1.0, 9)),
+        (euclidean_ball(3, 1.0), np.linspace(0.0, 8.0, 9)),
+        (hyperbolic_cap(3), np.linspace(-3.0, 1.0, 9)),
+    ],
 )
 def test_mu_curve_matches_single_solves(m, lams):
+    # each curve solve is seeded by the one before, each single solve is not
     curve = mu_curve(m, lams, M=256)
     for lam, mu, conc in zip(curve.lambdas, curve.mus, curve.concentrations):
         assert (mu, conc) == mu_of_lambda(m, lam, M=256)[:2], lam
+
+
+@pytest.mark.parametrize("m", [unit_sphere(3), hyperbolic_cap(3)], ids=["S3", "H3"])
+def test_seeded_curve_makes_fewer_tests_than_single_solves(m):
+    lams = np.linspace(-3.0, 1.0, 9)
+    before = _kernels.COUNTS["definite_tests"]
+    mu_curve(m, lams, M=256)
+    seeded = _kernels.COUNTS["definite_tests"] - before
+    for lam in lams:
+        mu_of_lambda(m, lam, M=256)
+    single = _kernels.COUNTS["definite_tests"] - before - seeded
+    assert seeded < single
 
 
 @pytest.mark.parametrize(
