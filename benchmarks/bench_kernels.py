@@ -5,8 +5,11 @@ one process.
 
 Prints ns per row (recurrences), per cell (power functional) or per call
 (the Anderson solve) of the LAPACK backend, of the Python-float backend (the
-LAPACK handles set to None) and of the reference loop, and the measured
-ratios reference / backend.  The power
+LAPACK handles set to None) and of the reference loop, each as the minimum
+and the median over ``--repeat`` timed calls ("min/median"), and the
+ratios reference / backend of the medians.  A row whose median lies far
+above its minimum had slow calls, which a kernel that is slow on every
+call does not show.  The power
 functional is the same NumPy code on both backends, so it is timed once.
 The ``bisection test``, ``factor`` and ``bound solve`` rows use the
 pencil's workspace as the eigensolver and the lambda-star bracket do: one
@@ -29,7 +32,9 @@ difference of the two rows is the per-call cost around the count.
 The power functional is timed at p = 2.6667 (the exponent of
 ``perfbench/kernel_bench.py``), 3 (the S^4 and S^5 cases of the minimizer
 workload) and 4 (its flat ball), on M = 4096 cells and on a 256-cell table,
-where the per-call overhead shows.  ``power_moment_grad`` is timed on a
+where the per-call overhead shows, each table as wide as the one
+``forms.assemble_forms`` builds (``forms._GAUSS_ORDER`` points per cell, at
+its Legendre points).  ``power_moment_grad`` is timed on a
 non-negative profile (rows ``power_moment_grad+``: its sign-free path, which
 the minimizer's starts and mixed candidates take) and on a signed one (rows
 ``power_moment_grad+-``: the general path).  The ``workspace value+`` and
@@ -45,7 +50,7 @@ differences on 64 free nodes, through one ``NormalEquations`` per backend
 (the Gram matrix and right-hand side formed in its buffer and one bound
 ``dgesv`` call), against ``numpy.linalg.solve(R @ R.T, R @ f)``, which the
 minimizer called before and the Python backend still calls.
-Inputs: M = 4096, numpy rng seed 7 (the same as ``perfbench/kernel_bench.py``).
+Inputs: M = 4096, numpy rng seed 7 (the seed of ``perfbench/kernel_bench.py``).
 
 The quadrature rows time one call, in microseconds, of ``bubble_moments``
 (its moment tables) and of ``expansion.quotient_series`` (its stacked
@@ -74,6 +79,7 @@ from hardylab import _kernels  # noqa: E402
 from hardylab.bubble import bubble_moments  # noqa: E402
 from hardylab.eigensolver import inertia_count  # noqa: E402
 from hardylab.expansion import quotient_series  # noqa: E402
+from hardylab.forms import _GAUSS_ORDER, _cell_points  # noqa: E402
 from hardylab.manifold import unit_sphere  # noqa: E402
 from test_kernels import (  # noqa: E402
     _definite_py,
@@ -152,14 +158,21 @@ def anderson_solve_numpy(rows, f):
         np.linalg.solve(rows @ rows.T, rows @ f)
 
 
-def median_ns(fn, args, per, repeat):
+def time_ns(fn, args, per, repeat):
+    """The minimum and the median over ``repeat`` timed calls, in ns per
+    ``per``, after one untimed call."""
     fn(*args)
     times = []
     for _ in range(repeat):
         t0 = time.perf_counter()
         fn(*args)
         times.append(time.perf_counter() - t0)
-    return 1e9 * statistics.median(times) / per
+    return 1e9 * min(times) / per, 1e9 * statistics.median(times) / per
+
+
+def _spread(t):
+    """A (minimum, median) pair as "min/median"."""
+    return f"{t[0]:.0f}/{t[1]:.0f}"
 
 
 def bound_solve(d, e, w, b):
@@ -203,8 +216,8 @@ def main():
     w = np.abs(rng.standard_normal(M)) + 0.5
     b = rng.standard_normal(M)
     u = np.abs(rng.standard_normal(M + 1)) + 0.1
-    wq = np.abs(rng.standard_normal((M, 16)))
-    tq = np.linspace(0.02, 0.98, 16)
+    wq = np.abs(rng.standard_normal((M, _GAUSS_ORDER)))  # the width of the forms' table
+    tq = _cell_points(_GAUSS_ORDER)
     u_signed = rng.standard_normal(M + 1)
 
     def grad_loop(u, wq, tq, p):
@@ -250,24 +263,25 @@ def main():
             ]
     lapack = _kernels.BACKEND == "lapack"
     header = (
-        f"{'kernel':34s} {'unit':>8s} {'lapack':>8s} {'python':>8s} {'reference':>10s}"
+        f"{'kernel':34s} {'unit':>8s} {'lapack':>11s} {'python':>11s} {'reference':>13s}"
         f" {'ref/lapack':>11s} {'ref/python':>11s}"
     )
-    print(f"backend resolved at import: {_kernels.BACKEND}")
+    print(f"backend resolved at import: {_kernels.BACKEND}; |u|^p tables of {_GAUSS_ORDER} points per cell")
+    print("times are min/median over the repeats; ratios of the medians")
     print(header)
     print("-" * len(header))
     for name, unit, fast, ref, args in rows:
         # the reference power loops are ~100x slower; time them less often
         ref_repeat = repeat if unit != "cell" else max(1, repeat // 5)
         per = {"row": args[0].shape[0], "cell": args[1].shape[0], "call": ANDERSON}[unit]  # rows, cells of the table, or calls
-        t_lapack = median_ns(fast, args, per, repeat) if lapack and unit != "cell" else None
+        t_lapack = time_ns(fast, args, per, repeat) if lapack and unit != "cell" else None
         with python_backend():
-            t_python = median_ns(fast, args, per, repeat)
-        t_ref = median_ns(ref, args, per, ref_repeat)
-        lapack_ns, lapack_ratio = ("-", "-") if t_lapack is None else (f"{t_lapack:.0f}", f"{t_ref / t_lapack:.1f}x")
+            t_python = time_ns(fast, args, per, repeat)
+        t_ref = time_ns(ref, args, per, ref_repeat)
+        lapack_ns, lapack_ratio = ("-", "-") if t_lapack is None else (_spread(t_lapack), f"{t_ref[1] / t_lapack[1]:.1f}x")
         print(
-            f"{name:34s} {'ns/' + unit:>8s} {lapack_ns:>8s} {t_python:8.0f} {t_ref:10.0f}"
-            f" {lapack_ratio:>11s} {t_ref / t_python:10.1f}x"
+            f"{name:34s} {'ns/' + unit:>8s} {lapack_ns:>11s} {_spread(t_python):>11s} {_spread(t_ref):>13s}"
+            f" {lapack_ratio:>11s} {t_ref[1] / t_python[1]:10.1f}x"
         )
 
     s5 = unit_sphere(5)
@@ -276,14 +290,14 @@ def main():
         ("bubble_moments N=4", bubble_moments, bubble_moments_ref, (4, 1.0)),
         ("quotient_series S5", quotient_series, quotient_series_ref, (s5, -1.0, 1.0, (4, 8, 16, 32, 64))),
     ]
-    header = f"{'quadrature':30s} {'unit':>8s} {'new':>8s} {'reference':>10s} {'ref/new':>11s}"
+    header = f"{'quadrature':30s} {'unit':>8s} {'new':>11s} {'reference':>13s} {'ref/new':>11s}"
     print()
     print(header)
     print("-" * len(header))
     for name, fast, ref, args in quadrature:
-        t_new = median_ns(fast, args, 1000, repeat)
-        t_ref = median_ns(ref, args, 1000, repeat)
-        print(f"{name:30s} {'us/call':>8s} {t_new:8.0f} {t_ref:10.0f} {t_ref / t_new:10.2f}x")
+        t_new = time_ns(fast, args, 1000, repeat)
+        t_ref = time_ns(ref, args, 1000, repeat)
+        print(f"{name:30s} {'us/call':>8s} {_spread(t_new):>11s} {_spread(t_ref):>13s} {t_ref[1] / t_new[1]:10.2f}x")
 
 
 if __name__ == "__main__":

@@ -2,17 +2,28 @@
 
 Piecewise-linear elements on a power-graded grid r_i = r_max (i/M)^gamma.
 The Dirichlet form K and the plain mass form are assembled consistently
-(symmetric tridiagonal, exact per-cell 16-point Gauss in the weight
-r-power times psi^{N-1}); the singular sigma=2 weight is a row-sum lumped
-diagonal, which keeps the eigenvalue pencil tridiagonal-vs-diagonal and is
-exact on constants.  Its integrand (psi/r)^2 psi^{N-3} is formed from the
-warp values the other forms use (Gauss points lie inside their cells, so
-r > 0), so an assembly evaluates the warp once.  All forms carry the full
-surface factor |S^{N-1}|, so quotient values are directly comparable to the
-sharp constants.
+(symmetric tridiagonal, per-cell 8-point Gauss-Legendre in the smooth
+weight psi^{N-1}, which reaches rounding there); the singular sigma=2
+weight is a row-sum lumped diagonal, which keeps the eigenvalue pencil
+tridiagonal-vs-diagonal and is exact on constants.  Its integrand
+(psi/r)^2 psi^{N-3} is formed from the warp values the other forms use
+(Gauss points lie inside their cells, so r > 0), so an assembly evaluates
+the warp once.  All forms carry the full surface factor |S^{N-1}|, so
+quotient values are directly comparable to the sharp constants.
 
 The sigma < 2 constraint functional and its first variation are evaluated
-from per-cell Gauss tables through the kernels module (vectorized NumPy).
+from one (cells, 8) weight table through the kernels module (vectorized
+NumPy), at the same 8 Legendre points t_j of every cell.  On cell
+0 = [0, r_1] the weight r^{-sigma} psi^{N-1} = r^alpha (psi/r)^{N-1},
+alpha = N - 1 - sigma, is not smooth at r = 0 unless alpha is an integer,
+and Gauss-Legendre converges there only algebraically: 16 Legendre points
+over-estimate F by 1.3e-5 relative on the flat ball N = 3, sigma = 1.9,
+M = 256, which puts the quotient below its own profile's.  Cell 0's row
+therefore takes the interpolatory weights omega_j = int_0^1 t^alpha
+l_j(t) dt at those points (``_first_cell``), exact for t^alpha times any
+polynomial of degree < 8, so the smooth rest (psi/r)^{N-1} |u|^p is
+integrated to rounding: F within 3e-11 relative of a 30-digit reference
+there.
 ``gauss_panels`` is the package's one composite Gauss-Legendre rule; the
 bubble moments, the expansion family and the constant-profile bound use it
 too.
@@ -46,7 +57,7 @@ __all__ = [
 ]
 
 _BCS = ("dirichlet", "reflected")
-_GAUSS_ORDER = 16
+_GAUSS_ORDER = 8  # Gauss points per cell, for every table assembled here
 
 
 @dataclass(frozen=True)
@@ -135,6 +146,42 @@ def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
+def _cell_points(order: int) -> np.ndarray:
+    """The ``order`` Legendre points mapped to [0, 1]: where every cell's
+    table is evaluated."""
+    return 0.5 * (_legendre(order)[0] + 1.0)
+
+
+def _jacobi(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Jacobi nodes and weights for the weight t^alpha on
+    [0, 1] (alpha > -1), by Golub-Welsch (Math. Comp. 23, 1969): the nodes
+    are the eigenvalues of the Jacobi matrix of the recurrence for
+    P_k^{(0, alpha)}(2t - 1), the weights the squared first components of
+    its eigenvectors times int_0^1 t^alpha dt = 1/(alpha + 1)."""
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + alpha
+    diag = 0.5 + 0.5 * alpha * alpha / (s * (s + 2.0))
+    diag[0] = (alpha + 1.0) / (alpha + 2.0)
+    k, s = k[1:], s[1:]
+    off = k * (k + alpha) / s * np.sqrt(1.0 / ((s + 1.0) * (s - 1.0)))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return x, v[0] ** 2 / (alpha + 1.0)
+
+
+@lru_cache(maxsize=None)
+def _first_cell(alpha: float, order: int) -> np.ndarray:
+    """omega_j = int_0^1 t^alpha l_j(t) dt for the Lagrange polynomials l_j
+    of the ``order`` Legendre points t_j on [0, 1]: the interpolatory rule
+    at those points for the weight t^alpha, from a Gauss-Jacobi rule of
+    2 * order nodes, which integrates each t^alpha l_j exactly."""
+    t = _cell_points(order)
+    x, w = _jacobi(alpha, 2 * order)
+    eye = np.eye(order, dtype=bool)
+    ratio = (x - t[:, None])[None] / np.where(eye, 1.0, t[:, None] - t)[:, :, None]  # (x - t_k)/(t_j - t_k)
+    ratio[eye] = 1.0
+    return ratio.prod(axis=1) @ w
+
+
 def gauss_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on every panel [edges[i], edges[i+1]],
     as two (panels, order) arrays."""
@@ -146,8 +193,7 @@ def gauss_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]
 
 def _cell_quadrature(grid: RadialGrid):
     rq, wq = gauss_panels(grid.nodes, _GAUSS_ORDER)
-    t = 0.5 * (_legendre(_GAUSS_ORDER)[0] + 1.0)
-    return rq, wq, t
+    return rq, wq, _cell_points(_GAUSS_ORDER)
 
 
 def _to_nodes(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -194,10 +240,12 @@ def assemble_forms(grid: RadialGrid, m: ModelManifold, sigma: float) -> Quadrati
         grid=grid, manifold=m, sigma=s, kd=kd, ke=ke, md=md, me=me, w2=w2
     )
     if s < 2.0:
-        with np.errstate(divide="ignore"):
-            hs_w = base * np.where(rq > 0.0, rq, 1.0) ** (-s)
-        forms.hs_weights = np.ascontiguousarray(hs_w)
-        forms.hs_t = np.ascontiguousarray(t)
+        hs_w = base * rq ** (-s)  # Gauss points lie inside their cells, so r > 0
+        # cell 0: |S^{N-1}| r_1^{alpha+1} omega_j (psi/r)^{N-1}, exact in t^alpha
+        alpha, r1 = n - 1 - s, grid.nodes[1]
+        hs_w[0] = om * r1 ** (alpha + 1.0) * _first_cell(alpha, _GAUSS_ORDER) * (psi[0] / rq[0]) ** (n - 1)
+        forms.hs_weights = hs_w
+        forms.hs_t = t
         forms.p_crit = critical_exponent(s, n)
     return forms
 

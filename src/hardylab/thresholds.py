@@ -34,7 +34,7 @@ from . import _kernels
 from .constants import hardy_constant, hardy_sobolev_constant
 from .eigensolver import EigenResult, _bisect, _check_weight, smallest_generalized_eigen
 from .errors import DomainError, SweepRangeError
-from .forms import assemble_forms, build_grid, gauss_panels
+from .forms import _GAUSS_ORDER, assemble_forms, build_grid, gauss_panels
 from .manifold import ModelManifold, curvature_criterion
 from .minimizer import _GRAD_TOL, MinimizationResult, minimize_quotient
 
@@ -132,9 +132,10 @@ def mu_curve(
 def constant_profile_bound(m: ModelManifold) -> float:
     """Quotient of the constant profile at the cap: the threshold must sit at
     or below lambda = -cap * Vol / int rho^{-2} dv, computed by direct
-    quadrature of the warp, evaluated once (Gauss points lie in (0, r_max),
-    so psi/r is finite)."""
-    r, wq = (q.ravel() for q in gauss_panels(np.linspace(0.0, m.r_max, 65), 64))
+    quadrature of the warp, evaluated once: the forms' per-cell order on 64
+    panels, which reaches rounding on these entire integrands (Gauss points
+    lie in (0, r_max), so psi/r is finite)."""
+    r, wq = (q.ravel() for q in gauss_panels(np.linspace(0.0, m.r_max, 65), _GAUSS_ORDER))
     psi = m.warp(r)
     vol = float(np.dot(wq, psi ** (m.N - 1)))
     inv2 = float(np.dot(wq, (psi / r) ** 2 * psi ** (m.N - 3)))

@@ -2,18 +2,20 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from test_forms import flat_ball_reference
 from test_kernels import kernel_calls
 
 from hardylab import _kernels, cli
 from hardylab.cli import main
-from hardylab.forms import assemble_forms, build_grid
+from hardylab.forms import assemble_forms, build_grid, evaluate_quotient, tri_quadform
 from hardylab.manifold import unit_sphere
-from hardylab.minimizer import minimize_quotient
+from hardylab.minimizer import _rounding, minimize_quotient
 from hardylab.thresholds import strict_inequality_report
 
 
@@ -93,6 +95,22 @@ def test_flat_ball_solve_converges_without_warning(tmp_path, capsys):
     res = read_records(tmp_path)[-1]["results"]
     assert res["converged"] is True
     assert res["iterations"] <= res["iterations_total"] <= 4 * 800
+
+
+@pytest.mark.parametrize("sigma", [1.5, 1.9])
+def test_solve_prints_an_upper_bound_of_its_profile(sigma, tmp_path, capsys):
+    # Q(u_h) = u'Ku / F(u_h)^{2/p} with F to 30 digits; the printed value is
+    # the quotient of that profile and may lie below Q(u_h) only by the
+    # rounding of u'Ku (gamma_{n+3} |u|'|K||u|) and by what F's quadrature
+    # error, at most 1e-10 relative (test_forms), moves: (2/p) 1e-10 mu
+    forms, u, f_ref = flat_ball_reference(sigma)
+    args = ["solve", "--sigma", str(sigma), "--lambda", "0", "--manifold", "euclidean-ball", "--dim", "3", "--rmax", "1"]
+    assert run([*args, "--nodes", "256"], tmp_path) == 0
+    printed = float(re.search(r"^mu_upper = (\S+)$", capsys.readouterr().out, re.M).group(1))
+    assert printed == evaluate_quotient(forms, u, 0.0)  # the same profile
+    quotient = tri_quadform(forms.kd, forms.ke, u) / f_ref ** (2.0 / forms.p_crit)
+    bound = _rounding((np.abs(forms.kd), np.abs(forms.ke)), u) + 2.0 / forms.p_crit * 1e-10 * printed
+    assert printed >= quotient - bound
 
 
 def test_records_count_iterations_over_all_starts(tmp_path):

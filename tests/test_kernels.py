@@ -322,6 +322,36 @@ def test_definite_test_rebuilds_the_off_diagonal():
     assert _check_definite_test(d, e, w, np.array([0.1]), (0.0, 1.0, 0.0)) == [True, False, True]
 
 
+def _first_row_not_positive(d, e):
+    """dpttrf's info for (d, e): the 1-based row of the first LDL^T pivot
+    that is not positive, or 0."""
+    piv = float(d[0])
+    for row in range(1, d.shape[0]):
+        if piv <= 0.0:
+            return row
+        piv = float(d[row]) - float(e[row - 1]) / piv * float(e[row - 1])
+    return d.shape[0] if piv <= 0.0 else 0
+
+
+def test_a_test_and_a_factor_set_the_same_info(rng, backend):
+    # a test builds no factor, yet stops at the same row as a factor
+    # attempt: info is that row, or 0 when every pivot is positive
+    rows = set()
+    for d, e in list(_random_pencils(rng)) + list(_graded_pencils()):
+        pencil = K.PencilWorkspace(d, e, np.ones(d.shape[0]))
+        for s in (-5.0, 0.0, 0.5):
+            want = _first_row_not_positive(d - s, e)
+            definite = pencil(s)
+            assert (pencil._info.value, definite) == (want, want == 0)
+            try:
+                pencil.factor(s)
+            except DomainError:
+                pass
+            assert pencil._info.value == want
+            rows.add(want)
+    assert 0 in rows and len(rows) > 5
+
+
 def test_definite_test_zero_pivots_and_tiny_pencils():
     # an exact zero pivot reads as not definite, from the matrix or the shift
     for d, e in _ZERO_PIVOT_CASES:

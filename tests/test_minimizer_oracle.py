@@ -134,10 +134,13 @@ CASES = {
     "flat-ball-256": (lambda: assemble_forms(build_grid(1.0, 256, 2.0, "dirichlet"), euclidean_ball(3, 1.0), 1.0), 0.0),
     "S4-32": (lambda: _sphere(4, 1.0, 32), -1.0),
     "S4-64": (lambda: _sphere(4, 1.0, 64), -1.0),
-    "S5-32-sigma-0.5": (lambda: _sphere(5, 0.5, 32), -0.5),  # Q rises on one step
+    "S5-32-sigma-0.5": (lambda: _sphere(5, 0.5, 32), -0.5),
+    "S4-32-sigma-0.5": (lambda: _sphere(4, 0.5, 32), -0.5),
     "S4-64-shifted": (lambda: _sphere(4, 1.0, 64), 0.5),
     "S3-64-shifted": (lambda: _sphere(3, 1.0, 64), 1.0),
 }
+# the cases on which Q rises, by rounding, on one step of one start
+RISES = {"S4-32-sigma-0.5", "S4-64-shifted"}
 FIELDS = ("mu_upper", "iterations", "iterations_total", "grad_norm", "converged")
 
 
@@ -161,7 +164,7 @@ def test_step_matches_oracle_bit_for_bit(case, monkeypatch):
     assert _bits(got, got_calls) == _bits(want, want_calls)
     assert got.converged and [s["stop"] for s in got.starts] == ["converged"] * 4
     # the bounds are formed only where Q rises, two per rise test
-    assert len(rises) == (2 if case == "S5-32-sigma-0.5" else 0)
+    assert len(rises) == (2 if case in RISES else 0)
 
 
 def test_stop_reasons_and_oracle_at_a_small_budget(monkeypatch):
@@ -182,8 +185,8 @@ def test_stop_reasons_and_oracle_at_a_small_budget(monkeypatch):
 
 
 def test_a_rise_past_a_zero_bound_stops_its_start(monkeypatch):
-    # with the rounding bound read as 0, the one step of S^5 (sigma = 0.5)
-    # on which Q rises ends the bubble(8) start with stop "rise"
+    # with the rounding bound read as 0, the one step of S^4 (sigma = 0.5)
+    # on which Q rises ends the bubble(32) start with stop "rise"
     monkeypatch.setattr(minimizer, "_rounding", lambda abs_a, u: 0.0)
-    res = minimize_quotient(_sphere(5, 0.5, 32), -0.5)
-    assert [s["stop"] for s in res.starts] == ["converged", "converged", "rise", "converged"]
+    res = minimize_quotient(_sphere(4, 0.5, 32), -0.5)
+    assert [s["stop"] for s in res.starts] == ["converged", "converged", "converged", "rise"]
