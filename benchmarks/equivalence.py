@@ -20,9 +20,8 @@ may spend fewer calls on the same numbers.
 
 A change that moves numbers on purpose states a bar per number: ``--bar
 KEY=REL`` (repeatable) lets every value named KEY change by at most REL,
-relative to the larger magnitude of the two.  KEY names a float or an
-integer count (not a bool) in a record's ``results``, such as the
-minimizer's step counts, a CSV column (by its header) and a stdout value
+relative to the larger magnitude of the two.  KEY names a float in a
+record's ``results``, a CSV column (by its header) and a stdout value
 written ``KEY = v`` or ``KEY=v``; each such value is masked before the
 answers are compared and its change is measured apart.  The summary gives,
 per command whose results differ only in barred values, each key it
@@ -118,9 +117,8 @@ def _masked(results: dict, keys) -> tuple[dict, dict]:
                     continue
                 found = dict(record["results"])
                 for key in keys:
-                    value = found.get(key)
-                    if _is_hex_float(value) or type(value) is int:
-                        values[key].append(float.fromhex(value) if isinstance(value, str) else float(value))
+                    if _is_hex_float(found.get(key)):
+                        values[key].append(float.fromhex(found[key]))
                         found[key] = _MASK
                 records.append({**record, "results": found})
         elif name.endswith(".csv") and part:

@@ -51,9 +51,7 @@ executor, with its arguments, when it is made:
 - ``"python"``, when the library or a symbol is missing: stand-ins that
   make the same operations in the same order on Python floats, read from
   the buffer with ``tolist`` once and written back (``dpttrf``'s sets its
-  ``info``), so both backends give the same bits.  A definiteness test
-  reads only ``info``, so its ``dpttrf`` stand-in writes nothing back; a
-  factor's builds the pivots and multipliers and writes them.
+  ``info``), so both backends give the same bits.
 
 ``NormalEquations`` solves the Gram system of k <= order rows with the same
 library's ``dgesv``, bound once per order k to one buffer; where the
@@ -118,22 +116,12 @@ def _address(buf):
 # The pencil workspace: definiteness test and LDL^T factor of T - s*W.
 # ---------------------------------------------------------------------------
 
-def _pttrf_py(buf, n, info, keep=False):
+def _pttrf_py(buf, n, info):
     """``dpttrf`` on buf = [d, e] in Python floats, with its ``info``: the
     first pivot that is not positive stops it (info = its row); else
-    info = 0.  Only with ``keep`` (a factor) does it build the pivots and
-    multipliers and write [D, L] back into buf; a definiteness test reads
-    ``info`` alone, so it makes the same operations without them."""
+    info = 0 and buf holds [D, L]."""
     d = buf.tolist()
     piv = d[0]
-    if not keep:
-        for row, di, ei in zip(range(1, n), d[1:n], d[n:]):
-            if piv <= 0.0:
-                info.value = row
-                return
-            piv = di - ei / piv * ei
-        info.value = n if piv <= 0.0 else 0
-        return
     pivots, low = [piv], []
     for di, ei in zip(d[1:n], d[n:]):
         if piv <= 0.0:
@@ -179,17 +167,14 @@ class PencilWorkspace:
         self._scratch = np.empty(n)
         self._scratch_off = self._scratch[: n - 1]
         self._info = ctypes.c_int64()
-        if _PTTRF is None:  # only a factor writes [D, L] back
+        if _PTTRF is None:
             self._pttrf, self._args = _pttrf_py, (buf, n, self._info)
-            self._factor_args = self._args + (True,)
         else:  # raw addresses, which keep no array alive
             at = _address(buf)
             self._pttrf, self._args = _PTTRF, (ctypes.byref(ctypes.c_int64(n)), at, at + 8 * n, ctypes.byref(self._info))
-            self._factor_args = self._args
 
-    def _definite(self, s, args):
-        """T - s*W formed in the buffer, and one ``dpttrf`` run on it with
-        ``args``."""
+    def _definite(self, s):
+        """T - s*W formed in the buffer, and one ``dpttrf`` run on it."""
         d, e, w, w_off = self._pencil
         diag, off, scratch = self._diag, self._off, self._scratch
         np.multiply(w, s, scratch)
@@ -200,18 +185,18 @@ class PencilWorkspace:
             scratch = self._scratch_off
             np.multiply(w_off, s, scratch)
             np.subtract(e, scratch, off)
-        self._pttrf(*args)
+        self._pttrf(*self._args)
         return self._info.value == 0
 
     def __call__(self, s):
         COUNTS["definite_tests"] += 1
-        return self._definite(s, self._args)
+        return self._definite(s)
 
     def factor(self, s):
         """The ``LDLFactor`` of T - s*W, or a ``DomainError`` when it does
         not test definite."""
         COUNTS["factorizations"] += 1
-        if not self._definite(s, self._factor_args):
+        if not self._definite(s):
             raise DomainError(f"T - s*W is not positive definite at s = {s!r}, so it has no LDL^T factor")
         return LDLFactor(self._diag, self._off)
 

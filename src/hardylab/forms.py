@@ -152,34 +152,20 @@ def _cell_points(order: int) -> np.ndarray:
     return 0.5 * (_legendre(order)[0] + 1.0)
 
 
-def _jacobi(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Jacobi nodes and weights for the weight t^alpha on
-    [0, 1] (alpha > -1), by Golub-Welsch (Math. Comp. 23, 1969): the nodes
-    are the eigenvalues of the Jacobi matrix of the recurrence for
-    P_k^{(0, alpha)}(2t - 1), the weights the squared first components of
-    its eigenvectors times int_0^1 t^alpha dt = 1/(alpha + 1)."""
-    k = np.arange(n, dtype=float)
-    s = 2.0 * k + alpha
-    diag = 0.5 + 0.5 * alpha * alpha / (s * (s + 2.0))
-    diag[0] = (alpha + 1.0) / (alpha + 2.0)
-    k, s = k[1:], s[1:]
-    off = k * (k + alpha) / s * np.sqrt(1.0 / ((s + 1.0) * (s - 1.0)))
-    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return x, v[0] ** 2 / (alpha + 1.0)
-
-
 @lru_cache(maxsize=None)
 def _first_cell(alpha: float, order: int) -> np.ndarray:
     """omega_j = int_0^1 t^alpha l_j(t) dt for the Lagrange polynomials l_j
     of the ``order`` Legendre points t_j on [0, 1]: the interpolatory rule
-    at those points for the weight t^alpha, from a Gauss-Jacobi rule of
-    2 * order nodes, which integrates each t^alpha l_j exactly."""
-    t = _cell_points(order)
-    x, w = _jacobi(alpha, 2 * order)
-    eye = np.eye(order, dtype=bool)
-    ratio = (x - t[:, None])[None] / np.where(eye, 1.0, t[:, None] - t)[:, :, None]  # (x - t_k)/(t_j - t_k)
-    ratio[eye] = 1.0
-    return ratio.prod(axis=1) @ w
+    at those points for the weight t^alpha.  The Gauss rule (weights w_j/2)
+    is exact through degree 2 * order - 1, so the shifted Legendre
+    polynomials P_k(2t - 1), k < order, are orthogonal on its points and
+    omega_j = (w_j/2) sum_k (2k + 1) P_k(2t_j - 1) m_k, with the moments
+    m_k = int_0^1 t^alpha P_k(2t - 1) dt
+        = prod_{i<k} (alpha - i) / prod_{i=1}^{k+1} (alpha + i)."""
+    x, w = _legendre(order)
+    k = np.arange(1.0, order)
+    m = np.cumprod(np.concatenate(([1.0 / (alpha + 1.0)], (alpha - k + 1.0) / (alpha + k + 1.0))))
+    return 0.5 * w * (np.polynomial.legendre.legvander(x, order - 1) @ ((2.0 * np.arange(order) + 1.0) * m))
 
 
 def gauss_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:

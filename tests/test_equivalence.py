@@ -145,13 +145,3 @@ def test_barred_values_in_stdout_csv_and_records(equivalence):
     assert equivalence._barred(grown, old, {"mu": 1.0})[0] == ["records.jsonl"]
     wider = {**old, "t.csv": [["lambda", "mu", "mu"], ["-1.0", "0.25", "0.25"]]}
     assert equivalence._barred(wider, old, {"mu": 1.0})[0] == ["t.csv"]
-
-
-def test_a_barred_count_in_a_record(equivalence):
-    # an integer count such as a step count takes a bar; a bool does not
-    old = {"records.jsonl": [{"results": {"iterations": 16, "converged": True}}]}
-    new = {"records.jsonl": [{"results": {"iterations": 21, "converged": True}}]}
-    parts, changes = equivalence._barred(new, old, {"iterations": 0.5})
-    assert parts == [] and changes["iterations"] == pytest.approx((5 / 21, 5))
-    flipped = {"records.jsonl": [{"results": {"iterations": 16, "converged": False}}]}
-    assert equivalence._barred(flipped, old, {"converged": 1.0})[0] == ["records.jsonl"]

@@ -334,8 +334,8 @@ def _first_row_not_positive(d, e):
 
 
 def test_a_test_and_a_factor_set_the_same_info(rng, backend):
-    # a test builds no factor, yet stops at the same row as a factor
-    # attempt: info is that row, or 0 when every pivot is positive
+    # a test and a factor attempt stop at the same row: info is that row,
+    # or 0 when every pivot is positive
     rows = set()
     for d, e in list(_random_pencils(rng)) + list(_graded_pencils()):
         pencil = K.PencilWorkspace(d, e, np.ones(d.shape[0]))

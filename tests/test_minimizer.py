@@ -315,7 +315,7 @@ def test_counters_match_kernel_calls(forms, lam, monkeypatch):
     [
         (1.0, 4, -1.0, 800, False, {"converged"}),
         (1.0, 4, -1.0, 3, False, {"max_iters"}),
-        (0.5, 4, -0.5, 800, True, {"converged", "rise"}),
+        (0.5, 6, -0.5, 800, True, {"converged", "rise"}),
     ],
     ids=["converged", "max_iters", "rise"],
 )
