@@ -60,6 +60,12 @@ family pass) against the per-moment and per-n quadratures that
 truncated log-divergent pair) at sigma = 1, and S^5 at lambda = -1,
 sigma = 1, n = 4, 8, 16, 32, 64.
 
+The assembly rows time, in ns per cell, one ``forms.assemble_forms`` at
+sigma = 2 on S^3 (M = 512, the benchmark's pencil size, and M = 4096) and
+at sigma = 1 on S^4 (M = 256, with its |u|^p table), and one
+``forms.assemble_lumped_weight`` of ``hardy_refined``'s log weight
+r^-2 (log r)^-2 on the flat ball N = 3 (r0 = 0.1, gamma = 3, M = 1024).
+
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
 
@@ -79,8 +85,8 @@ from hardylab import _kernels  # noqa: E402
 from hardylab.bubble import bubble_moments  # noqa: E402
 from hardylab.eigensolver import inertia_count  # noqa: E402
 from hardylab.expansion import quotient_series  # noqa: E402
-from hardylab.forms import _GAUSS_ORDER, _cell_points  # noqa: E402
-from hardylab.manifold import unit_sphere  # noqa: E402
+from hardylab.forms import _GAUSS_ORDER, _cell_points, assemble_forms, assemble_lumped_weight, build_grid  # noqa: E402
+from hardylab.manifold import euclidean_ball, unit_sphere  # noqa: E402
 from test_kernels import (  # noqa: E402
     _definite_py,
     _ldl_factor_py,
@@ -298,6 +304,27 @@ def main():
         t_new = time_ns(fast, args, 1000, repeat)
         t_ref = time_ns(ref, args, 1000, repeat)
         print(f"{name:30s} {'us/call':>8s} {_spread(t_new):>11s} {_spread(t_ref):>13s} {t_ref[1] / t_new[1]:10.2f}x")
+
+    s3, s4, ball = unit_sphere(3), unit_sphere(4), euclidean_ball(3, 0.1)
+    log_grid = build_grid(0.1, 1024, 3.0, "dirichlet")
+
+    def log_weight(r):
+        return 1.0 / np.square(r * np.log(r))
+
+    assembly = [
+        *(
+            (f"assemble_forms S3 sigma=2 M={n}", assemble_forms, (build_grid(np.pi, n, 2.0, "reflected"), s3, 2.0))
+            for n in (PENCIL, M)
+        ),
+        ("assemble_forms S4 sigma=1 M=256", assemble_forms, (build_grid(np.pi, SMALL, 2.0, "reflected"), s4, 1.0)),
+        ("lumped log weight M=1024", assemble_lumped_weight, (log_grid, ball, log_weight)),
+    ]
+    header = f"{'assembly':34s} {'unit':>8s} {'time':>11s}"
+    print()
+    print(header)
+    print("-" * len(header))
+    for name, fn, args in assembly:
+        print(f"{name:34s} {'ns/cell':>8s} {_spread(time_ns(fn, args, args[0].ncell, repeat)):>11s}")
 
 
 if __name__ == "__main__":

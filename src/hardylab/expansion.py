@@ -111,7 +111,8 @@ def _panel_edges(r_cut: float, n: float, levels_extra: int = 0) -> np.ndarray:
 def _family_integrals(m: ModelManifold, lam, sigma, ns, r_cut, order, levels_extra=0):
     """Energy E and denominator D of u_n for every n in ns: the panel nodes
     of all n are evaluated in one stacked elementwise pass, then each n
-    takes its three dot products on its own slice."""
+    takes its three dot products on its own slice.  eta and eta' are formed
+    on the annulus r > r_cut only: eta = 1 and eta' = 0 exactly inside it."""
     nn = m.N
     om = sphere_area(nn - 1)
     p = critical_exponent(sigma, nn)
@@ -121,13 +122,14 @@ def _family_integrals(m: ModelManifold, lam, sigma, ns, r_cut, order, levels_ext
     w = np.concatenate([weights.ravel() for _, weights in rules])
     amp = [n ** ((nn - 2) / 2.0) for n in ns]
 
-    eta = smooth_cutoff((r - r_cut) / r_cut)
-    deta = smooth_cutoff_deriv((r - r_cut) / r_cut) / r_cut
     nr = np.repeat(ns, sizes) * r
-    wv = np.repeat(amp, sizes) * bubble_value(nr, nn, sigma)
-    wg = np.repeat([a * n for a, n in zip(amp, ns)], sizes) * bubble_grad(nr, nn, sigma)
-    u = eta * wv
-    du = deta * wv + eta * wg
+    u = np.repeat(amp, sizes) * bubble_value(nr, nn, sigma)
+    du = np.repeat([a * n for a, n in zip(amp, ns)], sizes) * bubble_grad(nr, nn, sigma)
+    ann = r > r_cut
+    x = (r[ann] - r_cut) / r_cut
+    eta, deta = smooth_cutoff(x), smooth_cutoff_deriv(x) / r_cut
+    du[ann] = deta * u[ann] + eta * du[ann]
+    u[ann] *= eta
     psi = m.warp(r) ** (nn - 1)
     kin_f = du * du * psi
     mass_f = u * u * psi

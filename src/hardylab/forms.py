@@ -6,10 +6,13 @@ The Dirichlet form K and the plain mass form are assembled consistently
 weight psi^{N-1}, which reaches rounding there); the singular sigma=2
 weight is a row-sum lumped diagonal, which keeps the eigenvalue pencil
 tridiagonal-vs-diagonal and is exact on constants.  Its integrand
-(psi/r)^2 psi^{N-3} is formed from the warp values the other forms use
-(Gauss points lie inside their cells, so r > 0), so an assembly evaluates
-the warp once.  All forms carry the full surface factor |S^{N-1}|, so
-quotient values are directly comparable to the sharp constants.
+psi^{N-1} / r^2 is formed from the warp values the other forms use
+(Gauss points lie inside their cells, so r > 0).  Each (cells, 8) table
+is reduced by one product with the hat products [1, (1-t)^2, t^2, t(1-t)]
+(K, Mass) or the hats [1-t, t] (a lumped weight).  The log weight of
+``assemble_lumped_weight`` takes its cell 0 on graded sub-panels.  All
+forms carry the full surface factor |S^{N-1}|, so quotient values are
+directly comparable to the sharp constants.
 
 The sigma < 2 constraint functional and its first variation are evaluated
 from one (cells, 8) weight table through the kernels module (vectorized
@@ -58,6 +61,7 @@ __all__ = [
 
 _BCS = ("dirichlet", "reflected")
 _GAUSS_ORDER = 8  # Gauss points per cell, for every table assembled here
+_GRADED_LEVELS = 40  # halvings of cell 0 in ``assemble_lumped_weight``
 
 
 @dataclass(frozen=True)
@@ -182,17 +186,19 @@ def _cell_quadrature(grid: RadialGrid):
     return rq, wq, _cell_points(_GAUSS_ORDER)
 
 
+@lru_cache(maxsize=None)
+def _hat_columns(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The hat products [1, (1-t)^2, t^2, t(1-t)] and the hats [1-t, t] at the cell points, as columns."""
+    t = _cell_points(order)
+    return np.column_stack([np.ones(order), (1.0 - t) ** 2, t**2, t * (1.0 - t)]), np.column_stack([1.0 - t, t])
+
+
 def _to_nodes(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Add each cell's contribution to its left and its right node."""
     out = np.zeros(len(left) + 1)
     out[:-1] += left
     out[1:] += right
     return out
-
-
-def _lump(vals: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Row-sum lumping of per-cell quadrature values against the hat functions."""
-    return _to_nodes((vals * (1.0 - t)).sum(axis=1), (vals * t).sum(axis=1))
 
 
 def assemble_forms(grid: RadialGrid, m: ModelManifold, sigma: float) -> QuadraticForms:
@@ -209,18 +215,19 @@ def assemble_forms(grid: RadialGrid, m: ModelManifold, sigma: float) -> Quadrati
     psi = m.warp(rq)
     base = om * wq * psi ** (n - 1)
 
+    mom = base @ _hat_columns(_GAUSS_ORDER)[0]
     # Dirichlet form: per-cell integral of the weight / h^2
-    k_cell = base.sum(axis=1) / np.diff(grid.nodes) ** 2
+    k_cell = mom[:, 0] / np.diff(grid.nodes) ** 2
     kd = _to_nodes(k_cell, k_cell)
     ke = -k_cell
 
     # consistent mass
-    md = _to_nodes((base * (1.0 - t) ** 2).sum(axis=1), (base * t**2).sum(axis=1))
-    me = (base * (1.0 - t) * t).sum(axis=1)
+    md = _to_nodes(mom[:, 1], mom[:, 2])
+    me = mom[:, 3]
 
-    # lumped inverse-square weight r^{-2} psi^{N-1} = (psi/r)^2 psi^{N-3}, from
-    # the warp already evaluated: Gauss points lie inside their cells, so r > 0
-    w2 = _lump(om * wq * (psi / rq) ** 2 * psi ** (n - 3), t)
+    # lumped inverse-square weight r^{-2} psi^{N-1}, from the warp already
+    # evaluated: Gauss points lie inside their cells, so r > 0
+    w2 = _to_nodes(*(base / (rq * rq) @ _hat_columns(_GAUSS_ORDER)[1]).T)
 
     forms = QuadraticForms(
         grid=grid, manifold=m, sigma=s, kd=kd, ke=ke, md=md, me=me, w2=w2
@@ -237,10 +244,20 @@ def assemble_forms(grid: RadialGrid, m: ModelManifold, sigma: float) -> Quadrati
 
 
 def assemble_lumped_weight(grid: RadialGrid, m: ModelManifold, weight_fn) -> np.ndarray:
-    """Row-sum lumped diagonal for an arbitrary radial weight function."""
-    om = sphere_area(m.N - 1)
-    rq, wq, t = _cell_quadrature(grid)
-    return _lump(om * wq * m.warp(rq) ** (m.N - 1) * weight_fn(rq), t)
+    """Row-sum lumped diagonal for a radial weight function.  Cell 0 is
+    integrated on the graded sub-panels [0, r_1 2^-40] and [r_1 2^-k,
+    r_1 2^(1-k)], k = 40..1, 8 points each: a weight singular at r = 0 can
+    leave an integrand not smooth there (1/log^2 r for r^-2 (log r)^-2 at
+    N = 3, which one 8-point panel reads 9e-4 relative high)."""
+    om, n = sphere_area(m.N - 1), m.N
+    rq, wq, _ = _cell_quadrature(grid)
+    mom = om * wq * m.warp(rq) ** (n - 1) * weight_fn(rq) @ _hat_columns(_GAUSS_ORDER)[1]
+    r1 = grid.nodes[1]
+    rs, ws = gauss_panels(r1 * np.concatenate(([0.0], 2.0 ** -np.arange(_GRADED_LEVELS, -1.0, -1.0))), _GAUSS_ORDER)
+    vals = om * ws * m.warp(rs) ** (n - 1) * weight_fn(rs)
+    t = rs / r1
+    mom[0] = np.sum(vals * (1.0 - t)), np.sum(vals * t)
+    return _to_nodes(*mom.T)
 
 
 def tri_quadform(d: np.ndarray, e: np.ndarray, u: np.ndarray) -> float:

@@ -71,11 +71,18 @@ class RunRecord:
             raise ValueError(f"results without provenance tags: {sorted(missing)}")
 
 
+def _append(path: Path, **kw):
+    """``path`` opened for appending; its directory is made only if missing."""
+    try:
+        return path.open("a", encoding="utf-8", **kw)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return path.open("a", encoding="utf-8", **kw)
+
+
 def write_record(record: RunRecord, out_dir: Path | str | None = None) -> Path:
     """Append one record to records.jsonl under the output directory."""
-    out = Path(out_dir) if out_dir is not None else default_out_dir()
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "records.jsonl"
+    path = (Path(out_dir) if out_dir is not None else default_out_dir()) / "records.jsonl"
     payload = {
         "command": record.command,
         "timestamp": record.timestamp,
@@ -85,20 +92,17 @@ def write_record(record: RunRecord, out_dir: Path | str | None = None) -> Path:
         "provenance": record.provenance,
         "grid": record.grid,
     }
-    with path.open("a", encoding="utf-8") as fh:
+    with _append(path) as fh:
         fh.write(json.dumps(payload, sort_keys=True) + "\n")
     return path
 
 
 def write_table(name: str, header: list[str], rows, out_dir: Path | str | None = None) -> Path:
     """Append rows to a CSV companion file (header written once)."""
-    out = Path(out_dir) if out_dir is not None else default_out_dir()
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{name}.csv"
-    new = not path.exists() or path.stat().st_size == 0
-    with path.open("a", newline="", encoding="utf-8") as fh:
+    path = (Path(out_dir) if out_dir is not None else default_out_dir()) / f"{name}.csv"
+    with _append(path, newline="") as fh:
         writer = csv.writer(fh)
-        if new:
+        if fh.tell() == 0:  # append mode opens at the end: an empty file is new
             writer.writerow(header)
         for row in rows:
             writer.writerow(row)

@@ -16,6 +16,7 @@ from hardylab.cli import main
 from hardylab.forms import assemble_forms, build_grid, evaluate_quotient, tri_quadform
 from hardylab.manifold import unit_sphere
 from hardylab.minimizer import _rounding, minimize_quotient
+from hardylab.records import write_table
 from hardylab.thresholds import strict_inequality_report
 
 
@@ -358,6 +359,23 @@ def test_records_append(tmp_path):
     run(["constants", "--dim", "5", "--sigma", "1.5"], tmp_path)
     recs = read_records(tmp_path)
     assert len(recs) == 2
+
+
+def test_a_missing_nested_out_directory_is_made(tmp_path):
+    out = tmp_path / "a" / "b" / "runs"
+    assert main(["constants", "--dim", "3", "--sigma", "1", "--out", str(out)]) == 0
+    assert len((out / "records.jsonl").read_text().splitlines()) == 1
+    path = write_table("t", ["x", "y"], [(1, 2)], out / "c")
+    assert path.read_bytes() == b"x,y\r\n1,2\r\n"
+
+
+def test_a_new_csv_gets_its_header_once(tmp_path):
+    (tmp_path / "empty.csv").touch()  # an empty file counts as new
+    for _ in range(2):
+        write_table("empty", ["x"], [(1,)], tmp_path)
+        write_table("fresh", ["x"], [(1,), (2,)], tmp_path)
+    assert (tmp_path / "empty.csv").read_text().splitlines() == ["x", "1", "1"]
+    assert (tmp_path / "fresh.csv").read_text().splitlines() == ["x", "1", "2", "1", "2"]
 
 
 def test_theorem2_check_exit_codes(tmp_path):

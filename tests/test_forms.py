@@ -86,6 +86,57 @@ def test_w2_closed_form_on_constant():
         assert float(forms_m.w2.sum()) == pytest.approx(want, rel=1e-10), (m.kind, m.N)
 
 
+def _tables_reference(forms, warp):
+    """K, Mass and the lumped W2 of ``forms`` to 30 digits (mpmath): the
+    cells' moments of |S^{N-1}| psi^{N-1} against the hat products and of
+    |S^{N-1}| psi^{N-1} r^-2 against the hats, by 24-point Gauss-Legendre on
+    each cell of the float grid, where every integrand is analytic."""
+    mp = pytest.importorskip("mpmath")
+    n = forms.manifold.N
+    with mp.workdps(30):
+        x, w = mp.gauss_quadrature(24, "legendre")
+        om = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+        cells = []
+        for a, b in zip(map(mp.mpf, forms.grid.nodes[:-1]), map(mp.mpf, forms.grid.nodes[1:])):
+            h = b - a
+            mom = [mp.mpf(0)] * 6
+            for xi, wi in zip(x, w):
+                t = (xi + 1) / 2
+                r = a + h * t
+                v = om * wi * h / 2 * warp(r) ** (n - 1)
+                for j, f in enumerate((1, (1 - t) ** 2, t**2, t * (1 - t), (1 - t) / r**2, t / r**2)):
+                    mom[j] += v * f
+            cells.append([mom[0] / h**2, *mom[1:]])
+    k, left, right, off, w_left, w_right = (np.array(c, dtype=object) for c in zip(*cells))
+
+    def to_nodes(lo, hi):
+        return np.concatenate(([lo[0]], lo[1:] + hi[:-1], [hi[-1]]))
+
+    return {"kd": to_nodes(k, k), "ke": -k, "md": to_nodes(left, right), "me": off, "w2": to_nodes(w_left, w_right)}
+
+
+@pytest.mark.parametrize("N", [3, 5])
+@pytest.mark.parametrize("kind", ["sphere", "hyperbolic-cap", "euclidean-ball"])
+def test_tables_against_mpmath(kind, N):
+    # every entry of K, Mass and W2 at M = 16 within (2N + 6) ulps: the
+    # Gauss points carry about 2 ulps, which psi^{N-1} raises N - 1 times,
+    # and the weights, products and the reduction about 6 more (13.3 at
+    # most, on the flat ball N = 5)
+    mp = pytest.importorskip("mpmath")
+    m, warp, bc = {
+        "sphere": (unit_sphere(N), mp.sin, "reflected"),
+        "hyperbolic-cap": (hyperbolic_cap(N, 1.0, 1.0), mp.sinh, "dirichlet"),
+        "euclidean-ball": (euclidean_ball(N, 1.0), lambda r: r, "dirichlet"),
+    }[kind]
+    forms = assemble_forms(build_grid(m.r_max, 16, 2.0, bc), m, 2.0)
+    for key, want in _tables_reference(forms, warp).items():
+        got = getattr(forms, key)
+        assert got.shape == want.shape
+        for i, (g, v) in enumerate(zip(got, want)):
+            v = float(v)
+            assert abs(g - v) <= (2 * N + 6) * np.spacing(abs(v)), (key, i)
+
+
 def test_stiffness_annihilates_constants():
     s3 = unit_sphere(3)
     forms = assemble_forms(build_grid(math.pi, 32, 2.0, "reflected"), s3, 2.0)

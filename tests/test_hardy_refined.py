@@ -117,6 +117,35 @@ def test_improved_hardy_eigen_is_the_fake_forms_eigensolve(N, r0):
         assert improved_hardy_eigen(N, r0, M=M).value == _fake_forms_eigen(N, r0, M)
 
 
+@pytest.mark.parametrize("M", [256, 1024])
+def test_log_weight_first_cell_against_mpmath(M):
+    # W_log's cell 0 at N = 3 (r0 = 0.1, gamma = 3): |S^2| int_0^{r_1} hat /
+    # log^2 r dr, not smooth at r = 0, against 30 digits; the weight is cut
+    # to cell 0, so its two entries are cell 0's alone.  Within 1e-13
+    # relative (7.5e-15 measured); one 8-point panel over the cell read
+    # 9.1e-4 and 8.4e-4 high on the left entry
+    mp = pytest.importorskip("mpmath")
+    ball, grid = euclidean_ball(3, 0.1), build_grid(0.1, M, 3.0, "dirichlet")
+    r1 = grid.nodes[1]
+
+    def weight(r):
+        inner = r < r1
+        out = np.zeros_like(r)
+        out[inner] = 1.0 / np.square(r[inner] * np.log(r[inner]))
+        return out
+
+    wlog = assemble_lumped_weight(grid, ball, weight)
+    with mp.workdps(30):
+        b = mp.mpf(r1)
+        left, right = (
+            4 * mp.pi * mp.quad(lambda r, hat=hat: hat(r) / mp.log(r) ** 2, [0, b / 2, b])
+            for hat in (lambda r: 1 - r / b, lambda r: r / b)
+        )
+    assert not np.any(wlog[2:])
+    assert wlog[0] == pytest.approx(float(left), rel=1e-13, abs=0.0)
+    assert wlog[1] == pytest.approx(float(right), rel=1e-13, abs=0.0)
+
+
 def test_improved_hardy_scope_flag():
     res = improved_hardy_eigen(3, 0.4, M=512)
     assert not res.within_lemma_scope

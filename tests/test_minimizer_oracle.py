@@ -140,7 +140,7 @@ CASES = {
     "S3-64-shifted": (lambda: _sphere(3, 1.0, 64), 1.0),
 }
 # the cases on which Q rises, by rounding, on one step of one start
-RISES = {"S6-32-sigma-0.5", "S4-64-shifted"}
+RISES = {"S4-64", "S5-32-sigma-0.5", "S6-32-sigma-0.5", "S3-64-shifted"}
 FIELDS = ("mu_upper", "iterations", "iterations_total", "grad_norm", "converged")
 
 
@@ -186,7 +186,7 @@ def test_stop_reasons_and_oracle_at_a_small_budget(monkeypatch):
 
 def test_a_rise_past_a_zero_bound_stops_its_start(monkeypatch):
     # with the rounding bound read as 0, the one step of S^6 (sigma = 0.5)
-    # on which Q rises ends the bubble(32) start with stop "rise"
+    # on which Q rises ends the bubble(2) start with stop "rise"
     monkeypatch.setattr(minimizer, "_rounding", lambda abs_a, u: 0.0)
     res = minimize_quotient(_sphere(6, 0.5, 32), -0.5)
-    assert [s["stop"] for s in res.starts] == ["converged", "converged", "converged", "rise"]
+    assert [s["stop"] for s in res.starts] == ["converged", "rise", "converged", "converged"]
