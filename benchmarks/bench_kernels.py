@@ -53,12 +53,12 @@ minimizer called before and the Python backend still calls.
 Inputs: M = 4096, numpy rng seed 7 (the seed of ``perfbench/kernel_bench.py``).
 
 The quadrature rows time one call, in microseconds, of ``bubble_moments``
-(its moment tables) and of ``expansion.quotient_series`` (its stacked
-family pass) against the per-moment and per-n quadratures that
-``tests/test_quadrature.py`` holds as their oracles, on the cases of the
-``cli-quadrature`` workload at seed 0: N = 5 at tol 1e-10 and N = 4 (its
-truncated log-divergent pair) at sigma = 1, and S^5 at lambda = -1,
-sigma = 1, n = 4, 8, 16, 32, 64.
+(its shared tanh-sinh rule; its oracle is 30-digit mpmath, which is not
+timed) and of ``expansion.quotient_series`` (its stacked family pass)
+against the per-n quadrature that ``tests/test_quadrature.py`` holds as its
+oracle, on the cases of the ``cli-quadrature`` workload at seed 0: N = 5
+at tol 1e-10 and N = 4 (its truncated log-divergent pair) at sigma = 1,
+and S^5 at lambda = -1, sigma = 1, n = 4, 8, 16, 32, 64.
 
 The assembly rows time, in ns per cell, one ``forms.assemble_forms`` at
 sigma = 2 on S^3 (M = 512, the benchmark's pencil size, and M = 4096) and
@@ -96,7 +96,7 @@ from test_kernels import (  # noqa: E402
     _power_moment_loop_py,
     _tridiag_solve_py,
 )
-from test_quadrature import bubble_moments_ref, quotient_series_ref  # noqa: E402
+from test_quadrature import quotient_series_ref  # noqa: E402
 
 M = 4096
 SMALL = 256  # cells of the small power-functional table
@@ -292,8 +292,8 @@ def main():
 
     s5 = unit_sphere(5)
     quadrature = [
-        ("bubble_moments N=5 tol=1e-10", bubble_moments, bubble_moments_ref, (5, 1.0, 1e-10)),
-        ("bubble_moments N=4", bubble_moments, bubble_moments_ref, (4, 1.0)),
+        ("bubble_moments N=5 tol=1e-10", bubble_moments, None, (5, 1.0, 1e-10)),
+        ("bubble_moments N=4", bubble_moments, None, (4, 1.0)),
         ("quotient_series S5", quotient_series, quotient_series_ref, (s5, -1.0, 1.0, (4, 8, 16, 32, 64))),
     ]
     header = f"{'quadrature':30s} {'unit':>8s} {'new':>11s} {'reference':>13s} {'ref/new':>11s}"
@@ -302,6 +302,9 @@ def main():
     print("-" * len(header))
     for name, fast, ref, args in quadrature:
         t_new = time_ns(fast, args, 1000, repeat)
+        if ref is None:
+            print(f"{name:30s} {'us/call':>8s} {_spread(t_new):>11s} {'-':>13s} {'-':>11s}")
+            continue
         t_ref = time_ns(ref, args, 1000, repeat)
         print(f"{name:30s} {'us/call':>8s} {_spread(t_new):>11s} {_spread(t_ref):>13s} {t_ref[1] / t_new[1]:10.2f}x")
 

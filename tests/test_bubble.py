@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +109,9 @@ def test_moment_preconditions():
         bubble_moments(5, 0.0)
     with pytest.raises(DomainError):
         bubble_moments(5, 1.0, tol=0.0)
+    for radius in (0.0, -100.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="truncation_radius must be positive and finite"):
+            bubble_moments(4, 1.0, truncation_radius=radius)
 
 
 def test_tail_control():
@@ -122,10 +124,15 @@ def test_tail_control():
         assert abs(a.value - b.value) <= a.abs_error + 1e-14
 
 
-@pytest.mark.parametrize("N,sigma", [(3, 1.0), (4, 0.0), (4, 1.0), (5, 0.5), (6, 1.5)])
+@pytest.mark.parametrize(
+    "N,sigma",
+    [(3, 1.0), (4, 0.0), (4, 1.0), (5, 0.5), (6, 1.5), (3, 1.999), (4, 1.999), (5, 1.999), (6, 1.999)],
+)
 def test_quotient_matches_sharp_constant(N, sigma):
+    # up to sigma = 1.999, where hs_mass alone would underflow: the
+    # quotient is formed from the moments' logarithms
     want = sobolev_constant(N) if sigma == 0.0 else hardy_sobolev_constant(N, sigma)
-    assert bubble_quotient(N, sigma) == pytest.approx(want, rel=1e-6)
+    assert bubble_quotient(N, sigma) == pytest.approx(want, rel=1e-8)
 
 
 def test_quotient_scale_invariance():
@@ -134,49 +141,31 @@ def test_quotient_scale_invariance():
         assert bubble_quotient(5, 1.0, scale=c) == pytest.approx(base, rel=1e-12)
 
 
-def test_quotient_refuses_sigma_too_close_to_two():
-    # the profile's weight sits below the innermost panel, so hs_mass underflows to 0
-    with pytest.raises(DomainError, match="too close to 2"):
-        bubble_quotient(3, 1.999)
+def test_quotient_refuses_a_scale_that_is_not_positive():
+    for c in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="scale must be positive and finite"):
+            bubble_quotient(5, 1.0, scale=c)
 
 
 def test_moments_refuse_sigma_too_close_to_two():
-    # the same underflow: every moment would come out as 0 with a tiny error estimate
+    # every moment carries a factor 4^-(N-sigma)/(2-sigma): at N = 5 the
+    # first one leaves the normal double range from sigma = 1.9945 on
     for sigma in (1.995, 1.999):
-        with pytest.raises(DomainError, match="too close to 2"):
+        with pytest.raises(DomainError, match=rf"sigma = {sigma} is too close to 2 for N = 5: dirichlet = .* leaves the normal double range"):
             bubble_moments(5, sigma)
 
 
 def test_moments_refuse_an_error_estimate_that_misses_tol():
-    # near sigma = 2 the last refinement still misses tol; the moment is
-    # refused, not returned with a value that claims it
+    # no estimate falls below the rounding of the log integrand (a few
+    # 1e-14 here), so a moment is refused, not returned with a value that
+    # claims tol
     cases = [
-        (bubble_quotient, (3, 1.98), "hs_mass"),
-        (bubble_quotient, (4, 1.99), "hs_mass"),
-        (bubble_quotient, (5, 1.99, 1e-10), "hs_mass"),
-        (bubble_moments, (5, 1.99, 1e-10), "dirichlet"),
+        (bubble_quotient, (3, 1.0, 1e-17), "hs_mass"),
+        (bubble_moments, (5, 1.0, 1e-17), "dirichlet"),
     ]
     for call, args, name in cases:
-        with pytest.raises(DomainError, match=rf"{name} misses tol = .* at N = {args[0]}, sigma = {args[1]} "):
+        with pytest.raises(DomainError, match=rf"{name} misses tol = 1e-17 at N = {args[0]}, sigma = {args[1]} "):
             call(*args)
-
-
-def test_moments_refuse_a_tail_cutoff_that_overflows():
-    # at N = 4 r2_hs decays like r^-(3 - sigma): near sigma = 2 the radius
-    # that bounds its tail leaves the double range
-    for sigma in (1.98, 1.99):
-        with pytest.raises(DomainError, match=rf"sigma = {sigma} .*\(r2_hs's tail cutoff overflows\)"):
-            bubble_moments(4, sigma)
-
-
-def test_moments_refuse_a_moment_that_is_not_finite():
-    # at N = 4, sigma = 1.95 the tail cutoff of r2_hs puts the far nodes
-    # past the double range of r^3: the moment is NaN, refused as such (not
-    # as an underflow to 0), with no numpy warning before the refusal
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(DomainError, match=r"r2_hs leaves the double range at N = 4, sigma = 1.95 \(value nan\)"):
-            bubble_moments(4, 1.95)
 
 
 @pytest.mark.parametrize("N,sigma", [(5, 0.5), (5, 1.0), (6, 1.0), (6, 0.5)])

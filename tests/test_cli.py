@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from test_forms import flat_ball_reference
 from test_kernels import kernel_calls
+from test_quadrature import mp_moments, mp_truncated
 
 from hardylab import _kernels, cli
 from hardylab.cli import main
@@ -474,8 +475,8 @@ def test_config_bad_value_exits_1(tmp_path, capsys, text, args):
         # K - lambda*Mass is finite, the energy of the constant start is not
         ["solve", "--sigma", "1", "--dim", "4", "--lambda", "1e308", "--nodes", "64"],
         ["theorem2-check", "--dim", "4", "--lambda", "1e308", "--sigma", "1", "--nodes", "64"],
-        # r2_hs's tail cutoff radius overflows
-        ["bubble-moments", "--dim", "4", "--sigma", "1.99"],
+        # dirichlet leaves the normal double range
+        ["bubble-moments", "--dim", "5", "--sigma", "1.999"],
     ],
 )
 def test_bad_numeric_input_is_an_error(tmp_path, capsys, argv):
@@ -487,6 +488,19 @@ def test_bad_numeric_input_is_an_error(tmp_path, capsys, argv):
     assert code == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "runs" / "records.jsonl").exists()
+
+
+def test_bubble_moments_near_two_match_mpmath(tmp_path):
+    # N = 4 at sigma = 1.99: the moments that the former r-space panels
+    # refused (r2_hs's tail cutoff overflowed) are written to the record
+    assert run(["bubble-moments", "--dim", "4", "--sigma", "1.99"], tmp_path) == 0
+    results = read_records(tmp_path)[0]["results"]
+    want = mp_moments(4, 1.99)
+    for name in ("dirichlet", "hs_mass", "r2_hs"):
+        assert abs(results[name] / want[name] - 1) <= 1e-12
+    for name in ("mass2", "r2_dirichlet"):
+        assert results[name] == "infinite"
+        assert abs(results[f"{name}_truncated"] / mp_truncated(name, 1.99, 1e4) - 1) <= 1e-12
 
 
 _CLOSED, _QUAD, _EIG, _MIN, _FIT, _ART = (

@@ -1,12 +1,16 @@
-"""The moment tables of ``bubble`` and the stacked family quadrature of
-``expansion.quotient_series`` must return the same bits as the plain
-quadratures below, which evaluate the profile afresh for every moment
-(``_integrands`` closures integrated one by one) and for every
-concentration index n (``_family_integrals`` called per n).  They are the
-oracles: the same rules, the same IEEE operations in the same order, with
-no value shared between integrals.  Errors must carry the same message, and
-no RuntimeWarning may appear that the oracle does not also emit."""
+"""The bubble moments against 30-digit mpmath, and the stacked family
+quadrature of ``expansion.quotient_series`` against its per-n oracle.
 
+Every finite moment of ``bubble_moments`` must lie within 1e-12 relative
+of ``mp.beta`` of its Beta form and within its own error estimate; the
+N = 4 truncations and their log slopes within 1e-12 of ``mp.quad`` of the
+radial integrand itself; ``bubble_quotient`` within 1e-12 of the mpmath
+quotient.  The series must return the same bits as the plain quadrature
+below, which evaluates the profile afresh for every concentration index n
+(``_family_integrals`` called per n), with the same errors and no
+RuntimeWarning that the oracle does not also emit."""
+
+import functools
 import math
 import warnings
 
@@ -14,14 +18,7 @@ import numpy as np
 import pytest
 
 from hardylab.bubble import bubble_grad, bubble_moments, bubble_quotient, bubble_value, pohozaev_residual
-from hardylab.bubble import BubbleMoments, MomentValue
-from hardylab.constants import (
-    check_dimension,
-    check_sigma,
-    critical_exponent,
-    hardy_sobolev_constant,
-    sphere_area,
-)
+from hardylab.constants import check_sigma, critical_exponent, sphere_area
 from hardylab.errors import DomainError
 from hardylab.expansion import ExpansionSeries, _panel_edges, quotient_series
 from hardylab.forms import gauss_panels
@@ -29,140 +26,136 @@ from hardylab.manifold import unit_sphere
 from hardylab.minimizer import cutoff_radius, smooth_cutoff, smooth_cutoff_deriv
 
 # ---------------------------------------------------------------------------
-# Per-moment quadrature (the bubble oracle)
+# 30-digit moments (the bubble oracle)
 # ---------------------------------------------------------------------------
 
 
-def _panels_value(f, edges, order):
-    nodes, weights = gauss_panels(edges, order)
-    return float(np.sum(f(nodes.ravel()).reshape(nodes.shape) * weights))
+@functools.lru_cache(maxsize=None)
+def mp_moments(n, sigma):
+    """The five moments at the binary value of sigma from their Beta forms
+    (t = r^kappa, u = t/(1+t)), None where one diverges."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        s = mp.mpf(sigma)
+        k = 2 - s
+        big_a = (n - s) / k
+        om = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2) / k
+        grad = (n - 2) ** 2 * om
+        forms = {
+            "dirichlet": (grad, big_a + 1, big_a - 1),
+            "mass2": (om, n / k, (n - 4) / k),
+            "hs_mass": (om, big_a, big_a),
+            "r2_dirichlet": (grad, big_a + 1 + 2 / k, big_a - 1 - 2 / k),
+            "r2_hs": (om, n / k + 1, (n - 2 - s) / k),
+        }
+        return {name: c * mp.beta(a, b) if b > 0 else None for name, (c, a, b) in forms.items()}
 
 
-def _embedded(f, edges):
-    i16 = _panels_value(f, edges, 16)
-    return i16, abs(i16 - _panels_value(f, edges, 8))
+@functools.lru_cache(maxsize=None)
+def mp_truncated(name, sigma, radius):
+    """mass2 or r2_dirichlet at N = 4 over the ball of ``radius``: mp.quad
+    of the radial integrand itself, on panels split at 2^-4, ..., 2^k."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        s = mp.mpf(sigma)
+        k = 2 - s
+        om = 2 * mp.pi**2  # |S^3|
+        w2 = lambda r: (1 + r**k) ** (-4 / k)
+        dw2 = lambda r: 4 * r ** (2 - 2 * s) * (1 + r**k) ** (-4 / k - 2)
+        f = (lambda r: om * w2(r) * r**3) if name == "mass2" else (lambda r: om * r**2 * dw2(r) * r**3)
+        points = [mp.mpf(0)] + [mp.mpf(2) ** j for j in range(-4, math.ceil(math.log2(radius)))] + [mp.mpf(radius)]
+        return mp.quad(f, points)
 
 
-def _halve(edges):
-    return np.sort(np.concatenate((edges, 0.5 * (edges[:-1] + edges[1:]))))
+def mp_quotient(n, sigma):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        m = mp_moments(n, sigma)
+        p = 2 * (n - mp.mpf(sigma)) / (n - 2)
+        return m["dirichlet"] / m["hs_mass"] ** (2 / p)
 
 
-def _integral_01(f, refine=0):
-    edges = np.concatenate(([0.0], 2.0 ** np.arange(-54, 1, dtype=float)))
-    for _ in range(refine):
-        edges = _halve(edges)
-    return _embedded(f, edges)
+def _rel(got, want):
+    return float(abs((got - want) / want))
 
 
-def _tail_cutoff(f, tail_power, abs_target):
-    if tail_power <= 1.0:
-        raise DomainError("integrand does not decay fast enough to integrate")
-    probe = 64.0
-    c = abs(float(np.asarray(f(np.array([probe])))[0])) * probe**tail_power
-    if c == 0.0:
-        return probe
-    r = (c / (abs_target * (tail_power - 1.0))) ** (1.0 / (tail_power - 1.0))
-    return max(probe, r)
-
-
-def _improper_integral(f, tail_power, tol):
-    near, err_near = _integral_01(f)
-    abs_target = 0.25 * tol * max(abs(near), 1e-300)
-    r_cut = _tail_cutoff(f, tail_power, abs_target)
-    kmax = max(2, int(math.ceil(math.log2(r_cut))))
-    g = lambda t: f(1.0 / t) / t**2
-    edges = 2.0 ** np.arange(-kmax, 1, dtype=float)
-    for refine in (0, 1, 2):
-        if refine:
-            near, err_near = _integral_01(f, refine=refine)
-            edges = _halve(edges)
-        far, err_far = _embedded(g, edges)
-        value = near + far
-        err = err_near + err_far + abs_target
-        if err <= tol * max(abs(value), 1e-300):
-            break
-    return value, err
-
-
-def _moment(table, name, n, sigma, tol):
-    f, tail_power = table[name]
-    value, err = _improper_integral(f, tail_power, tol)
-    if not math.isfinite(value):
-        raise DomainError(f"the panel quadrature of {name} leaves the double range at N = {n}, sigma = {sigma!r} (value {value!r})")
-    if not value > 0.0:
-        raise DomainError(f"sigma = {sigma!r} is too close to 2 for the panel quadrature ({name} underflows to 0)")
-    return value, err
-
-
-def _truncated_integral(f, r_max):
-    near, _ = _integral_01(f)
-    kmax = int(math.ceil(math.log2(r_max)))
-    edges = np.concatenate((2.0 ** np.arange(0, kmax, dtype=float), [r_max]))
-    return near + _panels_value(f, edges, 16)
-
-
-def _integrands(n, s, scale=1.0):
-    om = sphere_area(n - 1)
-    p_crit = critical_exponent(s, n)
-    w = lambda r: scale * bubble_value(r, n, s)
-    dw = lambda r: scale * bubble_grad(r, n, s)
-    return {
-        "dirichlet": (lambda r: om * dw(r) ** 2 * r ** (n - 1), n - 1.0),
-        "mass2": (lambda r: om * w(r) ** 2 * r ** (n - 1), n - 3.0),
-        "hs_mass": (lambda r: om * r ** (-s) * w(r) ** p_crit * r ** (n - 1), n + 1.0 - s),
-        "r2_dirichlet": (lambda r: om * r**2 * dw(r) ** 2 * r ** (n - 1), n - 3.0),
-        "r2_hs": (lambda r: om * r ** (2.0 - s) * w(r) ** p_crit * r ** (n - 1), n - 1.0 - s),
-    }
-
-
-def bubble_moments_ref(N, sigma, tol=1e-8, truncation_radius=1e4):
-    n = check_dimension(N)
-    s = check_sigma(sigma, closed=False)
-    if n < 4:
-        raise DomainError("bubble_moments requires N >= 4 (see bubble_quotient for N = 3)")
-    if s <= 0.0:
-        raise DomainError("bubble_moments requires sigma > 0")
-    if not (tol > 0.0):
-        raise DomainError(f"tol must be positive, got {tol!r}")
-    table = _integrands(n, s)
-    out = {}
-    for name, (f, _) in table.items():
-        if n == 4 and name in ("mass2", "r2_dirichlet"):
-            big = _truncated_integral(f, truncation_radius)
-            small = _truncated_integral(f, truncation_radius / 8.0)
-            out[name] = MomentValue(
-                value=math.inf,
-                abs_error=math.inf,
-                finite=False,
-                truncated_value=big,
-                truncation_radius=truncation_radius,
-                log_slope=(big - small) / math.log(8.0),
-            )
+def assert_moments_match_mpmath(m, radius=1e4):
+    """Each finite moment within 1e-12 relative of mpmath and within its
+    own estimate; at N = 4 the truncations and log slopes within 1e-12."""
+    for name, want in mp_moments(m.N, m.sigma).items():
+        got = getattr(m, name)
+        if want is None:
+            big, small = (mp_truncated(name, m.sigma, r) for r in (radius, radius / 8.0))
+            assert not got.finite and got.truncation_radius == radius
+            assert _rel(got.truncated_value, big) <= 1e-12, (m.N, m.sigma, name, radius)
+            assert _rel(got.log_slope, (big - small) / math.log(8.0)) <= 1e-12, (m.N, m.sigma, name, radius)
         else:
-            value, err = _moment(table, name, n, s, tol)
-            out[name] = MomentValue(value=value, abs_error=err, finite=True)
-    return BubbleMoments(N=n, sigma=s, **out)
+            assert got.finite and _rel(got.value, want) <= 1e-12, (m.N, m.sigma, name)
+            assert float(abs(got.value - want)) <= got.abs_error, (m.N, m.sigma, name)
 
 
-def bubble_quotient_ref(N, sigma, tol=1e-10, scale=1.0):
-    n = check_dimension(N)
-    s = check_sigma(sigma, closed=False)
-    table = _integrands(n, s, scale=scale)
-    hs_mass, _ = _moment(table, "hs_mass", n, s, tol)
-    dirichlet, _ = _moment(table, "dirichlet", n, s, tol)
-    return dirichlet / hs_mass ** (2.0 / critical_exponent(s, n))
+SIGMAS = (0.1, 0.4, 0.7, 1.0, 1.3, 1.6, 1.9, 1.99)
+TOLS = (1e-6, 1e-8, 1e-10, 1e-12)
 
 
-def pohozaev_residual_ref(N, sigma, tol=1e-10):
-    n = check_dimension(N)
-    s = check_sigma(sigma, closed=False)
-    if n < 5:
-        raise DomainError("pohozaev_residual requires N >= 5 (divergent terms otherwise)")
-    m = bubble_moments_ref(n, s, tol=tol)
-    p_crit = critical_exponent(s, n)
-    coeff = hardy_sobolev_constant(n, s) * m.hs_mass.value ** ((2.0 - p_crit) / p_crit)
-    lhs = m.r2_dirichlet.value
-    return abs(lhs - (n * m.mass2.value + coeff * m.r2_hs.value)) / abs(lhs)
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_moment_tables_match_per_moment_quadrature(N, sigma):
+    # every moment, quotient (at two scales) and Pohozaev residual at every
+    # tol, with no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for tol in TOLS:
+            if N >= 4:
+                assert_moments_match_mpmath(bubble_moments(N, sigma, tol))
+            for scale in (1.0, 3.7):
+                assert _rel(bubble_quotient(N, sigma, tol, scale), mp_quotient(N, sigma)) <= 1e-12, (N, sigma, tol, scale)
+            if N >= 5:
+                assert pohozaev_residual(N, sigma, tol) <= 1e-12
+
+
+def test_moment_tables_match_near_two_and_on_other_balls():
+    # the rows N = 3, 4, 6 at sigma = 1.9, where the former r-space panels
+    # returned values up to 1.5e-5 off with estimates near 1e-11
+    for N in (4, 6):
+        assert_moments_match_mpmath(bubble_moments(N, 1.9, 1e-10))
+    for N in (3, 4, 6):
+        assert _rel(bubble_quotient(N, 1.9), mp_quotient(N, 1.9)) <= 1e-12
+    # at sigma = 1.999 the logs of D and H (about -5.5e3 at N = 6) cancel
+    # to O(1), so the quotient keeps about 1e-12 of eps * 5.5e3
+    for N in (3, 4, 5, 6):
+        assert _rel(bubble_quotient(N, 1.999), mp_quotient(N, 1.999)) <= 1e-11
+    # the truncation ball moves with truncation_radius
+    for sigma in (0.8, 1.99):
+        for radius in (100.0, 3e5):
+            assert_moments_match_mpmath(bubble_moments(4, sigma, 1e-8, radius), radius)
+
+
+def test_r2_hs_at_n4_near_two_is_finite_and_matches_mpmath():
+    # the former r-space panels put the far nodes of r2_hs past the double
+    # range of r^3 here and returned NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert_moments_match_mpmath(bubble_moments(4, 1.95))
+
+
+def test_moments_at_n4_past_the_former_tail_cutoff_match_mpmath():
+    # at N = 4 r2_hs decays like r^-(3 - sigma): the radius that bounded its
+    # tail in r-space left the double range for these sigma
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for sigma in (1.98, 1.99):
+            assert_moments_match_mpmath(bubble_moments(4, sigma))
+
+
+def test_moments_near_two_match_mpmath():
+    # the former r-space error estimates missed tol at N = 5 (1.99) and in
+    # the quotients below
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert_moments_match_mpmath(bubble_moments(5, 1.99, 1e-10))
+        for N, sigma in ((3, 1.98), (4, 1.99), (5, 1.99)):
+            assert _rel(bubble_quotient(N, sigma), mp_quotient(N, sigma)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -234,31 +227,6 @@ def _assert_same(fn, ref, *args):
     ref_out, ref_warned = _outcome(ref, *args)
     assert out == ref_out, args
     assert warned <= ref_warned, args
-
-
-SIGMAS = (0.1, 0.4, 0.7, 1.0, 1.3, 1.6, 1.9)
-TOLS = (1e-6, 1e-8, 1e-10, 1e-12)
-
-
-@pytest.mark.parametrize("N", [3, 4, 5, 6, 7])
-@pytest.mark.parametrize("sigma", SIGMAS)
-def test_moment_tables_match_per_moment_quadrature(N, sigma):
-    for tol in TOLS:
-        _assert_same(bubble_moments, bubble_moments_ref, N, sigma, tol)
-        _assert_same(bubble_quotient, bubble_quotient_ref, N, sigma, tol)
-        _assert_same(bubble_quotient, bubble_quotient_ref, N, sigma, tol, 3.7)
-        _assert_same(pohozaev_residual, pohozaev_residual_ref, N, sigma, tol)
-
-
-def test_moment_tables_match_near_two_and_on_other_balls():
-    # sigma = 1.9 refuses N = 4, whose r2_hs is NaN (r^3 overflows on the
-    # far panels, which the oracle warns of); 1.999 underflows
-    # hs_mass; the truncation ball moves with truncation_radius
-    for N, sigma in ((4, 1.9), (3, 1.999), (5, 1.999)):
-        _assert_same(bubble_moments, bubble_moments_ref, N, sigma)
-        _assert_same(bubble_quotient, bubble_quotient_ref, N, sigma)
-    for radius in (100.0, 3e5):
-        _assert_same(bubble_moments, bubble_moments_ref, 4, 0.8, 1e-8, radius)
 
 
 @pytest.mark.parametrize("N", [4, 5, 6])
