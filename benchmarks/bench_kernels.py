@@ -3,8 +3,8 @@
 reference loops that ``tests/test_kernels.py`` holds as their oracles, in
 one process.
 
-Prints ns per row (recurrences), per cell (power functional) or per call
-(the Anderson solve) of the LAPACK backend, of the Python-float backend (the
+Prints ns per row (recurrences and the KKT solve) or per cell (power
+functional) of the LAPACK backend, of the Python-float backend (the
 LAPACK handles set to None) and of the reference loop, each as the minimum
 and the median over ``--repeat`` timed calls ("min/median"), and the
 ratios reference / backend of the medians.  A row whose median lies far
@@ -44,12 +44,11 @@ built once and reused: ``value`` on the non-negative profile (F and g, with
 the sign scan), and ``gradient`` of that profile's g.  Their reference
 loops are those of ``power_moment`` and of ``power_moment_grad``, which
 compute more (F alone, and F with its gradient).
-The ``Anderson solve k=5`` row times, in ns per call, the minimizer's
-mixing solve at its full depth: gamma from the normal equations of five
-differences on 64 free nodes, through one ``NormalEquations`` per backend
-(the Gram matrix and right-hand side formed in its buffer and one bound
-``dgesv`` call), against ``numpy.linalg.solve(R @ R.T, R @ f)``, which the
-minimizer called before and the Python backend still calls.
+The ``KKT solve`` rows time the minimizer's Newton solve: a symmetric
+indefinite tridiagonal system with two right-hand sides on 64 and 256 rows,
+through one ``TridiagonalSystem`` per size and backend (B and the two
+columns copied into its buffer and one bound ``dgtsv`` call, or its
+Python-float stand-in), against the reference ``dgtsv`` loop.
 Inputs: M = 4096, numpy rng seed 7 (the seed of ``perfbench/kernel_bench.py``).
 
 The quadrature rows time one call, in microseconds, of ``bubble_moments``
@@ -89,6 +88,7 @@ from hardylab.forms import _GAUSS_ORDER, _cell_points, assemble_forms, assemble_
 from hardylab.manifold import euclidean_ball, unit_sphere  # noqa: E402
 from test_kernels import (  # noqa: E402
     _definite_py,
+    _gtsv_ref,
     _ldl_factor_py,
     _ldl_solve_py,
     _negcount_py,
@@ -101,12 +101,11 @@ from test_quadrature import quotient_series_ref  # noqa: E402
 M = 4096
 SMALL = 256  # cells of the small power-functional table
 PENCIL = 512  # rows of the small bisection-test pencil
-ANDERSON = 1000  # solves per timed call of the Anderson rows
 SHIFT = 0.25  # bisection-test shift; T - SHIFT*W stays definite
 _PENCILS = {}  # one workspace per pencil size and backend
 _FACTORS = {}  # one factor per pencil size and backend, and the reference's
 _POWERS = {}  # one power workspace per table size and exponent, with the g of its profile
-_NORMALS = {}  # one normal-equations solve per backend
+_SYSTEMS = {}  # one KKT system per size and backend
 
 
 def _workspace(d, e, w):
@@ -147,21 +146,18 @@ def workspace_gradient(u, w, t, p):
     return power.gradient(g)
 
 
-def anderson_solve(rows, f):
-    """ANDERSON mixing solves as the minimizer makes them, on the backend's
-    ``NormalEquations``, built on the first call on each backend."""
-    key = _kernels._GESV is None
-    if key not in _NORMALS:
-        _NORMALS[key] = _kernels.NormalEquations(rows.shape[0])
-    normal = _NORMALS[key]
-    for _ in range(ANDERSON):
-        normal(rows, f)
+def kkt_solve(d, e, rhs):
+    """One KKT solve as the minimizer makes it, on the backend's
+    ``TridiagonalSystem``, built on the first call per size and backend."""
+    key = (d.shape[0], _kernels._GTSV is None)
+    if key not in _SYSTEMS:
+        _SYSTEMS[key] = _kernels.TridiagonalSystem(d.shape[0], rhs.shape[0])
+    return _SYSTEMS[key](d, e, rhs)
 
 
-def anderson_solve_numpy(rows, f):
-    """ANDERSON of the same solves by ``numpy.linalg.solve``."""
-    for _ in range(ANDERSON):
-        np.linalg.solve(rows @ rows.T, rows @ f)
+def kkt_solve_loop(d, e, rhs):
+    """The same solve by the reference ``dgtsv`` loop."""
+    return _gtsv_ref(d, e, e, rhs)
 
 
 def time_ns(fn, args, per, repeat):
@@ -202,13 +198,13 @@ def python_backend():
     """Run the kernels on their Python-float recurrences: the three LAPACK
     handles unset and ``BACKEND`` naming them, as ``tests/conftest.py`` and
     ``equivalence.py`` do."""
-    saved = _kernels._PTTRF, _kernels._PTTRS, _kernels._GESV, _kernels.BACKEND
-    _kernels._PTTRF = _kernels._PTTRS = _kernels._GESV = None
+    saved = _kernels._PTTRF, _kernels._PTTRS, _kernels._GTSV, _kernels.BACKEND
+    _kernels._PTTRF = _kernels._PTTRS = _kernels._GTSV = None
     _kernels.BACKEND = "python"
     try:
         yield
     finally:
-        _kernels._PTTRF, _kernels._PTTRS, _kernels._GESV, _kernels.BACKEND = saved
+        _kernels._PTTRF, _kernels._PTTRS, _kernels._GTSV, _kernels.BACKEND = saved
 
 
 def main():
@@ -254,7 +250,10 @@ def main():
             for n in (SMALL, PENCIL, M)
         ),
         ("tridiag_solve", "row", _kernels.tridiag_solve, _tridiag_solve_py, (d, e, b)),
-        ("Anderson solve k=5", "call", anderson_solve, anderson_solve_numpy, (rng.standard_normal((5, 64)), b[:64])),
+        *(
+            (f"KKT solve {n}", "row", kkt_solve, kkt_solve_loop, (d[:n] - 2.5, e[: n - 1], rng.standard_normal((2, n))))
+            for n in (64, SMALL)
+        ),
     ]
     for cells in (M, SMALL):
         for p in (2.6667, 3.0, 4.0):
@@ -279,7 +278,7 @@ def main():
     for name, unit, fast, ref, args in rows:
         # the reference power loops are ~100x slower; time them less often
         ref_repeat = repeat if unit != "cell" else max(1, repeat // 5)
-        per = {"row": args[0].shape[0], "cell": args[1].shape[0], "call": ANDERSON}[unit]  # rows, cells of the table, or calls
+        per = {"row": args[0].shape[0], "cell": args[1].shape[0]}[unit]  # rows or cells of the table
         t_lapack = time_ns(fast, args, per, repeat) if lapack and unit != "cell" else None
         with python_backend():
             t_python = time_ns(fast, args, per, repeat)

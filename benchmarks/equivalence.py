@@ -187,7 +187,7 @@ def worker(src: str, backend: str) -> None:
     from hardylab import _kernels, cli
 
     if backend == "python":
-        _kernels._PTTRF = _kernels._PTTRS = _kernels._GESV = None
+        _kernels._PTTRF = _kernels._PTTRS = _kernels._GTSV = None
         _kernels.BACKEND = "python"
     argvs = json.loads(sys.stdin.readline())
     answers = []

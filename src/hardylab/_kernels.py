@@ -4,9 +4,9 @@ The three inner loops that dominate runtime are tridiagonal definiteness
 tests (the bisections of the eigensolve and of the lambda-star bracket),
 tridiagonal LDL^T factors and solves (the eigensolve's estimate and
 inverse iteration, and the minimizer), and the singular-weight power
-functional of the constrained minimizer; the minimizer's Anderson mixing
-also solves small dense normal equations (``NormalEquations``).  The power
-functional is NumPy on every backend, in one ``PowerWorkspace`` per weight
+functional of the constrained minimizer; the minimizer's Newton step also
+solves one general tridiagonal system with two right-hand sides per step
+(``TridiagonalSystem``).  The power functional is NumPy on every backend, in one ``PowerWorkspace`` per weight
 table.  The table is the one ``forms.assemble_forms`` builds: (cells, q)
 weights at the same q = 8 Legendre points t of every cell, whose first row
 is cell 0's rule for its singular weight, so one ``pow`` per point serves
@@ -15,9 +15,11 @@ every cell.  The workspace holds the hat basis [1 - t; t] and the
 one (cells, 2) by (2, q) product.  ``value`` gives F and
 g = w sign(v) |v|^{p-1} from one ``pow`` per point, and ``gradient`` forms
 grad F from g only when asked: the minimizer evaluates two trial points per
-step and keeps one.  On a profile with no sign bit
-set (the minimizer's starts and mixed candidates) ``value`` skips ``abs``
-and ``copysign``, which are the identity there.  ``power_moment_grad`` is a
+step and keeps one.  ``hessian`` forms the tridiagonal (d, e) of
+sum (g/v) [1 - t; t][1 - t; t]^T, (1/(p(p - 1))) of grad^2 F, from the same
+g, with no second ``pow``: one (cells, q) by (q, 3) product against the hat
+products.  On a profile with no sign bit set (the minimizer's starts)
+``value`` skips ``abs`` and ``copysign``, which are the identity there.  ``power_moment_grad`` is a
 workspace's value and gradient, so there is one path.
 ``negcount``, the full Sturm count (d - e*e/p in Python floats on every
 backend), serves only ``eigensolver.inertia_count``.
@@ -45,18 +47,19 @@ x_i = y_i / p_i - x_{i+1} l_i, or x = b (1/p) at n = 1.  The backend is
 resolved once at import, ``BACKEND``; each workspace and factor binds its
 executor, with its arguments, when it is made:
 
-- ``"lapack"``: ``dpttrf``/``dpttrs`` of the ILP64 OpenBLAS that the numpy
-  wheel bundles (``numpy.libs/libscipy_openblas64_*``), through ``ctypes``,
-  each buffer by its raw address (``_address``).
+- ``"lapack"``: ``dpttrf``/``dpttrs``/``dgtsv`` of the ILP64 OpenBLAS
+  that the numpy wheel bundles (``numpy.libs/libscipy_openblas64_*``),
+  through ``ctypes``, each buffer by its raw address (``_address``).
 - ``"python"``, when the library or a symbol is missing: stand-ins that
   make the same operations in the same order on Python floats, read from
-  the buffer with ``tolist`` once and written back (``dpttrf``'s sets its
-  ``info``), so both backends give the same bits.
+  the buffer with ``tolist`` once and written back, so both backends give
+  the same bits.  A definiteness test runs the recurrence on one running
+  pivot and sets only ``info``, which is all that a test reads.
 
-``NormalEquations`` solves the Gram system of k <= order rows with the same
-library's ``dgesv``, bound once per order k to one buffer; where the
-library is missing it calls ``numpy.linalg.solve``, which makes the same
-``dgesv`` call, so both give the same bits.
+``TridiagonalSystem`` solves B X = R for a symmetric tridiagonal B that
+need not be definite, as the minimizer's KKT matrix, with the same
+library's ``dgtsv`` (LU with partial pivoting), bound once to one buffer
+[DL, D, DU, X].
 
 ``COUNTS`` tallies, process-wide and on both backends, the calls served:
 ``definite_tests`` (calls of a pencil workspace), ``factorizations`` (of
@@ -83,25 +86,25 @@ COUNTS = {"definite_tests": 0, "factorizations": 0, "solves": 0, "evaluations": 
 
 
 def _lapack():
-    """``dpttrf``, ``dpttrs`` and ``dgesv`` of the OpenBLAS bundled with
+    """``dpttrf``, ``dpttrs`` and ``dgtsv`` of the OpenBLAS bundled with
     numpy, or ``(None, None, None)`` when the library or a symbol is
     missing."""
     wheel_libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     libs = sorted(glob.glob(os.path.join(wheel_libs, "libscipy_openblas64_*")))
     try:
         lib = ctypes.CDLL(libs[0])
-        pttrf, pttrs, gesv = lib.scipy_dpttrf_64_, lib.scipy_dpttrs_64_, lib.scipy_dgesv_64_
+        pttrf, pttrs, gtsv = lib.scipy_dpttrf_64_, lib.scipy_dpttrs_64_, lib.scipy_dgtsv_64_
     except (IndexError, OSError, AttributeError):
         return None, None, None
     # every argument by reference; integers are int64 (ILP64)
     pttrf.argtypes = [ctypes.c_void_p] * 4  # n, d, e, info
     pttrs.argtypes = [ctypes.c_void_p] * 7  # n, nrhs, d, e, b, ldb, info
-    gesv.argtypes = [ctypes.c_void_p] * 8  # n, nrhs, a, lda, ipiv, b, ldb, info
-    pttrf.restype = pttrs.restype = gesv.restype = None
-    return pttrf, pttrs, gesv
+    gtsv.argtypes = [ctypes.c_void_p] * 8  # n, nrhs, dl, d, du, b, ldb, info
+    pttrf.restype = pttrs.restype = gtsv.restype = None
+    return pttrf, pttrs, gtsv
 
 
-_PTTRF, _PTTRS, _GESV = _lapack()
+_PTTRF, _PTTRS, _GTSV = _lapack()
 BACKEND = "python" if _PTTRF is None else "lapack"
 _ONE = ctypes.c_int64(1)
 
@@ -133,6 +136,20 @@ def _pttrf_py(buf, n, info):
     info.value = len(pivots) if piv <= 0.0 else 0
     if not info.value:
         buf[:] = pivots + low
+
+
+def _pttrf_info_py(buf, n, info):
+    """``_pttrf_py``'s ``info`` alone, for a definiteness test: the same
+    operations and the same stop on one running pivot, with no pivot or
+    multiplier kept and nothing written back."""
+    piv = float(buf[0])
+    row = 1
+    for di, ei in zip(buf[1:n].tolist(), buf[n:].tolist()):
+        if piv <= 0.0:
+            break
+        piv = di - ei / piv * ei
+        row += 1
+    info.value = row if piv <= 0.0 else 0
 
 
 def _pttrs_py(buf, n):
@@ -167,14 +184,15 @@ class PencilWorkspace:
         self._scratch = np.empty(n)
         self._scratch_off = self._scratch[: n - 1]
         self._info = ctypes.c_int64()
-        if _PTTRF is None:
-            self._pttrf, self._args = _pttrf_py, (buf, n, self._info)
+        if _PTTRF is None:  # a test needs only info; a factor keeps the pivots
+            self._test, self._pttrf, self._args = _pttrf_info_py, _pttrf_py, (buf, n, self._info)
         else:  # raw addresses, which keep no array alive
             at = _address(buf)
-            self._pttrf, self._args = _PTTRF, (ctypes.byref(ctypes.c_int64(n)), at, at + 8 * n, ctypes.byref(self._info))
+            self._test = self._pttrf = _PTTRF
+            self._args = (ctypes.byref(ctypes.c_int64(n)), at, at + 8 * n, ctypes.byref(self._info))
 
-    def _definite(self, s):
-        """T - s*W formed in the buffer, and one ``dpttrf`` run on it."""
+    def _shift(self, s):
+        """T - s*W formed in the buffer."""
         d, e, w, w_off = self._pencil
         diag, off, scratch = self._diag, self._off, self._scratch
         np.multiply(w, s, scratch)
@@ -185,18 +203,20 @@ class PencilWorkspace:
             scratch = self._scratch_off
             np.multiply(w_off, s, scratch)
             np.subtract(e, scratch, off)
-        self._pttrf(*self._args)
-        return self._info.value == 0
 
     def __call__(self, s):
         COUNTS["definite_tests"] += 1
-        return self._definite(s)
+        self._shift(s)
+        self._test(*self._args)
+        return self._info.value == 0
 
     def factor(self, s):
         """The ``LDLFactor`` of T - s*W, or a ``DomainError`` when it does
         not test definite."""
         COUNTS["factorizations"] += 1
-        if not self._definite(s):
+        self._shift(s)
+        self._pttrf(*self._args)
+        if self._info.value:
             raise DomainError(f"T - s*W is not positive definite at s = {s!r}, so it has no LDL^T factor")
         return LDLFactor(self._diag, self._off)
 
@@ -266,51 +286,86 @@ def tridiag_solve(d, e, b):
 
 
 # ---------------------------------------------------------------------------
-# Small dense systems: the minimizer's Anderson normal equations.
+# General tridiagonal systems: the minimizer's KKT solve.
 # ---------------------------------------------------------------------------
 
-class NormalEquations:
-    """The gamma that minimizes |f - R^T gamma| for k <= ``order`` rows R,
-    by its normal equations (R R^T) gamma = R f: one buffer [G, b] takes
-    G = R R^T and b = R f (numpy's products, G exactly symmetric, so its C
-    order is LAPACK's column-major one), and ``dgesv`` (LU with partial
-    pivoting) is bound to it once for every k, with an int64 ``ipiv`` and
-    ``info``.  A call returns gamma, a view of the buffer that the next call
-    overwrites, or None when G is exactly singular (a zero pivot, ``info``
-    > 0), as for a zero row.  Where the library is missing it calls
-    ``numpy.linalg.solve``, which makes the same ``dgesv`` call on its own
-    copies."""
+def _gtsv_py(buf, n, nrhs, info):
+    """``dgtsv`` on buf = [DL, D, DU, B] (B column after column) in Python
+    floats, with reference LAPACK's operations in its order (its NRHS > 1
+    loop): elimination with a row swap where |DL(i)| > |D(i)|, then the
+    back solve.  An exactly zero pivot stops it (info = its row); the
+    buffer is written back as LAPACK leaves it."""
+    v = buf.tolist()
+    dl, d, du = v[: n - 1], v[n - 1 : 2 * n - 1], v[2 * n - 1 : 3 * n - 2]
+    cols = [v[3 * n - 2 + j * n : 3 * n - 2 + (j + 1) * n] for j in range(nrhs)]
+    info.value = 0
+    for i in range(n - 1):  # row N - 1 (i = n - 2) has no fill-in below it
+        if abs(d[i]) >= abs(dl[i]):  # no row interchange
+            if d[i] == 0.0:
+                info.value = i + 1
+                break
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            for b in cols:
+                b[i + 1] = b[i + 1] - fact * b[i]
+            if i < n - 2:
+                dl[i] = 0.0
+        else:  # interchange rows i and i + 1
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            for b in cols:
+                temp = b[i]
+                b[i] = b[i + 1]
+                b[i + 1] = temp - fact * b[i + 1]
+    if not info.value and d[n - 1] == 0.0:
+        info.value = n
+    if not info.value:
+        for b in cols:
+            b[n - 1] = b[n - 1] / d[n - 1]
+            if n > 1:
+                b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+            for i in range(n - 3, -1, -1):
+                b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    buf[:] = dl + d + du + [x for b in cols for x in b]
 
-    def __init__(self, order):
-        self.order = order
-        self._gesv = _GESV
-        if _GESV is None or not order:  # order 0: no system to bind
-            return
-        buf = np.empty(order * order + order)
-        self._gram = [buf[: k * k].reshape(k, k) for k in range(order + 1)]
-        self._rhs = [buf[order * order : order * order + k] for k in range(order + 1)]
-        self._ipiv, self._info = np.empty(order, dtype=np.int64), ctypes.c_int64()
-        # raw addresses, which keep no array alive
-        at, piv, info = _address(buf), _address(self._ipiv), ctypes.byref(self._info)
-        rows = [ctypes.byref(ctypes.c_int64(k)) for k in range(order + 1)]
-        self._args = [(n, ctypes.byref(_ONE), at, n, piv, at + 8 * order * order, n, info) for n in rows]
 
-    def __call__(self, rows, f):
-        """gamma with (R R^T) gamma = R f for the rows R, or None when
-        R R^T is exactly singular."""
-        k = rows.shape[0]
-        if not 1 <= k <= self.order:
-            raise ValueError(f"normal equations of order 1 to {self.order}, got {k} rows")
-        if self._gesv is None:
-            try:
-                return np.linalg.solve(rows @ rows.T, rows @ f)
-            except np.linalg.LinAlgError:
-                return None
-        gamma = self._rhs[k]
-        np.matmul(rows, rows.T, out=self._gram[k])
-        np.matmul(rows, f, out=gamma)
-        self._gesv(*self._args[k])
-        return None if self._info.value else gamma
+class TridiagonalSystem:
+    """B X = R for a symmetric tridiagonal B of order n and ``nrhs``
+    right-hand sides, by ``dgtsv`` (LU with partial pivoting, so B need not
+    be definite) bound once to one buffer [DL, D, DU, X].  A call copies B
+    and R in, makes one run and returns X, a (nrhs, n) view of the buffer
+    that the next call overwrites, or None when B has an exactly zero pivot
+    (``info`` > 0)."""
+
+    def __init__(self, n, nrhs):
+        buf = np.empty(3 * n - 2 + nrhs * n)
+        self._dl, self._d, self._du = buf[: n - 1], buf[n - 1 : 2 * n - 1], buf[2 * n - 1 : 3 * n - 2]
+        self._x = buf[3 * n - 2 :].reshape(nrhs, n)  # the views keep the buffer alive
+        self._info = ctypes.c_int64()
+        if _GTSV is None:
+            self._gtsv, self._args = _gtsv_py, (buf, n, nrhs, self._info)
+        else:  # raw addresses, which keep no array alive
+            at, rows = _address(buf), ctypes.byref(ctypes.c_int64(n))
+            self._gtsv = _GTSV
+            self._args = (rows, ctypes.byref(ctypes.c_int64(nrhs)), at, at + 8 * (n - 1), at + 8 * (2 * n - 1), at + 8 * (3 * n - 2), rows, ctypes.byref(self._info))
+
+    def __call__(self, d, e, rhs):
+        """X for B = (``d``, ``e``) and R's columns the rows of ``rhs``, or
+        None."""
+        x = self._x
+        if d.shape != self._d.shape or e.shape != self._dl.shape or len(rhs) != x.shape[0]:
+            raise ValueError(f"a system of order {self._d.shape[0]} with {x.shape[0]} right-hand sides, got {d.shape}, {e.shape}, {len(rhs)}")
+        self._d[:], self._dl[:], self._du[:] = d, e, e
+        for row, col in zip(x, rhs):
+            row[:] = col
+        self._gtsv(*self._args)
+        return None if self._info.value else x
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +388,7 @@ class PowerWorkspace:
         np.subtract(1.0, t, out=basis[0])
         basis[1] = t
         self._basis, self._basis_t = basis, basis.T
+        self._products = np.stack([basis[0] * basis[0], basis[0] * basis[1], basis[1] * basis[1]], axis=1)
         self._ends = np.empty((w.shape[0], 2))
 
     def _points(self, u):
@@ -343,16 +399,14 @@ class PowerWorkspace:
         ends[:, 1] = u[1:]
         return ends @ self._basis
 
-    def value(self, u, sign_free=False):
+    def value(self, u):
         """F(u) = g.v and g, where v is u at the points.  A profile with
         no sign bit set (no negative entry, no -0.0) has v >= +0 at points
         t in [0, 1], where ``abs`` and ``copysign`` are the identity:
-        g = w v^{p-1} then skips both, with the same bits.  A caller that
-        knows u has no sign bit set passes ``sign_free=True`` and skips
-        the scan."""
+        g = w v^{p-1} then skips both, with the same bits."""
         COUNTS["evaluations"] += 1
         v = self._points(u)
-        if not sign_free and np.signbit(u).any():
+        if np.signbit(u).any():
             g = self.w * np.copysign(np.abs(v) ** (self.p - 1.0), v)
         else:
             g = v ** (self.p - 1.0)
@@ -368,6 +422,21 @@ class PowerWorkspace:
         grad[-1] = 0.0
         grad[1:] += ends[:, 1]
         return grad
+
+    def hessian(self, u, g):
+        """The tridiagonal (d, e) of H = sum over the points of
+        (g/v) [1 - t; t][1 - t; t]^T gathered onto the nodes, at the u whose
+        g it is: g/v = w |v|^{p-2}, 0 where v = 0 (p > 2), so the Hessian of
+        F is p (p - 1) H with no second ``pow``.  One (cells, q) by (q, 3)
+        product against the hat products (1 - t)^2, t (1 - t), t^2 gives
+        each cell's three entries."""
+        v = self._points(u)
+        cells = np.divide(g, v, out=np.zeros_like(g), where=v != 0.0) @ self._products
+        d = np.empty(cells.shape[0] + 1)
+        d[:-1] = cells[:, 0]
+        d[-1] = 0.0
+        d[1:] += cells[:, 2]
+        return d, cells[:, 1]
 
 
 def power_moment(u, w, t, p):

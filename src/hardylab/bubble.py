@@ -184,7 +184,8 @@ def _check_tolerance(n: int, s: float, tol: float, rel_errors: dict) -> None:
 @dataclass(frozen=True)
 class MomentValue:
     """One improper moment: value + error estimate, or the truncated data
-    (value over a ball plus fitted log slope) when the integral diverges."""
+    (value over a ball plus the log slope measured at its radius) when the
+    integral diverges."""
 
     value: float
     abs_error: float
@@ -218,8 +219,10 @@ def bubble_moments(
     N = 4-7 and sigma in [0.1, 1.99]; ``abs_error`` is the value times its
     relative estimate.  mass2 and r2_dirichlet diverge logarithmically
     exactly at N = 4; they are then flagged infinite and reported through
-    their truncation over a ball of ``truncation_radius`` together with the
-    fitted d(value)/d(log R) slope.  A finite moment outside the normal
+    their truncation over a ball of ``truncation_radius`` R together with
+    the slope (I(R) - I(R/8)) / log 8 measured at R, which reaches the
+    far-field slopes |S^3| (mass2) and 4 |S^3| (r2_dirichlet) only where
+    R^{2-sigma} >> 1.  A finite moment outside the normal
     double range (it underflows like 4^{-(N-sigma)/(2-sigma)}: from
     sigma = 1.9945 at N = 5) or whose error estimate misses tol raises a
     DomainError.

@@ -43,7 +43,11 @@ at lambda = -c_{N,sigma} S_g(p0).  Since c_{N,sigma} >= 1/6 for N >= 4 and
 lambda <= 0.  At N = 4, c_{4,sigma} = 1/6 and mass2, r2_dirichlet diverge
 like log n with slopes in the ratio 1 : 4; the log slope of the quotient
 is then (S_g(p0) + 6 lambda)/24 * slope(r2_dirichlet) / H^{2/p}, which is
-the same formula with the truncated log slope in place of r2_dirichlet.
+the same formula with the far-field slope in place of r2_dirichlet.  That
+slope is 4 |S^3| in closed form: w ~ r^{-2}, so r^2 |w'|^2 r^3 -> 4/r.  (A
+truncation's slope measured at a finite radius R reaches it only where
+R^{2-sigma} >> 1: at R = 1e4 it is 0.998 of it at sigma = 1, 0.841 at 1.5
+and 2.8e-7 at 1.9.)
 
 Remainder orders (N >= 5).  Beyond c1/n^2 the family carries
 
@@ -187,7 +191,8 @@ def theory_coefficient(m: ModelManifold, lam: float, sigma: float) -> float:
     with a = S_g(p0)/(6N) and H = hs_mass; its sign is that of
     c_{N,sigma} S_g(p0) + lambda.  For N = 4, where mass2 and r2_dirichlet
     diverge like log n, it is the log slope (S_g(p0) + 6 lambda)/(6N) *
-    slope(r2_dirichlet) / H^{2/p}, the coefficient of log n / n^2.
+    4 |S^3| / H^{2/p}, the coefficient of log n / n^2, with r2_dirichlet's
+    far-field slope 4 |S^3| in closed form.
     """
     s = check_sigma(sigma, closed=False)
     if s <= 0.0:
@@ -203,7 +208,7 @@ def theory_coefficient(m: ModelManifold, lam: float, sigma: float) -> float:
     d_inf = hs ** (2.0 / p)
     sg = scalar_curvature_at_pole(m)
     if nn == 4:
-        return (sg + 6.0 * lam) / (6.0 * nn) * mom.r2_dirichlet.log_slope / d_inf
+        return (sg + 6.0 * lam) / (6.0 * nn) * 4.0 * sphere_area(3) / d_inf
     a = sg / (6.0 * nn)
     hs_term = (2.0 / p) * hardy_sobolev_constant(nn, s) * hs ** ((2.0 - p) / p) * mom.r2_hs.value
     return (a * (mom.r2_dirichlet.value - hs_term) + lam * mom.mass2.value) / d_inf

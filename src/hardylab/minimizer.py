@@ -23,34 +23,37 @@ is proved there, and measured rises stay below 1e-11 relative.
 
 The step is a fixed-point map G(u) = project(u - s), which converges only
 linearly where the minimizer concentrates (the flat ball at lambda = 0: 729
-steps at M = 256).  It is Anderson-mixed (Walker and Ni, SIAM J. Numer.
-Anal. 49, 2011) with depth _DEPTH: with f = G(u) - u and the differences
-dU, dF of the last iterates and of their f, gamma minimizes |f - dF gamma|
-(least squares on the free nodes, by its normal equations, which one
-``_kernels.NormalEquations`` per call forms and solves with a bound LAPACK
-``dgesv``; no candidate when they are exactly singular) and the candidate
-G(u) - (dU + dF) gamma is made non-negative (|.|), its Dirichlet node
-zeroed and it is rescaled onto F = 1.  It is taken only when
-Q(candidate) <= Q(G(u)); else G(u) is taken and the history is cleared.
-Every iterate therefore lies on F = 1 and is still an upper bound, and
-Q(u_{k+1}) <= Q(G(u_k)) <= Q(u_k) keeps the descent wherever it is proved
-above (34-39 steps per start on the flat ball at M = 256).  The history is
-two stacked (_DEPTH, n) arrays per start, the rows dF and dU + dF, each
-row formed once when it is pushed.  The residual r, the step u - s and the
-candidate are formed in buffers made once per call and shared by the
-starts, and s is read from the factor's buffer, so a step allocates only
-the vectors it keeps (the rescaled points with their A u and grad F, and
-f).
+steps at M = 256).  Each step therefore tries a Newton step on the KKT
+system of min u'Au subject to F(u) = 1 (Nocedal and Wright, Numerical
+Optimization, 2nd ed., 2006, sec. 18.1) at v = G(u).  With the multiplier
+2Q/p of a stationary point on F = 1, the Lagrangian u'Au - (2Q/p)(F - 1)
+has gradient 2r, r = Av - (Q/p) grad F(v), and Hessian 2B,
+B = A - Q(p - 1) H, where grad^2 F = p(p - 1) H and H = sum over the Gauss
+points of w |v|^{p-2} phi phi' is tridiagonal for P1 profiles
+(``_kernels.PowerWorkspace.hessian``).  The step d and multiplier change
+delta solve [[B, -grad F], [grad F', 0]] [d; delta] = [-r; 0] on the free
+nodes: d = -z1 + t z2 with B [z1 z2] = [r, grad F] and
+t = (grad F' z1) / (grad F' z2).  One ``dgtsv`` (partial pivoting, since
+v'Bv = -(p - 2) Q: B is indefinite along v), bound once per call
+(``_kernels.TridiagonalSystem``), solves for both columns; there is no
+candidate when it meets an exactly zero pivot or grad F' z2 = 0.  The
+candidate v + d, its Dirichlet node +0.0, is rescaled onto F = 1 and taken
+only when Q(candidate) <= Q(v); else v is taken.  Every iterate therefore
+lies on F = 1 and is still an upper bound, and Q(u_{k+1}) <= Q(G(u_k)) <=
+Q(u_k) keeps the descent wherever it is proved above.  Near the minimizer
+the candidate converges quadratically: 10-12 steps per start on the flat
+ball at M = 256, 14-16 at M = 1024.  r, u - s and the candidate are formed
+in buffers made once per call, and s is read from the factor's buffer.
 
 F goes through one ``_kernels.PowerWorkspace`` per call, shared by the
 starts.  G(u) and the candidate are each rescaled by one evaluation of F
 (``value``, one ``pow`` per Gauss point), which also gives the g that
-grad F is formed from; the candidate, |.| with a +0.0 fill, has no sign
-bit and skips the sign scan.  grad F is formed (``gradient``) only for the
-one of the two that becomes the next iterate, and it carries over to the
-rescaled vector: F(cv) = c^p F(v), grad F(cv) = c^{p-1} grad F(v).  A step
-thus makes one solve, at most two evaluations and one gradient, and no
-point is evaluated twice.
+grad F and H are formed from (H with no second ``pow``); F(cv) = c^p F(v),
+grad F(cv) = c^{p-1} grad F(v) and H(cv) = c^{p-2} H(v) carry them over to
+the rescaled vector.  grad F is formed (``gradient``) at G(u), which the
+Newton system needs, and at the candidate only when it becomes the next
+iterate.  A step thus makes one preconditioner solve, one KKT solve, at
+most two evaluations and two gradients, and no point is evaluated twice.
 
 gnorm = sqrt(r'Ã^{-1}r) / (1 + |Q|); converged means gnorm <= _GRAD_TOL = 1e-8.
 A run stops when it converges, when max_iters runs out, or when Q rises
@@ -61,7 +64,7 @@ Stability of Numerical Algorithms, sec. 3.1); it returns its lowest-energy
 iterate, and its ``stop`` says which ("converged", "max_iters", "rise").
 The 1/h^2 stiffness entries cancel in u'Au, so the bound is 1e-12 relative
 at M = 32 and 3e-8 at M = 1024.  The bounds are formed only on a step where
-Q exceeds its lowest value (0 to 2 of the ~290 steps of a
+Q exceeds its lowest value (none of the 118 steps of a seed-0
 ``minimizer-theorem2`` pass), each from its stored vector.  Being
 non-negative, they cannot pass the test on any other step, so every stop
 is the one that bounds formed on every step would give.
@@ -86,7 +89,6 @@ from .forms import (
     tri_quadform,
 )
 
-_DEPTH = 5  # Anderson mixing depth: differences kept in the history
 _GRAD_TOL = 1e-8  # convergence: gnorm at or below this
 
 __all__ = ["MinimizationResult", "bubble_init", "constant_init", "minimize_quotient", "smooth_cutoff"]
@@ -165,15 +167,16 @@ def _project(forms: QuadraticForms, u: np.ndarray) -> np.ndarray:
     return u / h ** (1.0 / forms.p_crit)
 
 
-def _rescaled(power, u, sign_free=False):
-    """u rescaled onto F = 1, its g and the divisor h*c that turns
-    ``power.gradient(g)`` into grad F there, from one evaluation at u:
-    F(cu) = c^p F(u) and grad F(cu) = c^{p-1} grad F(u)."""
-    h, g = power.value(u, sign_free)
+def _rescaled(power, u):
+    """u rescaled onto F = 1 by c = F(u)^{-1/p}, its g, the divisor h*c
+    that turns ``power.gradient(g)`` into grad F there and c itself, from
+    one evaluation at u: F(cu) = c^p F(u) and grad F(cu) = c^{p-1}
+    grad F(u)."""
+    h, g = power.value(u)
     if h <= 0.0:
         raise DomainError("cannot project the zero profile onto the constraint")
     c = h ** (-1.0 / power.p)
-    return c * u, g, h * c
+    return c * u, g, h * c, c
 
 
 def minimize_quotient(
@@ -203,11 +206,11 @@ def minimize_quotient(
     abs_a = (np.abs(a[0]), np.abs(a[1]))
     factor = _shifted_factor(forms, lam)
     power = _kernels.PowerWorkspace(forms.hs_weights, forms.hs_t, forms.p_crit)
-    # the Anderson normal equations and the step's buffers: r, u - s and the
-    # candidate, formed anew every step of every start; the candidate's
-    # Dirichlet node stays +0.0
-    n = forms.n_nodes
-    work = _kernels.NormalEquations(_DEPTH), np.empty(forms.md[forms.dof].shape), np.empty(n), np.zeros(n)
+    # the KKT solve and the step's buffers: r, u - s and the candidate,
+    # formed anew every step of every start; the candidate's Dirichlet node
+    # stays +0.0
+    n, n_free = forms.n_nodes, factor.diag.shape[0]
+    work = _kernels.TridiagonalSystem(n_free, 2), np.empty(n_free), np.empty(n), np.zeros(n)
     runs = [_descend(forms, lam, a, abs_a, factor, power, work, u0, tag, max_iters) for tag, u0 in zip(tags, inits)]
     best = min(runs, key=lambda res: res.mu_upper)
     best.concentration = _hs_concentration(forms, best.profile)
@@ -242,25 +245,33 @@ def _rounding(abs_a, u):
     return k_eps / (1.0 - k_eps) * tri_quadform(abs_a[0], abs_a[1], np.abs(u))
 
 
-def _mixed(g, f, df, sums, normal, out):
-    """|g - (dU + dF) gamma| formed in ``out``, gamma minimizing
-    |f - dF gamma| by its normal equations (``normal``, a
-    ``_kernels.NormalEquations``); None when they are exactly singular, as
-    for a zero difference (equal rows of dF need not be: their Gram matrix
-    rounds).  The differences are the rows of ``df`` (dF^T) and ``sums``
-    ((dU + dF)^T)."""
-    gamma = normal(df, f)
-    if gamma is None:
+def _newton(system, a_free, hess, coef, r, grad, v, out):
+    """The Newton candidate v + d of the KKT system
+    [[B, -grad], [grad', 0]] [d; delta] = [-r; 0], B = A - coef H, on the
+    free nodes: d = -z1 + t z2 with B [z1 z2] = [r, grad] by one ``system``
+    call and t = (grad' z1) / (grad' z2), formed in ``out``; None when B
+    has an exactly zero pivot or grad' z2 = 0."""
+    d = a_free[0] - coef * hess[0]
+    e = a_free[1] - coef * hess[1]
+    z = system(d, e, (r, grad))
+    if z is None:
         return None
-    np.matmul(gamma, sums, out=out)
-    np.subtract(g, out, out=out)
-    return np.abs(out, out=out)
+    z1, z2 = z
+    den = float(np.dot(grad, z2))
+    if den == 0.0:
+        return None
+    z2 *= float(np.dot(grad, z1)) / den
+    np.subtract(v, z1, out=out)
+    out += z2
+    return out
 
 
 def _descend(forms, lam, a, abs_a, factor, power, work, u0, tag, max_iters):
     sl = forms.dof
-    normal, resid, step, cand = work
-    u, g, hc = _rescaled(power, forms.check_profile(np.asarray(u0, dtype=float).copy()))
+    p = forms.p_crit
+    a_free = forms.free(*a)
+    system, resid, step, cand = work
+    u, g, hc, _ = _rescaled(power, forms.check_profile(np.asarray(u0, dtype=float).copy()))
     grad = power.gradient(g) / hc
     # at a huge lambda an energy, its rounding bound or gnorm may overflow;
     # each is read next: a start whose energy is not finite is refused, an
@@ -273,10 +284,6 @@ def _descend(forms, lam, a, abs_a, factor, power, work, u0, tag, max_iters):
         best_q, best_u = math.inf, u
         gnorm = math.inf
         stop = "max_iters"
-        prev = None  # (u, G(u) - u) on the free nodes, of the last step
-        # the mixing history, oldest first: rows dF and dU + dF of its k differences
-        n_free = u[sl].shape[0]
-        df, sums, k = np.empty((_DEPTH, n_free)), np.empty((_DEPTH, n_free)), 0
         iters = 0
         for iters in range(1, max_iters + 1):
             if q > best_q and q > best_q + _rounding(abs_a, best_u) + _rounding(abs_a, u):
@@ -284,7 +291,7 @@ def _descend(forms, lam, a, abs_a, factor, power, work, u0, tag, max_iters):
                 break
             if q < best_q:
                 best_q, best_u = q, u
-            r = np.multiply(grad[sl], q / forms.p_crit, out=resid)
+            r = np.multiply(grad[sl], q / p, out=resid)
             np.subtract(au[sl], r, out=r)
             s = factor.solve(r)  # the factor's buffer
             gnorm = math.sqrt(max(float(np.dot(r, s)), 0.0)) / (1.0 + abs(q))
@@ -293,32 +300,20 @@ def _descend(forms, lam, a, abs_a, factor, power, work, u0, tag, max_iters):
                 break
             np.copyto(step, u)
             step[sl] -= s
-            mix = prev is not None
-            v, g, hc = _rescaled(power, step)
-            f = v[sl] - u[sl]
-            if mix:
-                if k == _DEPTH:
-                    df[:-1], sums[:-1] = df[1:], sums[1:]
-                else:
-                    k += 1
-                np.subtract(f, prev[1], out=df[k - 1])
-                np.subtract(u[sl], prev[0], out=sums[k - 1])
-                sums[k - 1] += df[k - 1]
-            prev = (u[sl], f) if _DEPTH else None
-            u = v
+            u, g, hc, c = _rescaled(power, step)
             au, q = _energy(a, u)
-            if mix:
-                x = _mixed(u[sl], f, df[:k], sums[:k], normal, cand[sl])
-                if x is not None and np.any(x):  # else no candidate, or none that can be rescaled
-                    x, x_g, x_hc = _rescaled(power, cand, sign_free=True)  # |.| with +0.0 fill
-                    ax, qx = _energy(a, x)
-                    if qx <= q:
-                        u, au, q = x, ax, qx
-                        grad = power.gradient(x_g) / x_hc
-                        continue
-                k = 0
-                prev = None
             grad = power.gradient(g) / hc
+            # the Newton candidate at v = u: H(u) = c^{p-2} H(step) = H(step) / (h c^2)
+            r = np.multiply(grad[sl], q / p, out=resid)
+            np.subtract(au[sl], r, out=r)
+            hess = forms.free(*power.hessian(step, g))
+            x = _newton(system, a_free, hess, q * (p - 1.0) / (hc * c), r, grad[sl], u[sl], cand[sl])
+            if x is not None and np.any(x):  # else no candidate, or none that can be rescaled
+                x, x_g, x_hc, _ = _rescaled(power, cand)
+                ax, qx = _energy(a, x)
+                if qx <= q:
+                    u, au, q = x, ax, qx
+                    grad = power.gradient(x_g) / x_hc
 
     u = best_u
     if np.any(u < 0.0):

@@ -7,12 +7,12 @@ from hardylab import _kernels
 
 @pytest.fixture
 def python_backend(monkeypatch):
-    """The kernels on their Python-float recurrences and
-    ``numpy.linalg.solve``: the three LAPACK handles unset and ``BACKEND``
-    naming them, as on an install whose numpy bundles no ``dpttrf``."""
+    """The kernels on their Python-float recurrences: the three LAPACK
+    handles unset and ``BACKEND`` naming them, as on an install whose numpy
+    bundles no ``dpttrf``."""
     monkeypatch.setattr(_kernels, "_PTTRF", None)
     monkeypatch.setattr(_kernels, "_PTTRS", None)
-    monkeypatch.setattr(_kernels, "_GESV", None)
+    monkeypatch.setattr(_kernels, "_GTSV", None)
     monkeypatch.setattr(_kernels, "BACKEND", "python")
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hardylab.bubble import bubble_moments
-from hardylab.constants import critical_exponent, hardy_sobolev_constant
+from hardylab.constants import critical_exponent, hardy_sobolev_constant, sphere_area
 from hardylab.errors import DomainError
 from hardylab.expansion import ExpansionSeries, fit_expansion, quotient_series, theory_coefficient
 from hardylab.forms import assemble_forms, build_grid, evaluate_quotient
@@ -137,13 +137,19 @@ def test_theory_coefficient_values():
 
 
 def test_theory_coefficient_n4_uses_log_slope():
+    # the coefficient of log n / n^2 takes r2_dirichlet's far-field slope
+    # 4 |S^3| (r^2 |w'|^2 r^3 -> 4/r), not the slope measured at the
+    # truncation radius, which is 0.998, 0.841 and 2.8e-7 of it here
     s4 = unit_sphere(4)
-    val = theory_coefficient(s4, -1.0, 1.0)
-    mom = bubble_moments(4, 1.0)
-    p = critical_exponent(1.0, 4)
-    want = (12.0 - 6.0) / 24.0 * mom.r2_dirichlet.log_slope / mom.hs_mass.value ** (2.0 / p)
-    assert val == pytest.approx(want, rel=1e-9)
-    assert val > 0
+    slope = 4.0 * sphere_area(3)
+    for sigma, share in [(1.0, 0.998), (1.5, 0.841), (1.9, 2.76e-7)]:
+        val = theory_coefficient(s4, -1.0, sigma)
+        mom = bubble_moments(4, sigma)
+        p = critical_exponent(sigma, 4)
+        want = (12.0 - 6.0) / 24.0 * slope / mom.hs_mass.value ** (2.0 / p)
+        assert val == pytest.approx(want, rel=1e-12)
+        assert val > 0
+        assert mom.r2_dirichlet.log_slope / slope == pytest.approx(share, rel=2e-3)
 
 
 def test_theory_coefficient_domain():

@@ -107,6 +107,63 @@ def _tridiag_solve_py(d, e, b):
     return x
 
 
+def _gtsv_ref(d, dl, du, b):
+    """Reference dgtsv (Gaussian elimination with partial pivoting, its
+    NRHS > 1 loop) indexing numpy copies element by element: the solution
+    columns as the rows of a (nrhs, n) array and info, 0 or the row of the
+    first exactly zero pivot (then the columns are None)."""
+    d, dl, du, b = d.copy(), dl.copy(), du.copy(), b.copy()
+    n, nrhs = d.shape[0], b.shape[0]
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                return None, i + 1
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            for j in range(nrhs):
+                b[j, i + 1] = b[j, i + 1] - fact * b[j, i]
+            if i < n - 2:
+                dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            for j in range(nrhs):
+                temp = b[j, i]
+                b[j, i] = b[j, i + 1]
+                b[j, i + 1] = temp - fact * b[j, i + 1]
+    if d[n - 1] == 0.0:
+        return None, n
+    for j in range(nrhs):
+        b[j, n - 1] = b[j, n - 1] / d[n - 1]
+        if n > 1:
+            b[j, n - 2] = (b[j, n - 2] - du[n - 2] * b[j, n - 1]) / d[n - 2]
+        for i in range(n - 3, -1, -1):
+            b[j, i] = (b[j, i] - du[i] * b[j, i + 1] - dl[i] * b[j, i + 2]) / d[i]
+    return b, 0
+
+
+def _power_hessian_loop_py(u, w, t, p):
+    """The tridiagonal (d, e) of sum w |v|^{p-2} [1 - t; t][1 - t; t]^T
+    over the points, cell by cell."""
+    ncell, nq = w.shape
+    d, e = np.zeros(ncell + 1), np.zeros(ncell)
+    for c in range(ncell):
+        for q in range(nq):
+            v = u[c] + (u[c + 1] - u[c]) * t[q]
+            if v != 0.0:
+                s = w[c, q] * abs(v) ** (p - 2.0)
+                d[c] += s * (1.0 - t[q]) ** 2
+                e[c] += s * (1.0 - t[q]) * t[q]
+                d[c + 1] += s * t[q] ** 2
+    return d, e
+
+
 def _power_moment_loop_py(u, w, t, p):
     ncell, nq = w.shape
     total = 0.0
@@ -473,32 +530,124 @@ def test_lapack_solve_rejects_mismatched_factors():
             K.LDLFactor(factor.diag, lo).solve(b)
 
 
-def test_normal_equations_match_numpy_solve(backend, rng):
-    # the bound dgesv makes numpy.linalg.solve's LU of the same Gram matrix:
-    # the same bits at every order and scale, None exactly where numpy
-    # finds it singular, and the same NaNs
-    normal = K.NormalEquations(5)
-    for n in (5, 33, 257):
-        f = rng.standard_normal(n)
-        for scale in (1e-8, 1e-3, 1.0, 1e3):
-            history = scale * rng.standard_normal((5, n))
-            for k in range(1, 6):
-                rows = history[:k]
-                want = np.linalg.solve(rows @ rows.T, rows @ f)
-                assert normal(rows, f).tobytes() == want.tobytes(), (n, scale, k)
-    d, f = rng.standard_normal(33), rng.standard_normal(33)
-    rows = np.array([d, np.zeros(33), rng.standard_normal(33)])  # a zero row and column of G: exactly singular
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(rows @ rows.T, rows @ f)
-    assert normal(rows, f) is None
-    rows[1, 4] = np.nan
-    want = np.linalg.solve(rows @ rows.T, rows @ f)
-    assert np.isnan(want).all() and normal(rows, f).tobytes() == want.tobytes()
-    rows = rng.standard_normal((4, 33))
-    assert normal(rows, f).tobytes() == np.linalg.solve(rows @ rows.T, rows @ f).tobytes()
-    for k in (0, 6):
+def _kkt_systems(rng):
+    """Symmetric tridiagonal (d, e), indefinite like the minimizer's KKT
+    matrix, with two right-hand sides: sizes 1, 2 and up to 120, rows
+    where |e| > |d| (a row swap), and exactly singular ones."""
+    for n in [1, 2, 1, 2, 3] + [int(v) for v in rng.integers(3, 120, size=16)]:
+        d, e, b = rng.standard_normal(n), rng.standard_normal(n - 1), rng.standard_normal((2, n))
+        yield d, e, b
+        z = d.copy()
+        z[rng.integers(0, n)] = 0.0
+        yield z, 0.0 * e, b  # a zero pivot with nothing to swap in: info > 0
+
+
+def _swaps(d, e):
+    return int(np.any(np.abs(e) > np.abs(d[:-1])))
+
+
+def test_tridiagonal_system_matches_reference(backend, rng):
+    # the bound dgtsv and its stand-in make reference dgtsv's operations:
+    # the reference loop's bits, its info, and a solution of the dense system
+    infos, swaps = set(), 0
+    for d, e, b in _kkt_systems(rng):
+        want, info = _gtsv_ref(d, e, e, b)
+        system = K.TridiagonalSystem(d.shape[0], 2)
+        got = system(d, e, b)
+        assert system._info.value == info
+        infos.add(info > 0)
+        swaps += _swaps(d, e)
+        if info:
+            assert got is None
+            continue
+        assert got.tobytes() == want.tobytes()
+        dense = np.diag(d) + np.diag(e, -1) + np.diag(e, 1)
+        np.testing.assert_allclose(dense @ got.T, b.T, rtol=1e-8, atol=1e-8 * np.abs(got).max())
+    assert infos == {True, False} and swaps > 10
+
+
+@pytest.mark.skipif(K._GTSV is None, reason="numpy bundles no LAPACK dgtsv here")
+def test_python_tridiagonal_system_gives_lapack_bits(rng, monkeypatch):
+    # the Python stand-in leaves the whole buffer [DL, D, DU, X] and info as
+    # LAPACK's dgtsv does: n = 1 and 2, row swaps, and exactly singular
+    # systems, where both stop at the same row
+    ones = np.ones((2, 3))
+    cases = [
+        (np.array([3.0]), np.zeros(0), np.array([[5.0], [-1.0]])),
+        (np.array([0.0]), np.zeros(0), np.array([[5.0], [-1.0]])),  # info 1
+        (np.array([2.0, 1.0]), np.array([0.5]), np.array([[1.0, 2.0], [3.0, -1.0]])),
+        (np.array([0.5, 1.0]), np.array([2.0]), np.array([[1.0, 2.0], [3.0, -1.0]])),  # |e| > |d|: a swap
+        (np.array([0.5, 1.0, 3.0]), np.array([2.0, 4.0]), ones),  # a swap on every row
+        (np.array([1.0, 1.0, 3.0]), np.array([1.0, 0.0]), ones),  # 1 - 1*1 = 0: info 2
+        (np.array([1.0, 4.0]), np.array([2.0]), np.ones((2, 2))),  # singular after a swap: info 2
+    ]
+    cases += list(_kkt_systems(rng))
+
+    def run(d, e, b):
+        system = K.TridiagonalSystem(d.shape[0], 2)
+        x = system(d, e, b)
+        buf = np.concatenate([system._dl, system._d, system._du, system._x.ravel()])
+        return system._info.value, x is None, buf.tobytes()
+
+    infos, swaps = [], 0
+    for d, e, b in cases:
+        want = run(d, e, b)
+        with monkeypatch.context() as m:
+            m.setattr(K, "_GTSV", None)
+            got = run(d, e, b)
+        assert got == want, (d, e)
+        assert want[0] == _gtsv_ref(d, e, e, b)[1]
+        infos.append(want[0])
+        swaps += _swaps(d, e)
+    assert infos[:7] == [0, 1, 0, 0, 0, 2, 2] and swaps > 10
+
+
+def test_tridiagonal_system_refuses_mismatched_shapes():
+    system = K.TridiagonalSystem(4, 2)
+    ones = np.ones(4)
+    for args in [
+        (np.ones(3), ones[:3], (ones, ones)),
+        (ones, ones[:2], (ones, ones)),
+        (ones, ones[:3], (ones,)),
+        (ones, ones[:3], (ones, ones[:3])),
+    ]:
         with pytest.raises(ValueError):
-            normal(rng.standard_normal((k, 33)), f)
+            system(*args)
+
+
+def test_python_definiteness_test_keeps_no_pivots(python_backend):
+    # a test on the Python backend runs the recurrence for its info alone and
+    # leaves T - s*W in the buffer; a factor writes its pivots back
+    d, e, w = np.array([4.0, 3.0, 5.0]), np.array([1.0, 2.0]), np.ones(3)
+    pencil = K.PencilWorkspace(d, e, w)
+    assert pencil(1.0) and pencil._info.value == 0
+    assert pencil._diag.tolist() == [3.0, 2.0, 4.0] and pencil._off.tolist() == [1.0, 2.0]
+    assert not pencil(2.9) and pencil._info.value == 2  # 0.1 - 1/1.1 < 0: row 2
+    assert pencil._diag.tobytes() == (d - 2.9 * w).tobytes()
+    factor = pencil.factor(1.0)
+    ref_diag, ref_low = _ldl_factor_py(d - 1.0, e)
+    assert pencil._diag.tobytes() == ref_diag.tobytes() == factor.diag.tobytes()
+    assert pencil._off.tobytes() == ref_low.tobytes() == factor.low.tobytes()
+
+
+def test_workspace_hessian_matches_reference_loop(rng):
+    # g/v at each point is w |v|^{p-2}, to rounding, and 0 where v = 0;
+    # the (cells, q) by (q, 3) product gathers it onto the nodes
+    for cells in (1, 32, 255):
+        w, t = np.abs(rng.standard_normal((cells, 8))), np.sort(rng.uniform(0.0, 1.0, 8))
+        base = np.abs(rng.standard_normal(cells + 1))
+        signed = rng.standard_normal(cells + 1)
+        zeros = base.copy()
+        zeros[: cells // 2 + 1] = 0.0  # cells whose every point is 0
+        for p in (3.0, 4.0, 2.6667):
+            power = K.PowerWorkspace(w, t, p)
+            for u in (base, signed, zeros):
+                d, e = power.hessian(u, power.value(u)[1])
+                want_d, want_e = _power_hessian_loop_py(u, w, t, p)
+                np.testing.assert_allclose(d, want_d, rtol=1e-13, atol=0.0)
+                np.testing.assert_allclose(e, want_e, rtol=1e-13, atol=0.0)
+            d, e = power.hessian(zeros, power.value(zeros)[1])
+            assert np.all(d[: cells // 2] == 0.0) and np.all(e[: cells // 2] == 0.0)
 
 
 def test_tally_counts_every_call_served(backend, rng):
@@ -682,8 +831,7 @@ def test_sign_free_power_moment_grad_matches_general_path(rng):
 
 def test_workspace_value_and_gradient_match_the_one_shot_kernel(rng):
     # one workspace, reused across profiles: its value and gradient give the
-    # bits of power_moment_grad and of the general path, with and without
-    # the sign scan where the profile has no sign bit set, and each value
+    # bits of power_moment_grad and of the general path, and each value
     # counts one evaluation while a gradient counts none
     for cells in (1, 32, 255):
         w, t = np.abs(rng.standard_normal((cells, 7))), np.sort(rng.uniform(0.0, 1.0, 7))
@@ -701,5 +849,3 @@ def test_workspace_value_and_gradient_match_the_one_shot_kernel(rng):
                 assert calls["evaluations"] == 1
                 assert _bits(*got) == _bits(*K.power_moment_grad(u, w, t, p)), (cells, p, name)
                 assert _bits(*got) == _bits(*_power_moment_grad_general(u, w, t, p)), (cells, p, name)
-            f, g = power.value(base, True)
-            assert _bits(f, power.gradient(g)) == _bits(*_power_moment_grad_general(base, w, t, p))

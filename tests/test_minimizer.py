@@ -8,7 +8,7 @@ from test_kernels import kernel_calls
 from hardylab.bubble import bubble_moments
 from hardylab.constants import hardy_sobolev_constant
 from hardylab.errors import DomainError
-from hardylab.forms import assemble_forms, build_grid, evaluate_quotient, hs_functional
+from hardylab.forms import assemble_forms, build_grid, evaluate_quotient, hs_functional, tri_matvec, tri_quadform
 from hardylab.manifold import euclidean_ball, unit_sphere
 from hardylab import _kernels, minimizer
 from hardylab._kernels import ldl_factor
@@ -229,55 +229,92 @@ def test_flat_ball_converges_from_every_start():
 
 
 def test_mixing_cuts_flat_ball_steps():
-    # 34-39 steps per start with mixing, 722-729 without
+    # 10-12 steps per start with the Newton candidate, 722-729 with the
+    # plain inverse-power step alone
     forms = assemble_forms(build_grid(1.0, 256, 2.0, "dirichlet"), euclidean_ball(3, 1.0), 1.0)
     runs = [minimize_quotient(forms, 0.0, inits=[u0]) for u0 in _starts(forms)]
-    assert all(res.converged and res.iterations <= 100 for res in runs)
+    assert all(res.converged and res.iterations <= 20 for res in runs)
     assert minimize_quotient(forms, 0.0).iterations_total == sum(res.iterations for res in runs)
 
 
-@pytest.mark.parametrize(
-    "N,lam,sigma,M",
-    [(4, -1.0, 1.0, 32), (4, -1.0, 1.0, 64), (5, -0.5, 0.5, 32), (4, 0.5, 1.0, 64)],
-)
-def test_mixing_matches_plain_step(N, lam, sigma, M, monkeypatch):
-    # the cases of test_matches_projected_gradient_values, with depth 0
-    # (every step the plain inverse-power step) against the mixed run
-    m = unit_sphere(N)
-    forms = assemble_forms(build_grid(m.r_max, M, 2.0, "reflected"), m, sigma)
-    mixed = minimize_quotient(forms, lam)
-    monkeypatch.setattr(minimizer, "_DEPTH", 0)
-    plain = minimize_quotient(forms, lam)
-    assert mixed.converged and plain.converged
-    assert mixed.mu_upper == pytest.approx(plain.mu_upper, rel=1e-9)
-    assert mixed.iterations_total <= plain.iterations_total
-
-
-def test_one_normal_equations_binding_per_call(monkeypatch):
-    # the four starts of a call share one bound solver and one set of step buffers
+def test_one_kkt_binding_per_call(monkeypatch):
+    # the four starts of a call share one bound dgtsv and one set of step buffers
     bindings = []
-    bind = _kernels.NormalEquations
-    monkeypatch.setattr(_kernels, "NormalEquations", lambda order: bindings.append(order) or bind(order))
-    for m, bc in ((unit_sphere(4), "reflected"), (euclidean_ball(3, 1.0), "dirichlet")):
+    bind = _kernels.TridiagonalSystem
+    monkeypatch.setattr(_kernels, "TridiagonalSystem", lambda n, nrhs: bindings.append((n, nrhs)) or bind(n, nrhs))
+    for m, bc, n_free in ((unit_sphere(4), "reflected", 33), (euclidean_ball(3, 1.0), "dirichlet", 32)):
         res = minimize_quotient(assemble_forms(build_grid(m.r_max, 32, 2.0, bc), m, 1.0), -1.0)
         assert len(res.starts) == 4
-    assert bindings == [minimizer._DEPTH] * 2
+    assert bindings == [(33, 2), (32, 2)]
 
 
-def test_mixing_skips_dependent_differences():
-    # a zero column of dF makes the normal equations exactly singular (a
-    # zero row and column of the Gram matrix): no candidate
-    rng = np.random.default_rng(3)
-    g, f, d = rng.random(8), rng.random(8), rng.random(8)
-    normal, zero = _kernels.NormalEquations(2), np.zeros(8)
-    assert not np.any(minimizer._mixed(g, f, np.array([d, zero]), np.array([d + d, zero]), normal, np.empty(8)))
-    # independent columns: the least-squares combination, made non-negative
-    d_u, d_f = [rng.random(8), rng.random(8)], [rng.random(8), rng.random(8)]
-    df = np.column_stack(d_f)
-    gamma = np.linalg.lstsq(df, f, rcond=None)[0]
-    want = np.abs(g - (np.column_stack(d_u) + df) @ gamma)
-    got = minimizer._mixed(g, f, np.array(d_f), np.array(d_u) + np.array(d_f), normal, np.empty(8))
-    np.testing.assert_allclose(got, want, rtol=1e-12)
+def _kkt_case(forms, lam, u0):
+    """One step's point v = G(u0) on F = 1, with what the Newton candidate
+    is built from: A on every node, the unscaled step y, its g, h c and c,
+    q = Q(v) and grad F(v)."""
+    a = (forms.kd - lam * forms.md, forms.ke - lam * forms.me)
+    power = _kernels.PowerWorkspace(forms.hs_weights, forms.hs_t, forms.p_crit)
+    u, g, hc, _ = minimizer._rescaled(power, u0)
+    grad = power.gradient(g) / hc
+    au = tri_matvec(*a, u)
+    q = float(np.dot(u, au))
+    r = (au - (q / forms.p_crit) * grad)[forms.dof]
+    y = u.copy()
+    y[forms.dof] -= minimizer._shifted_factor(forms, lam).solve(r)
+    v, g, hc, c = minimizer._rescaled(power, y)
+    return a, power, y, v, g, hc, c, float(np.dot(v, tri_matvec(*a, v))), power.gradient(g) / hc
+
+
+def _dense(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+@pytest.mark.parametrize(
+    "manifold,bc,M,sigma,lam",
+    [
+        (unit_sphere(4), "reflected", 32, 1.0, -1.0),
+        (unit_sphere(5), "reflected", 16, 0.5, -0.5),
+        (euclidean_ball(3, 1.0), "dirichlet", 32, 1.0, 0.0),
+        (unit_sphere(4), "reflected", 24, 1.0, 0.5),  # A indefinite
+    ],
+    ids=["S4-32", "S5-16-sigma-0.5", "flat-ball-32", "S4-24-indefinite"],
+)
+def test_newton_candidate_solves_the_bordered_kkt_system(manifold, bc, M, sigma, lam):
+    # v - z1 + t z2 is v + d for the solution (d, delta) of the dense
+    # bordered system [[B, -grad F], [grad F', 0]] [d; delta] = [-r; 0],
+    # B = A - Q(v) (p - 1) H(v), H from w |v|^{p-2} at the Gauss points
+    forms = assemble_forms(build_grid(manifold.r_max, M, 2.0, bc), manifold, sigma)
+    p, sl = forms.p_crit, forms.dof
+    n = sl.stop
+    for u0 in _starts(forms):
+        a, power, y, v, g, hc, c, q, grad = _kkt_case(forms, lam, u0)
+        r = (tri_matvec(*a, v) - (q / p) * grad)[sl]
+        got = minimizer._newton(
+            _kernels.TridiagonalSystem(n, 2),
+            forms.free(*a),
+            forms.free(*power.hessian(y, g)),
+            q * (p - 1.0) / (hc * c),
+            r,
+            grad[sl],
+            v[sl],
+            np.empty(n),
+        )
+        # H from its definition, on the points of v itself
+        t, w = forms.hs_t, forms.hs_weights
+        pts = np.outer(v[:-1], 1.0 - t) + np.outer(v[1:], t)
+        s = w * np.abs(pts) ** (p - 2.0)
+        hd, he = np.zeros(forms.n_nodes), s @ ((1.0 - t) * t)
+        hd[:-1] += s @ (1.0 - t) ** 2
+        hd[1:] += s @ t**2
+        b = _dense(a[0][:n], a[1][: n - 1]) - q * (p - 1.0) * _dense(hd[:n], he[: n - 1])
+        kkt = np.block([[b, -grad[sl, None]], [grad[None, sl], np.zeros((1, 1))]])
+        want = v[sl] + np.linalg.solve(kkt, np.concatenate([-r, [0.0]]))[:n]
+        # in the L^2 norm of the P1 profiles (Mass): the KKT matrix's
+        # condition number is about 1e7 on the graded spheres, and both
+        # solvers' forward errors against a 40-digit solve reach 1e-10 of
+        # max|want| at node 0, whose row carries the volume factor r^{N-1}
+        md, me = forms.free(forms.md, forms.me)
+        assert tri_quadform(md, me, got - want) <= 1e-24 * tri_quadform(md, me, want)
 
 
 @pytest.mark.parametrize(
@@ -290,7 +327,9 @@ def test_mixing_skips_dependent_differences():
 )
 def test_counters_match_kernel_calls(forms, lam, monkeypatch):
     # every F evaluation and every preconditioner solve goes through
-    # _kernels; a step makes one solve and at most two evaluations
+    # _kernels; a step makes one solve and at most two evaluations (G(u)
+    # and the Newton candidate), and each start one more at its start and
+    # one for its result, and the winner two for its concentration
     calls = {"F": 0, "solve": 0}
 
     def counted(name, fn):
@@ -306,7 +345,7 @@ def test_counters_match_kernel_calls(forms, lam, monkeypatch):
     with kernel_calls() as tally:
         res = minimize_quotient(forms, lam)
     assert res.converged
-    assert tally["evaluations"] == calls["F"] <= 2 * res.iterations_total
+    assert tally["evaluations"] == calls["F"] <= 2 * res.iterations_total + 2
     assert tally["solves"] == calls["solve"] == res.iterations_total
 
 
@@ -315,31 +354,64 @@ def test_counters_match_kernel_calls(forms, lam, monkeypatch):
     [
         (1.0, 4, -1.0, 800, False, {"converged"}),
         (1.0, 4, -1.0, 3, False, {"max_iters"}),
-        (0.5, 6, -0.5, 800, True, {"converged", "rise"}),
+        (0.5, 6, -0.5, 200, True, {"rise"}),
     ],
     ids=["converged", "max_iters", "rise"],
 )
 def test_gradient_only_for_the_iterate_kept(sigma, N, lam, max_iters, zero_bound, stops, monkeypatch):
-    # grad F is formed at the start and once per step taken, for the one
-    # trial point the step keeps: 1 + iterations - [stop != "max_iters"]
-    # per start, since a start that converges or rises stops before its
-    # last step
+    # grad F is formed at the start, at G(u) on every step taken (the
+    # Newton system needs it), and at the Newton candidate only when the
+    # step keeps it, Q(candidate) <= Q(G(u)): 1 + steps + kept per start,
+    # steps = iterations - [stop != "max_iters"], since a start that
+    # converges or rises stops before its last step.  The "rise" case runs
+    # at a zero gradient tolerance and a zero rounding bound, so each start
+    # steps on until Q rises by rounding
     m = unit_sphere(N)
     forms = assemble_forms(build_grid(m.r_max, 32, 2.0, "reflected"), m, sigma)
-    formed, per_start = [], []
-    gradient, descend = _kernels.PowerWorkspace.gradient, minimizer._descend
-    monkeypatch.setattr(_kernels.PowerWorkspace, "gradient", lambda power, g: formed.append(1) or gradient(power, g))
+    formed, energies, per_start = [], [], []
+    gradient, rescaled, energy, descend = (
+        _kernels.PowerWorkspace.gradient,
+        minimizer._rescaled,
+        minimizer._energy,
+        minimizer._descend,
+    )
+    candidate_gs = []  # kept alive, so no other g can take one's id
+
+    def counted_rescaled(power, u, *args):
+        out = rescaled(power, u, *args)
+        if u is candidate[0]:
+            candidate_gs.append(out[1])
+            energies.append("candidate")
+        return out
+
+    def counted_energy(a, u):
+        au, q = energy(a, u)
+        energies.append(q)
+        return au, q
 
     def counted_descend(*args):
-        before = len(formed)
+        candidate[:] = [args[6][3]]  # the candidate buffer of the call's work
+        formed.clear()
+        energies.clear()
         res = descend(*args)
-        per_start.append((len(formed) - before, res.iterations, res.stop))
+        # q of each G(u) and of the candidate that follows it
+        pairs = [(energies[i - 1], energies[i + 1]) for i, e in enumerate(energies) if e == "candidate"]
+        kept = sum(qx <= qv for qv, qx in pairs)
+        at_candidates = sum(formed)
+        per_start.append((len(formed) - at_candidates, at_candidates, kept, res.iterations, res.stop))
         return res
 
+    candidate = [None]
+    monkeypatch.setattr(_kernels.PowerWorkspace, "gradient", lambda power, g: formed.append(any(g is x for x in candidate_gs)) or gradient(power, g))
+    monkeypatch.setattr(minimizer, "_rescaled", counted_rescaled)
+    monkeypatch.setattr(minimizer, "_energy", counted_energy)
     monkeypatch.setattr(minimizer, "_descend", counted_descend)
     if zero_bound:
         monkeypatch.setattr(minimizer, "_rounding", lambda abs_a, u: 0.0)
+        monkeypatch.setattr(minimizer, "_GRAD_TOL", 0.0)
     minimize_quotient(forms, lam, max_iters=max_iters)
-    assert len(per_start) == 4 and {stop for _, _, stop in per_start} == stops
-    for n, iterations, stop in per_start:
-        assert n == 1 + iterations - (stop != "max_iters")
+    assert len(per_start) == 4 and {stop for *_, stop in per_start} == stops
+    for at_steps, at_candidates, kept, iterations, stop in per_start:
+        assert at_steps == 1 + iterations - (stop != "max_iters")
+        assert at_candidates == kept
+    assert sum(kept for _, _, kept, _, _ in per_start) > 0
